@@ -3,19 +3,22 @@
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Runs one workload in fresh child processes of this Python (bench/worker.py),
-which call `covercert.cli.main(argv)` directly on inputs made from --seed.
-The loop is closed with one client, since covercert is a batch certifier:
-each op starts when the previous one has ended, for about --seconds.
+Runs one workload, one op per fresh child process of this Python
+(bench/worker.py), which calls `covercert.cli.main(argv)` directly on
+inputs made from --seed. The loop is closed with one client, since
+covercert is a batch certifier: each op starts when the previous one has
+ended, for about --seconds. Between ops, further children only import
+covercert, so that set-up is sampled across the whole run.
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json; --trace 1 runs
-the same ops once untraced and once with spans at each module boundary, and
-reports the per-layer metrics. The last line of stdout is one JSON object:
-{"correct", "attempted", "failed", "metrics"}. Every op's output is checked;
-an op fails when a call exits with an unexpected code, an output breaks its
-rule (verdicts, audit results, fault detection), its seeded fields differ
-from bench/references.json, or, traced, its certificate bytes differ between
-the untraced and traced replay of the same input. The exit code is 0 only
+each op's input twice in a row, untraced and with spans at each module
+boundary, and reports the per-layer metrics. The last line of stdout is one
+JSON object: {"correct", "attempted", "failed", "metrics"}. Every op's
+output is checked; an op fails when a call exits with an unexpected code,
+an output breaks its rule (verdicts, audit results, fault detection), its
+seeded fields differ from bench/references.json, or, traced, its
+certificate bytes differ between the untraced and traced replay of the same
+input. The exit code is 0 only
 when no op failed.
 """
 
@@ -41,15 +44,18 @@ OUT_ROOT = ROOT / ".bench_out"
 THREAD_PINS = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
-SETUP_REPEATS = 5
+# Share of the run's time spent in children that only import covercert.
+SETUP_SHARE = 0.15
 TIME_LIMIT_S = 170.0
+# The CLI's segment_body() shortened to length 0.6: a 4,598-member family
+# instead of 11,328, so that a run holds about five ops instead of three.
 SEGMENT_BODY = {
     "dim": 2, "kind": "halfspaces", "exact_volume": None,
-    "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.5},
-                   {"normal": [-1.0, 0.0], "offset": 0.5},
+    "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
+                   {"normal": [-1.0, 0.0], "offset": 0.3},
                    {"normal": [0.0, 1.0], "offset": 0.0},
                    {"normal": [0.0, -1.0], "offset": 0.0}],
-    "bound": {"center": [0.0, 0.0], "radius": 0.5},
+    "bound": {"center": [0.0, 0.0], "radius": 0.3},
 }
 
 # Each workload is a list of CLI calls (name, argv template, output suffix);
@@ -64,8 +70,9 @@ WORKLOADS = {
     # default witness except for a 2,000-point probe (default 20,000), so
     # that a run holds five ops; family and certificate are unchanged.
     "witness-ball": [WITNESS, VERIFY],
-    # Segment base: every membership test goes through Dykstra projection
-    # and the rotation net is built. The normal audit finds a cover early
+    # Segment base (SEGMENT_BODY): every membership test goes through
+    # Dykstra projection and the rotation net is built; the audits use the
+    # CLI's own unit segment. The normal audit finds a cover early
     # (about one test per trial), the fault-injected one scans the net.
     "segment-body": [
         ("witness", ["witness", "--seed", "{seed}", "--body", "{body}", "--eps", "0.4",
@@ -121,22 +128,51 @@ def spawn(args: list[str], deadline: float) -> float:
     return setup_s
 
 
-def run_child(workload: str, seed: int, seconds: float, trace: bool, tamper: bool,
-              run_dir: Path, deadline: float) -> dict:
-    run_dir.mkdir(parents=True)
+def run_op(args, i: int, trace: bool, deadline: float) -> tuple[float, dict]:
+    """Op i of the run in a fresh worker: its set-up seconds and its result.
+    Op i gets CLI seed 1000 * seed + i, so the ops of one run see different
+    inputs and a run's median averages over them."""
+    tag = f"op{i}-{'traced' if trace else 'plain'}"
     plan = {
-        # Op i gets CLI seed 1000 * seed + i: the ops of one run see
-        # different inputs, so a run's median averages over them.
-        "calls": WORKLOADS[workload], "seed_base": 1000 * seed, "seconds": seconds,
-        "trace": trace, "tamper": tamper, "run_dir": str(run_dir),
-        "body": str(run_dir.parent / "body.json"), "result_path": str(run_dir / "result.json"),
-        "spans_path": str(OUT_ROOT / f"spans-{workload}-seed{seed}.json"),
+        "calls": WORKLOADS[args.workload], "op": i, "cli_seed": str(1000 * args.seed + i),
+        "trace": trace, "tamper": args.tamper, "environment": i == 0,
+        "run_dir": str(args.run_dir), "body": str(args.run_dir / "body.json"),
+        "result_path": str(args.run_dir / f"{tag}-result.json"),
     }
-    (run_dir / "plan.json").write_text(json.dumps(plan))
-    setup_s = spawn([str(run_dir / "plan.json")], deadline)
-    result = json.loads((run_dir / "result.json").read_text())
-    result["setup_s"] = setup_s
-    return result
+    plan_path = args.run_dir / f"{tag}-plan.json"
+    plan_path.write_text(json.dumps(plan))
+    setup_s = spawn([str(plan_path)], deadline)
+    return setup_s, json.loads(Path(plan["result_path"]).read_text())
+
+
+def run_loop(args, trace: bool, deadline: float) -> dict:
+    """Closed loop with one client: op i+1 starts when op i has ended, and
+    ops continue while the expected end of the next one stays within
+    --seconds. Traced, each op's input runs untraced, then traced. After
+    each op, children that only import covercert run until they have taken
+    SETUP_SHARE of the time, so set-up samples span the run."""
+    run = {"setup": [], "plain": [], "traced": [], "traced_setup": [], "spans": []}
+    t_start = perf_counter()
+    setup_only_s = 0.0
+    while True:
+        i = len(run["plain"])
+        setup_s, result = run_op(args, i, False, deadline)
+        run["setup"].append(setup_s)
+        run["plain"].append(result["op"])
+        run.setdefault("environment", result.get("environment"))
+        if trace:
+            setup_s, result = run_op(args, i, True, deadline)
+            run["traced_setup"].append(setup_s)
+            run["traced"].append(result["op"])
+            run["spans"].append(result["spans"])
+            run["trace_missing"] = result["trace_missing"]
+        while setup_only_s < SETUP_SHARE * (perf_counter() - t_start):
+            t0 = perf_counter()
+            run["setup"].append(spawn(["--setup-only"], deadline))
+            setup_only_s += perf_counter() - t0
+        elapsed = perf_counter() - t_start
+        if elapsed + 0.5 * elapsed / (i + 1) >= args.seconds:
+            return run
 
 
 def gate(workload: str, ops: list[dict], references: dict) -> list[str]:
@@ -209,63 +245,56 @@ def layer_metrics(op: dict) -> dict:
 
 
 def run_untraced(args, deadline: float) -> tuple[list[dict], dict, dict, list[str]]:
-    # Set-up is timed before and after the ops, so that the median spans the
-    # run's whole window and a slow minute of the machine weighs less.
-    before = [spawn(["--setup-only"], deadline) for _ in range(SETUP_REPEATS // 2)]
-    child = run_child(args.workload, args.seed, args.seconds, False, args.tamper,
-                      args.run_dir / "plain", deadline)
-    after = [spawn(["--setup-only"], deadline) for _ in range(SETUP_REPEATS // 2)]
-    setups = before + [child["setup_s"]] + after
-    ops = child["ops"]
+    run = run_loop(args, False, deadline)
+    ops = run["plain"]
     stages = median_of([stage_seconds(op) for op in ops])
     metrics = {
         "op_s": statistics.median(op["seconds"] for op in ops),
-        "setup_s": statistics.median(setups),
-        # After the first op, as a user running it in one process would see;
-        # later ops only add allocator growth that depends on the op count.
-        "peak_rss_mb": ops[0]["rss_mb"],
+        "setup_s": statistics.median(run["setup"]),
+        "peak_rss_mb": statistics.median(op["rss_mb"] for op in ops),
     }
-    lines = [f"setup_s per child: {' '.join(f'{s:.4f}' for s in setups)}"]
+    lines = [f"setup_s samples ({len(run['setup'])}): "
+             f"{' '.join(f'{s:.4f}' for s in run['setup'])}"]
     lines += [f"{name} = {value:.4f} s" for name, value in stages.items() if value]
     cert_bytes = [witness_check(op).get("cert_bytes") for op in ops]
     if cert_bytes[0]:
         lines.append(f"cert_bytes = {statistics.median(cert_bytes):.0f} B")
-    return ops, metrics, child["environment"], lines
+    return ops, metrics, run["environment"], lines
 
 
 def run_traced(args, deadline: float) -> tuple[list[dict], dict, dict, list[str]]:
-    """The same inputs untraced, then traced, each for half the time."""
-    half = args.seconds / 2.0
-    plain = run_child(args.workload, args.seed, half, False, args.tamper,
-                      args.run_dir / "plain", deadline)
-    traced = run_child(args.workload, args.seed, half, True, args.tamper,
-                       args.run_dir / "traced", deadline)
-    pairs = list(zip(plain["ops"], traced["ops"]))
+    """Each op's input untraced, then traced, in fresh workers."""
+    run = run_loop(args, True, deadline)
+    pairs = list(zip(run["plain"], run["traced"]))
     for a, b in pairs:
         if witness_check(a).get("cert_sha256") != witness_check(b).get("cert_sha256"):
             for call in b["calls"]:
                 if call["name"] == "witness":
                     call["check"].update(ok=False, reason="certificate bytes differ on replay")
+    spans_path = OUT_ROOT / f"spans-{args.workload}-seed{args.seed}.json"
+    spans_path.write_text(json.dumps({"ops": run["spans"]}, separators=(",", ":")))
 
-    metrics = median_of([layer_metrics(op) for op in traced["ops"]])
-    stages = median_of([stage_seconds(op) for op in plain["ops"]])
+    metrics = median_of([layer_metrics(b) for _, b in pairs])
+    stages = median_of([stage_seconds(a) for a, _ in pairs])
     metrics.update({f"cli.{k}": v for k, v in stages.items()})
     metrics["cli.cert_bytes"] = statistics.median(
-        witness_check(op).get("cert_bytes", 0) for op in plain["ops"])
-    metrics["trace.overhead.op_s"] = statistics.mean(
+        witness_check(a).get("cert_bytes", 0) for a, _ in pairs)
+    metrics["trace.overhead.op_s"] = statistics.median(
         b["seconds"] - a["seconds"] for a, b in pairs)
-    metrics["trace.overhead.setup_s"] = traced["setup_s"] - plain["setup_s"]
-    metrics["trace.overhead.peak_rss_mb"] = (
-        traced["ops"][0]["rss_mb"] - plain["ops"][0]["rss_mb"])
+    metrics["trace.overhead.setup_s"] = (
+        statistics.median(run["traced_setup"]) - statistics.median(run["setup"]))
+    metrics["trace.overhead.peak_rss_mb"] = statistics.median(
+        b["rss_mb"] - a["rss_mb"] for a, b in pairs)
 
     lines = []
-    for op in traced["ops"]:
+    for _, op in pairs:
         shares = " ".join(f"{name} {1.0 - c['covered'] / c['seconds']:.3f}"
                           for name, c in op["trace"]["calls"].items())
         lines.append(f"op cli-seed {op['cli_seed']} untraced share per call: {shares}")
-    if traced.get("trace_missing"):
-        lines.append(f"not traced (missing in covercert): {traced['trace_missing']}")
-    return plain["ops"] + traced["ops"], metrics, traced["environment"], lines
+    if run.get("trace_missing"):
+        lines.append(f"not traced (missing in covercert): {run['trace_missing']}")
+    lines.append(f"spans written to {spans_path.relative_to(ROOT)}")
+    return [op for pair in pairs for op in pair], metrics, run["environment"], lines
 
 
 def record_references(workload: str, ops: list[dict]) -> None:

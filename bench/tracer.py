@@ -3,7 +3,8 @@
 Public functions and methods of each module are replaced, in every covercert
 module that holds a reference to them, by wrappers that record one span per
 call: group, label, start, end, parent span and op index. Spans stay in
-memory in flat lists and are written once, when the run ends.
+memory in flat lists and are handed to the parent once, when the op ends;
+the parent writes them all when the run ends.
 
 A call whose innermost open span already belongs to the same group is not
 recorded: its time stays inside the enclosing span of that group, so nested
@@ -178,20 +179,19 @@ class Tracer:
         self.counters = {}
         return summary
 
-    def dump(self, path) -> None:
-        """Write every span as parallel columns: an index into `names`
+    def columns(self) -> dict:
+        """Every span as parallel columns: an index into `names`
         ("group/label"), start and duration in microseconds from the first
         span, parent index and op index."""
         names: dict[str, int] = {}
         name_idx = [names.setdefault(f"{g}/{lb}", len(names))
                     for g, lb in zip(self.groups, self.labels)]
         t0 = self.starts[0] if self.starts else 0.0
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"names": list(names), "name": name_idx,
-                       "start_us": [round((t - t0) * 1e6) for t in self.starts],
-                       "dur_us": [round((e - t) * 1e6) for t, e in zip(self.starts, self.ends)],
-                       "parent": self.parents, "op": self.ops,
-                       "missing": sorted(self.missing)}, fh, separators=(",", ":"))
+        return {"names": list(names), "name": name_idx,
+                "start_us": [round((t - t0) * 1e6) for t in self.starts],
+                "dur_us": [round((e - t) * 1e6) for t, e in zip(self.starts, self.ends)],
+                "parent": self.parents, "op": self.ops,
+                "missing": sorted(self.missing)}
 
 
 def _count_cover_family(tracer: Tracer, net) -> None:

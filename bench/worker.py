@@ -1,8 +1,9 @@
 """Child process of the benchmark: imports covercert from the checkout's
-`src/`, runs the planned ops through `covercert.cli.main` for the planned
-time, and writes what it measured as JSON.
+`src/`, runs one planned op through `covercert.cli.main`, checks its
+outputs and writes what it measured as JSON. Each op gets a fresh process,
+as each CLI invocation of a user does.
 
-    python3 bench/worker.py PLAN.json     run the ops of a plan
+    python3 bench/worker.py PLAN.json     run the op of a plan
     python3 bench/worker.py --setup-only  import, report ready, exit
 
 The parent times set-up from spawning this process to the `ready` line.
@@ -94,19 +95,19 @@ def _span(tracer, group: str, label: str):
     return tracer.span(group, label) if tracer else nullcontext()
 
 
-def run_op(cli, plan: dict, i: int, tracer) -> dict:
+def run_op(cli, plan: dict, tracer) -> dict:
     run_dir = Path(plan["run_dir"])
-    cli_seed = str(plan["seed_base"] + i)
-    paths = {"seed": cli_seed, "body": plan["body"],
-             "cert": str(run_dir / f"op{i}-witness.json")}
+    i = plan["op"]
+    tag = f"op{i}-{'traced' if tracer else 'plain'}"
+    paths = {"seed": plan["cli_seed"], "body": plan["body"],
+             "cert": str(run_dir / f"{tag}-witness.json")}
     calls = []
-    first_span = len(tracer.starts) if tracer else 0
     if tracer:
         tracer.op = i
     t0 = perf_counter()
     with _span(tracer, "op", f"op{i}"):
         for name, template, suffix in plan["calls"]:
-            paths["out"] = str(run_dir / f"op{i}-{name}{suffix}")
+            paths["out"] = str(run_dir / f"{tag}-{name}{suffix}")
             if tracer:
                 tracer.call = name
             with _span(tracer, "call", name):
@@ -115,29 +116,16 @@ def run_op(cli, plan: dict, i: int, tracer) -> dict:
             calls.append(result)
             if name == "witness" and plan["tamper"] and result["rc"] == 0:
                 tamper(paths["cert"])
-    op = {"cli_seed": cli_seed, "seconds": perf_counter() - t0, "calls": calls,
+    op = {"cli_seed": plan["cli_seed"], "seconds": perf_counter() - t0, "calls": calls,
           "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     if tracer:
-        op["trace"] = tracer.op_summary(first_span)
+        op["trace"] = tracer.op_summary(0)
     # Outputs are checked, then deleted, so disk use stays flat however
     # many ops fit in the time.
     for call in calls:
         call["check"] = check_call(call["name"], call["rc"], call["out"])
         Path(call.pop("out")).unlink(missing_ok=True)
     return op
-
-
-def run_plan(cli, plan: dict, tracer) -> dict:
-    """Closed loop with one client: op i+1 starts when op i has ended. Ops
-    continue while the expected end of the next one stays within the time."""
-    ops = []
-    t_start = perf_counter()
-    while True:
-        ops.append(run_op(cli, plan, len(ops), tracer))
-        elapsed = perf_counter() - t_start
-        mean_op = elapsed / len(ops)
-        if elapsed + 0.5 * mean_op >= plan["seconds"]:
-            return {"ops": ops}
 
 
 def main(argv: list[str]) -> int:
@@ -155,11 +143,12 @@ def main(argv: list[str]) -> int:
         tracing.install(tracer)
     print("ready", flush=True)
 
-    result = run_plan(cli, plan, tracer)
-    result["environment"] = environment()
+    result = {"op": run_op(cli, plan, tracer)}
+    if plan["environment"]:
+        result["environment"] = environment()
     if tracer:
         result["trace_missing"] = sorted(tracer.missing)
-        tracer.dump(plan["spans_path"])
+        result["spans"] = tracer.columns()
     with open(plan["result_path"], "w", encoding="utf-8") as fh:
         json.dump(result, fh)
     return 0
