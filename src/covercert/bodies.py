@@ -25,11 +25,14 @@ from .geom_core import (
     as_vector,
     ball_volume_log,
     min_enclosing_ball,
+    sample_uniform_ball,
 )
-from .isometry_nets import Isometry
+from .isometry_nets import Isometry, IsometryNet
 
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEP_CAP = 10_000
+_FAMILY_CHUNK_ELEMS = 131_072  # centre-point pairs per distance block (1 MB of float64)
+_FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -111,16 +114,19 @@ class BallBody(Body):
         return np.linalg.norm(pts - self.ball.center, axis=1) <= self.ball.radius
 
     def project(self, points):
-        pts = as_points(points, self.dim)
-        rel = pts - self.ball.center
-        norms = np.linalg.norm(rel, axis=1)
-        scale = np.ones_like(norms)
-        outside = norms > self.ball.radius
-        scale[outside] = self.ball.radius / norms[outside]
-        return self.ball.center + rel * scale[:, None]
+        return _project_onto_ball(as_points(points, self.dim), self.ball)
 
     def to_json_dict(self):
         return {"dim": self.dim, "kind": "ball", "ball": self.ball.to_json_dict()}
+
+
+def _project_onto_ball(x: np.ndarray, ball: Ball) -> np.ndarray:
+    rel = x - ball.center
+    norms = np.linalg.norm(rel, axis=1)
+    scale = np.ones_like(norms)
+    outside = norms > ball.radius
+    scale[outside] = ball.radius / norms[outside]
+    return ball.center + rel * scale[:, None]
 
 
 def _dykstra(points: np.ndarray, projectors: list, tol: float = PROJECTION_TOL,
@@ -170,18 +176,8 @@ class HalfspaceIntersectionBody(Body):
 
     def project(self, points):
         pts = as_points(points, self.dim)
-
-        def make(i):
-            a = self.normals[i]
-            b = self.offsets[i]
-
-            def proj(x):
-                excess = np.maximum(x @ a - b, 0.0)
-                return x - excess[:, None] * a
-
-            return proj
-
-        return _dykstra(pts, [make(i) for i in range(len(self.offsets))])
+        return _dykstra(pts, [lambda x, a=a, b=b: x - np.maximum(x @ a - b, 0.0)[:, None] * a
+                              for a, b in zip(self.normals, self.offsets)])
 
     def to_json_dict(self):
         return {
@@ -218,19 +214,7 @@ class BallIntersectionBody(Body):
 
     def project(self, points):
         pts = as_points(points, self.dim)
-
-        def make(ball):
-            def proj(x):
-                rel = x - ball.center
-                norms = np.linalg.norm(rel, axis=1)
-                scale = np.ones_like(norms)
-                outside = norms > ball.radius
-                scale[outside] = ball.radius / norms[outside]
-                return ball.center + rel * scale[:, None]
-
-            return proj
-
-        return _dykstra(pts, [make(b) for b in self.balls])
+        return _dykstra(pts, [lambda x, b=b: _project_onto_ball(x, b) for b in self.balls])
 
     def to_json_dict(self):
         return {
@@ -395,6 +379,73 @@ def reduce_to_ball(b: Body) -> Ball | None:
     return None
 
 
+class CoverFamily:
+    """The finite family g(thicken(base, eps)) for g in net, kept as the base
+    body, eps and the net's arrays: no member is built as an object.
+
+    Member i contains p iff thicken(base, eps) contains
+    matrices[i]^T (p - translations[i]). When the thickened base is a ball
+    (centre c, radius r), members are the balls of centres
+    translations + matrices @ c, decided by d^2 <= r^2 + 1e-12.
+    """
+
+    def __init__(self, base: Body, eps: float, net: IsometryNet):
+        if net.dim != base.dim:
+            raise ValueError("net dimension does not match the base body")
+        self.base = base
+        self.eps = float(eps)
+        self.net = net
+        self.dim = base.dim
+        self.body = thicken(base, self.eps)
+        ball = reduce_to_ball(self.body)
+        self.radius = None if ball is None else ball.radius
+        self.centers = None if ball is None else (
+            np.einsum("tij,j->ti", net.matrices, ball.center) + net.translations)
+
+    def __len__(self) -> int:
+        return len(self.net)
+
+    def counts(self, points) -> np.ndarray:
+        """How many of the points each member contains, shape (T,)."""
+        counts = np.zeros(len(self), dtype=int)
+        for rows, inside in self._blocks(as_points(points, self.dim), np.arange(len(self))):
+            counts[rows] = np.count_nonzero(inside, axis=1)
+        return counts
+
+    def contains(self, points, members=None) -> np.ndarray:
+        """Boolean (T, m) matrix: entry (i, j) says member i contains point j.
+        `members` restricts the rows to those net indices, in that order."""
+        pts = as_points(points, self.dim)
+        idx = np.arange(len(self)) if members is None else np.asarray(members, dtype=int)
+        out = np.zeros((len(idx), len(pts)), dtype=bool)
+        for rows, inside in self._blocks(pts, idx):
+            out[rows] = inside
+        return out
+
+    def _blocks(self, pts: np.ndarray, idx: np.ndarray):
+        """(row slice, membership block) pairs over the members idx. A block
+        holds at most _FAMILY_CHUNK_ELEMS centre-point pairs of ball members,
+        or _FAMILY_CHUNK_POINTS mapped points otherwise."""
+        if len(pts) == 0:
+            return
+        m, n = pts.shape
+        step = max(1, (_FAMILY_CHUNK_POINTS if self.centers is None else _FAMILY_CHUNK_ELEMS) // m)
+        sq = np.sum(pts * pts, axis=1)
+        for start in range(0, len(idx), step):
+            sel = idx[start:start + step]
+            if self.centers is not None:
+                c = self.centers[sel]
+                d2 = np.sum(c * c, axis=1)[:, None] + sq[None, :] - 2.0 * (c @ pts.T)
+                yield slice(start, start + step), d2 <= self.radius * self.radius + 1e-12
+                continue
+            mats = self.net.matrices[sel]
+            # inverse images A^T (p - v) = p A - v A, (m, members, n), in one product
+            shift = np.einsum("tj,tji->ti", self.net.translations[sel], mats)
+            back = (pts @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(m, len(sel), n) - shift
+            inside = self.body.contains_many(back.reshape(-1, n)).reshape(m, len(sel))
+            yield slice(start, start + step), inside.T
+
+
 def mc_volume(b: Body, samples: int, rng: RngStream) -> VolumeEstimate:
     """Monte Carlo volume: hit rate inside the bounding ball scaled by the
     exact bounding-ball volume, with a Wilson 95% interval on the rate."""
@@ -402,8 +453,6 @@ def mc_volume(b: Body, samples: int, rng: RngStream) -> VolumeEstimate:
         raise ValueError("at least 100 samples required")
     if b.bound.radius <= 0:
         raise ValueError("degenerate bounding ball (radius 0)")
-    from .geom_core import sample_uniform_ball
-
     pts = sample_uniform_ball(b.dim, b.bound.radius, samples, rng).points + b.bound.center
     hits = int(np.count_nonzero(b.contains_many(pts)))
     vol_bound = math.exp(ball_volume_log(b.dim, b.bound.radius))
@@ -425,8 +474,6 @@ def mc_overlap_fraction(b: Body, window: Ball, samples: int, rng: RngStream) -> 
         raise ValueError("degenerate window (radius 0)")
     if window.dim != b.dim:
         raise ValueError("window dimension mismatch")
-    from .geom_core import sample_uniform_ball
-
     pts = sample_uniform_ball(b.dim, window.radius, samples, rng).points + window.center
     hits = int(np.count_nonzero(b.contains_many(pts)))
     lo, hi = _wilson_interval(hits, samples)
@@ -436,8 +483,6 @@ def mc_overlap_fraction(b: Body, window: Ball, samples: int, rng: RngStream) -> 
 def probe_points(b: Body, count: int, rng: RngStream) -> np.ndarray:
     """Points of the body obtained by projecting bounding-ball samples onto
     it; includes extremal points with high probability for convex bodies."""
-    from .geom_core import sample_uniform_ball
-
     raw = sample_uniform_ball(b.dim, b.bound.radius, count, rng).points + b.bound.center
     return b.project(raw)
 

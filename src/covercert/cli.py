@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .bodies import BallBody, HalfspaceIntersectionBody, body_from_json_dict, thicken, transform
+from .bodies import BallBody, CoverFamily, HalfspaceIntersectionBody, body_from_json_dict
 from .coclique import (
     CocliqueParams,
     build_coclique,
@@ -71,28 +71,18 @@ class RunConfig:
                 "params": dict(self.params)}
 
 
-def _jsonable(x):
-    """Recursively convert numpy scalars/arrays so json.dumps never sees a
-    non-primitive."""
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
+def _json_default(x):
+    """numpy values json cannot encode (np.float64 is a float: never here)."""
+    if isinstance(x, (np.ndarray, np.generic)):
         return x.tolist()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def render_json(obj: dict) -> str:
     """Canonical JSON: sorted keys, compact separators, one trailing
     newline — the byte-identical replay contract."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_json_default) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -161,6 +151,8 @@ def cmd_jung_check(args) -> int:
     n = args.n
     if not 1 <= n <= 10:
         raise ValueError("jung-check is desk-scale: 1 <= n <= 10")
+    if args.samples > RngStream.CHILD_LIMIT:
+        raise ValueError(f"--samples is at most {RngStream.CHILD_LIMIT} (one substream per cloud)")
     if args.cloud_size < 2:
         raise ValueError("clouds need at least two points")
     rng = RngStream(args.seed, 0)
@@ -210,15 +202,16 @@ def _default_alpha(r: float) -> float:
     return 1.0
 
 
-def _non_coverage(counts: np.ndarray, k: int, x_size: int,
-                  masks: np.ndarray | None) -> tuple[bool, str]:
-    """Does every k-subset of the family fail to cover X?
+def _non_coverage(counts: np.ndarray, k: int, points: np.ndarray,
+                  family: CoverFamily) -> tuple[bool, str]:
+    """Does every k-subset of the family fail to cover X (the points)?
 
     k = 1 reads off the counts. Small k-subset spaces are enumerated
     exhaustively on the membership matrix; above the enumeration cap, the
     sum of the k largest counts < |X| certificate is used (a union never
     covers more than the sum of its parts).
     """
+    x_size = len(points)
     if x_size == 0:
         return False, "empty"
     counts = np.asarray(counts)
@@ -226,7 +219,8 @@ def _non_coverage(counts: np.ndarray, k: int, x_size: int,
         return True, "empty-family"
     if k == 1:
         return bool(np.all(counts < x_size)), "per-member-counts"
-    if masks is not None and math.comb(counts.size, k) <= ENUMERATION_CAP:
+    if math.comb(counts.size, k) <= ENUMERATION_CAP:
+        masks = family_membership_matrix(family, points)
         for combo in itertools.combinations(range(counts.size), k):
             if bool(np.all(np.any(masks[list(combo)], axis=0))):
                 return False, "exhaustive-enumeration"
@@ -236,14 +230,11 @@ def _non_coverage(counts: np.ndarray, k: int, x_size: int,
 
 
 def _witness_verdict(points: np.ndarray, counts: np.ndarray, threshold: float,
-                     k: int, members: list) -> tuple[bool, float, str]:
+                     k: int, family: CoverFamily) -> tuple[bool, float, str]:
     if points.shape[0] == 0:
         return False, 0.0, "empty"
     diam = diameter(PointSet(points.shape[1], points))
-    masks = None
-    if k > 1 and math.comb(len(members), k) <= ENUMERATION_CAP:
-        masks = family_membership_matrix(members, points)
-    uncovered, method = _non_coverage(counts, k, points.shape[0], masks)
+    uncovered, method = _non_coverage(counts, k, points, family)
     return bool(diam <= threshold) and uncovered, diam, method
 
 
@@ -251,7 +242,12 @@ def cmd_witness(args) -> int:
     if args.verify_cert:
         with open(args.verify_cert, encoding="utf-8") as fh:
             cert = json.load(fh)
-        report = verify_witness_certificate(cert)
+        try:
+            report = verify_witness_certificate(cert)
+        except KeyError as exc:
+            raise ValueError(f"malformed certificate: missing key {exc}") from None
+        except (TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed certificate: {exc}") from None
         _emit(render_json(report), args.out)
         return 0 if report["pass"] else 1
 
@@ -287,12 +283,12 @@ def cmd_witness(args) -> int:
     window = Ball(np.zeros(n), r + diam_bound + eps)
     net = build_cover_family(base, diam_bound, window, eps, rng=rng.child(1))
 
-    # (2) the family: thickened copies along the net
-    members = [transform(thicken(base, eps), g) for g in net.elements]
+    # (2) the family: thickened copies along the net, held as arrays
+    family = CoverFamily(base, eps, net)
 
     # (3) shared-sample estimate of the worst member measure on r B_n
     probe = uniform_ball_points(rng.child(2).generator(), n, r, args.samples)
-    member_hits = family_counts(members, probe)
+    member_hits = family_counts(family, probe)
     nu_hat = member_hits / float(args.samples)
     p_hat_max = float(nu_hat.max()) if nu_hat.size else 0.0
 
@@ -305,24 +301,24 @@ def cmd_witness(args) -> int:
         np.linalg.norm(xs - ys, axis=1) >= threshold)) / args.samples
     params = CocliqueParams(M=args.M, k=args.k, p=args.p,
                             max_retries=args.max_retries)
-    hypotheses = check_hypotheses(params, len(members), nu_hat, edge_hat)
+    hypotheses = check_hypotheses(params, len(family), nu_hat, edge_hat)
     if not hypotheses["pass"]:
         warnings.warn("lemma hypotheses fail on measured estimates; "
                       "continuing — the verdict is decided by direct "
                       "verification", UserWarning)
 
     # (5) randomized coclique search, accepting on the certificate rule
-    spec = geometric_spec(n, r, alpha, members, unit_diameter=True)
+    spec = geometric_spec(n, r, alpha, family, unit_diameter=True)
 
     def accept(points: np.ndarray, counts: np.ndarray) -> bool:
-        verdict, _, _ = _witness_verdict(points, counts, threshold, args.k, members)
+        verdict, _, _ = _witness_verdict(points, counts, threshold, args.k, family)
         return verdict
 
     result = build_coclique(spec, params, rng.child(4), accept=accept)
 
     # (6) certificate from directly checked facts
     verdict, diam_x, method = _witness_verdict(
-        result.X.points, np.asarray(result.per_Y_counts), threshold, args.k, members)
+        result.X.points, np.asarray(result.per_Y_counts), threshold, args.k, family)
     cert = {
         "schema_version": SCHEMA_VERSION,
         "kind": "witness-certificate",
@@ -374,7 +370,7 @@ def verify_witness_certificate(cert: dict) -> dict:
     base = body_from_json_dict(manifest["base_body"])
     eps = float(manifest["eps"])
     net = IsometryNet.from_json_dict(manifest["net"])
-    members = [transform(thicken(base, eps), g) for g in net.elements]
+    family = CoverFamily(base, eps, net)
 
     checks.append({"name": "dimensions",
                    "ok": X.dim == n and base.dim == n and net.dim == n})
@@ -393,15 +389,12 @@ def verify_witness_certificate(cert: dict) -> dict:
         checks.append({"name": "diameter-threshold", "ok": False,
                        "note": "empty witness"})
 
-    counts = family_counts(members, X.points)
+    counts = family_counts(family, X.points)
     stored = np.asarray(cert["per_member_counts"], dtype=int)
     checks.append({"name": "membership-counts",
                    "ok": counts.shape == stored.shape and bool(np.all(counts == stored))})
 
-    masks = None
-    if k > 1 and math.comb(len(members), k) <= ENUMERATION_CAP:
-        masks = family_membership_matrix(members, X.points)
-    uncovered, method = _non_coverage(counts, k, len(X), masks)
+    uncovered, method = _non_coverage(counts, k, X.points, family)
     checks.append({"name": "non-coverage", "ok": uncovered, "method": method,
                    "stored_method": cert["non_coverage_method"]})
 
@@ -506,11 +499,10 @@ def segment_body() -> HalfspaceIntersectionBody:
 def strip_rotations(net: IsometryNet) -> IsometryNet:
     """Fault injection for cover audits: drop every element whose matrix is
     not the identity, destroying rotational coverage."""
-    eye = np.eye(net.dim)
-    kept = [e for e in net.elements if np.allclose(e.matrix, eye, atol=1e-12)]
+    keep = np.isclose(net.matrices, np.eye(net.dim), atol=1e-12).all(axis=(1, 2))
     cert = dict(net.certificate)
     cert["fault"] = "rotation net removed"
-    return IsometryNet(net.dim, net.delta, kept, cert)
+    return IsometryNet(net.dim, net.delta, net.matrices[keep], net.translations[keep], cert)
 
 
 def _suite_cover(rng: RngStream, trials: int, expect_fail: bool) -> dict:
@@ -627,6 +619,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return int(args.func(args))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,13 +21,12 @@ from scipy.special import gammaln, logsumexp
 
 from .geom_core import PointSet, RngStream, cap_measure_exact, uniform_ball_points
 
-_FAMILY_CHUNK_ELEMS = 4_194_304  # cap on centers x points per distance block
-
 
 @dataclass
 class MeasurableGraphSpec:
     """Sampling law, symmetric irreflexive edge predicate, and a finite
-    family of membership oracles (objects exposing contains_many)."""
+    family: a list of membership oracles (objects exposing contains_many,
+    labelled Y0, Y1, ... by default) or a bodies.CoverFamily."""
 
     dim: int
     sampler: Callable[[np.random.Generator, int], np.ndarray]
@@ -37,9 +36,9 @@ class MeasurableGraphSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.labels:
+        if not self.labels and isinstance(self.family, list):
             self.labels = [f"Y{i}" for i in range(len(self.family))]
-        if len(self.labels) != len(self.family):
+        if self.labels and len(self.labels) != len(self.family):
             raise ValueError("one label per family member required")
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -193,53 +192,23 @@ def check_hypotheses(params: CocliqueParams, family_size: int,
     return {"pass": all(c["ok"] for c in conditions), "conditions": conditions}
 
 
-def family_counts(family: list, points: np.ndarray) -> np.ndarray:
-    """How many of the points each member contains; vectorized across the
-    family when every member collapses to a ball."""
-    if not family:
-        return np.zeros(0, dtype=int)
-    if points.shape[0] == 0:
-        return np.zeros(len(family), dtype=int)
-    from . import bodies as _bodies
-
-    balls = []
-    for f in family:
-        b = _bodies.reduce_to_ball(f) if isinstance(f, _bodies.Body) else None
-        if b is None:
-            balls = None
-            break
-        balls.append(b)
-    if balls is not None:
-        centers = np.stack([b.center for b in balls])
-        radii = np.array([b.radius for b in balls])
-        counts = np.empty(len(family), dtype=int)
-        sq = np.sum(points * points, axis=1)
-        chunk = max(1, _FAMILY_CHUNK_ELEMS // points.shape[0])
-        for start in range(0, len(centers), chunk):
-            c = centers[start:start + chunk]
-            r = radii[start:start + chunk]
-            d2 = np.sum(c * c, axis=1)[:, None] + sq[None, :] - 2.0 * (c @ points.T)
-            counts[start:start + chunk] = np.count_nonzero(
-                d2 <= (r * r)[:, None] + 1e-12, axis=1
-            )
-        return counts
+def family_counts(family, points: np.ndarray) -> np.ndarray:
+    """How many of the points each member contains. An array family
+    (bodies.CoverFamily) counts all members at once; a list of oracles is
+    asked member by member."""
+    if hasattr(family, "counts"):
+        return family.counts(points)
     return np.array(
         [int(np.count_nonzero(f.contains_many(points))) for f in family], dtype=int
     )
 
 
-def family_membership_matrix(family: list, points: np.ndarray) -> np.ndarray:
+def family_membership_matrix(family, points: np.ndarray) -> np.ndarray:
     """Boolean matrix: entry (i, j) says member i contains point j."""
-    out = np.zeros((len(family), points.shape[0]), dtype=bool)
-    from . import bodies as _bodies
-
-    for i, f in enumerate(family):
-        b = _bodies.reduce_to_ball(f) if isinstance(f, _bodies.Body) else None
-        if b is not None:
-            out[i] = np.linalg.norm(points - b.center, axis=1) <= b.radius + 1e-12
-        else:
-            out[i] = f.contains_many(points)
-    return out
+    if hasattr(family, "counts"):
+        return family.contains(points)
+    return np.array([f.contains_many(points) for f in family],
+                    dtype=bool).reshape(len(family), len(points))
 
 
 def _greedy_delete(edge_mat: np.ndarray) -> np.ndarray:
@@ -325,7 +294,7 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
     )
 
 
-def geometric_spec(n: int, r: float, alpha: float, family: list,
+def geometric_spec(n: int, r: float, alpha: float, family,
                    labels: list[str] | None = None,
                    unit_diameter: bool = False) -> MeasurableGraphSpec:
     """Uniform sampling on r B_n with far-pair edges:
@@ -358,7 +327,7 @@ def geometric_spec(n: int, r: float, alpha: float, family: list,
         dim=n,
         sampler=sampler,
         edge_matrix=edge_matrix,
-        family=list(family),
+        family=family if hasattr(family, "counts") else list(family),
         labels=list(labels) if labels is not None else [],
         meta={"r": r, "alpha": alpha, "edge_threshold": threshold},
     )

@@ -136,6 +136,7 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+    CHILD_LIMIT = 65_536
 
     def __post_init__(self):
         if self.seed < 0 or self.stream_id < 0:
@@ -145,10 +146,11 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
 
     def child(self, index: int) -> "RngStream":
-        """Derived independent stream; injective for index < 65536."""
-        if index < 0:
-            raise ValueError("child index must be nonnegative")
-        return RngStream(self.seed, self.stream_id * 65537 + index + 1)
+        """Derived independent stream; injective because index is held
+        below CHILD_LIMIT (larger indices would collide with grandchildren)."""
+        if not 0 <= index < self.CHILD_LIMIT:
+            raise ValueError(f"child index must lie in [0, {self.CHILD_LIMIT})")
+        return RngStream(self.seed, self.stream_id * (self.CHILD_LIMIT + 1) + index + 1)
 
 
 def jung_radius(n: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import Ball, RngStream, as_points, as_vector, sample_uniform_ball
+from .geom_core import Ball, RngStream, as_points, sample_uniform_ball
 
 ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-8
@@ -23,16 +23,27 @@ COVER_SLACK = 1e-9  # float slack when comparing distances against delta
 MAX_NET_DIM = 6
 
 
-def _check_orthogonal(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square")
-    n = m.shape[0]
-    if np.abs(m.T @ m - np.eye(n)).max() > ORTHOGONALITY_TOL:
-        raise ValueError(f"{name} is not orthogonal within {ORTHOGONALITY_TOL}")
-    if abs(abs(float(np.linalg.det(m))) - 1.0) > DET_TOL:
-        raise ValueError(f"{name} determinant is not +-1 within {DET_TOL}")
-    return m
+def _check_isometries(matrices, translations=None, name: str = "isometry matrix"):
+    """Validate T rigid motions at once: finite matrices (T, n, n), orthogonal
+    within ORTHOGONALITY_TOL and of determinant +-1 within DET_TOL, and finite
+    translations (T, n), zero if omitted. Raises naming the first bad one."""
+    m = np.asarray(matrices, dtype=float)
+    v = np.zeros(m.shape[:2]) if translations is None else np.asarray(translations, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"{name} must be square and non-empty")
+    if v.shape != m.shape[:2]:
+        raise ValueError("translation dimension mismatch")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+        raise ValueError("isometry entries must be finite")
+    gram_err = np.abs(m.transpose(0, 2, 1) @ m - np.eye(m.shape[1])).max(
+        axis=(1, 2), initial=0.0)
+    for bad, what in ((gram_err > ORTHOGONALITY_TOL, f"orthogonal within {ORTHOGONALITY_TOL}"),
+                      (np.abs(np.abs(np.linalg.det(m)) - 1.0) > DET_TOL,
+                       f"of determinant +-1 within {DET_TOL}")):
+        if bad.any():
+            where = f" {np.argmax(bad)}" if len(m) > 1 else ""
+            raise ValueError(f"{name}{where} is not {what}")
+    return m, v
 
 
 @dataclass(frozen=True)
@@ -43,12 +54,10 @@ class Isometry:
     translation: np.ndarray
 
     def __post_init__(self):
-        m = _check_orthogonal(self.matrix, "isometry matrix")
-        v = as_vector(self.translation)
-        if v.size != m.shape[0]:
-            raise ValueError("translation dimension mismatch")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "translation", v)
+        m, v = _check_isometries(np.asarray(self.matrix, dtype=float)[None],
+                                 np.asarray(self.translation, dtype=float)[None])
+        object.__setattr__(self, "matrix", m[0])
+        object.__setattr__(self, "translation", v[0])
 
     @property
     def dim(self) -> int:
@@ -75,17 +84,15 @@ class Isometry:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Isometry":
-        return Isometry(np.asarray(d["matrix"], dtype=float),
-                        np.asarray(d["translation"], dtype=float))
+        return Isometry(d["matrix"], d["translation"])
 
 
 def op_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Largest singular value of a - b for orthogonal a, b."""
-    a = _check_orthogonal(a, "first matrix")
-    b = _check_orthogonal(b, "second matrix")
-    if a.shape != b.shape:
+    if np.shape(a) != np.shape(b):
         raise ValueError("matrix shape mismatch")
-    return float(np.linalg.svd(a - b, compute_uv=False)[0])
+    pair, _ = _check_isometries([a, b], name="matrix")
+    return float(np.linalg.svd(pair[0] - pair[1], compute_uv=False)[0])
 
 
 def iso_distance_surrogate(f: Isometry, g: Isometry) -> float:
@@ -99,36 +106,40 @@ def iso_distance_surrogate(f: Isometry, g: Isometry) -> float:
 
 @dataclass
 class IsometryNet:
+    """Rigid motions x -> matrices[i] @ x + translations[i]; (T, n, n), (T, n)."""
+
     dim: int
     delta: float
-    elements: list[Isometry]
+    matrices: np.ndarray
+    translations: np.ndarray
     certificate: dict
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def matrices(self) -> np.ndarray:
-        return np.stack([e.matrix for e in self.elements])
-
-    def translations(self) -> np.ndarray:
-        return np.stack([e.translation for e in self.elements])
+        return len(self.matrices)
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
             "delta": self.delta,
-            "elements": [e.to_json_dict() for e in self.elements],
+            "elements": [{"matrix": m, "translation": v} for m, v in
+                         zip(self.matrices.tolist(), self.translations.tolist())],
             "certificate": self.certificate,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "IsometryNet":
-        return IsometryNet(
-            dim=int(d["dim"]),
-            delta=float(d["delta"]),
-            elements=[Isometry.from_json_dict(e) for e in d["elements"]],
-            certificate=dict(d["certificate"]),
-        )
+        dim, elements = int(d["dim"]), d["elements"]
+        try:
+            mats = np.asarray([e["matrix"] for e in elements] or np.zeros((0, dim, dim)))
+            trans = np.asarray([e["translation"] for e in elements] or np.zeros((0, dim)))
+        except ValueError:
+            raise ValueError("net elements must share one shape: an n x n "
+                             "matrix and an n-vector translation") from None
+        mats, trans = _check_isometries(mats, trans, "net element matrix")
+        if mats.shape[1] != dim:
+            raise ValueError(f"net elements have dimension {mats.shape[1]}, not {dim}")
+        return IsometryNet(dim=dim, delta=float(d["delta"]), matrices=mats,
+                           translations=trans, certificate=dict(d["certificate"]))
 
 
 def haar_orthogonal(n: int, gen: np.random.Generator, count: int | None = None):
@@ -208,7 +219,7 @@ def audit_orthogonal_net(net: IsometryNet, probes: int, rng: RngStream) -> dict:
     lie within net.delta of some element."""
     gen = rng.generator()
     mats = haar_orthogonal(net.dim, gen, probes)
-    dists = min_distance_to_net(mats, net.matrices())
+    dists = min_distance_to_net(mats, net.matrices)
     failures = int(np.count_nonzero(dists > net.delta + COVER_SLACK))
     return {
         "probes": int(probes),
@@ -236,32 +247,25 @@ def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
         raise ValueError("delta must be positive")
     n = int(n)
 
-    def iso(m):
-        return Isometry(m, np.zeros(n))
+    def rotation_net(mats, cert) -> IsometryNet:
+        mats = np.asarray(mats, dtype=float)
+        return IsometryNet(n, float(delta), mats, np.zeros((len(mats), n)), cert)
 
     if n == 1:
-        elements = [iso(np.array([[1.0]])), iso(np.array([[-1.0]]))]
-        cert = {"kind": "exact", "covering_radius": 0.0}
-        return IsometryNet(1, float(delta), elements, cert)
+        return rotation_net([[[1.0]], [[-1.0]]], {"kind": "exact", "covering_radius": 0.0})
 
     if n == 2:
         theta = 2.0 * math.asin(min(delta, 2.0) / 2.0)
         count = int(math.ceil(2.0 * math.pi / theta))
         reflector = np.diag([1.0, -1.0])
-        elements = []
-        for j in range(count):
-            r = _rotation_2d(2.0 * math.pi * j / count)
-            elements.append(iso(r))
-        for j in range(count):
-            r = _rotation_2d(2.0 * math.pi * j / count)
-            elements.append(iso(r @ reflector))
+        rotations = [_rotation_2d(2.0 * math.pi * j / count) for j in range(count)]
         cert = {
             "kind": "grid",
             "covering_radius": 2.0 * math.sin(math.pi / count),
             "spacing": theta,
             "per_class": count,
         }
-        return IsometryNet(2, float(delta), elements, cert)
+        return rotation_net(rotations + [r @ reflector for r in rotations], cert)
 
     if n == 3:
         # three Euler factors; each contributes chord 2 sin(spacing/4), so
@@ -279,34 +283,34 @@ def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
                 left = rz1 @ ry
                 for k in range(n_psi):
                     rotations.append(left @ _rot_z(2.0 * math.pi * k / n_psi))
-        elements = [iso(r) for r in rotations]
-        elements += [iso(r @ reflector) for r in rotations]
         cert = {
             "kind": "grid",
             "covering_radius": 6.0 * math.sin(s / 4.0),
             "spacing": s,
             "per_class": len(rotations),
         }
-        return IsometryNet(3, float(delta), elements, cert)
+        return rotation_net(rotations + [r @ reflector for r in rotations], cert)
 
     if rng is None:
         raise ValueError("dimensions 4..6 use randomized construction; rng required")
     gen = rng.generator()
     mats = [np.eye(n), np.diag([1.0] * (n - 1) + [-1.0])]
     batch = 256
+
+    def absorb(sample, candidates):
+        """Add, in order, each candidate still uncovered by the growing net."""
+        for idx in candidates:
+            if min_distance_to_net(sample[idx:idx + 1], np.stack(mats))[0] > delta + COVER_SLACK:
+                mats.append(sample[idx])
+
     # greedy farthest-point: repeatedly add the worst-covered sample
     while True:
         sample = haar_orthogonal(n, gen, batch)
         dists = min_distance_to_net(sample, np.stack(mats))
-        worst = int(np.argmax(dists))
-        if dists[worst] <= delta + COVER_SLACK:
+        if dists.max() <= delta + COVER_SLACK:
             break
         order = np.argsort(-dists)
-        for idx in order:
-            if dists[idx] > delta + COVER_SLACK:
-                d_new = min_distance_to_net(sample[idx:idx + 1], np.stack(mats))[0]
-                if d_new > delta + COVER_SLACK:
-                    mats.append(sample[idx])
+        absorb(sample, order[dists[order] > delta + COVER_SLACK])
     # certification: `trials` fresh probes in a row must be covered
     covered_in_a_row = 0
     while covered_in_a_row < trials:
@@ -315,15 +319,11 @@ def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
         dists = min_distance_to_net(sample, np.stack(mats))
         bad = np.flatnonzero(dists > delta + COVER_SLACK)
         if bad.size:
-            for idx in bad:
-                if min_distance_to_net(sample[idx:idx + 1], np.stack(mats))[0] > delta + COVER_SLACK:
-                    mats.append(sample[idx])
+            absorb(sample, bad)
             covered_in_a_row = 0
         else:
             covered_in_a_row += take
-    elements = [iso(m) for m in mats]
-    cert = {"kind": "probabilistic", "trials": int(trials), "failures": 0}
-    return IsometryNet(n, float(delta), elements, cert)
+    return rotation_net(mats, {"kind": "probabilistic", "trials": int(trials), "failures": 0})
 
 
 def build_translation_cover(v_ball: Ball, rho: float) -> np.ndarray:
@@ -382,21 +382,21 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     delta = eps / (2.0 * d_bound)
     ball_form = _bodies.reduce_to_ball(k_body)
     if ball_form is not None and float(np.linalg.norm(ball_form.center)) <= 1e-12:
-        rotations = [Isometry.identity(n)]
+        rotations = np.eye(n)[None]
         rot_cert = {"kind": "symmetry", "covering_radius": 0.0,
                     "note": "origin-centered ball is rotation invariant"}
     else:
         rot_net = build_orthogonal_net(n, delta, rng=rng, trials=trials)
-        rotations = rot_net.elements
+        rotations = rot_net.matrices
         rot_cert = rot_net.certificate
 
     rho = eps / (2.0 * max(d_bound, 1.0))
     translations = build_translation_cover(v_ball, rho)
 
-    elements = [
-        Isometry(r.matrix, t) for r in rotations for t in translations
-    ]
-    size = len(elements)
+    # product in rotation-major order: each rotation with every translation
+    matrices = np.repeat(rotations, len(translations), axis=0)
+    shifts = np.tile(translations, (len(rotations), 1))
+    size = len(matrices)
     cert = {
         "kind": "product-grid",
         "rotation_certificate": rot_cert,
@@ -410,7 +410,7 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         "size": size,
         "size_bound_log": _size_bound_log(n, d_bound, eps, len(translations)),
     }
-    return IsometryNet(n, delta + rho, elements, cert)
+    return IsometryNet(n, delta + rho, matrices, shifts, cert)
 
 
 def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
@@ -421,18 +421,19 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     (A, v), probe points of A K + v, and require some g in T whose
     eps-thickening of K contains every probe.
 
-    Candidates are ranked by a Frobenius-plus-translation proxy; a failed
-    shortlist falls back to an exhaustive scan, so reported failures are
-    real, not search artifacts.
+    Candidates are ranked by a Frobenius-plus-translation proxy and the
+    shortlist is tested in one batched membership call; a failed shortlist
+    falls back to one batched call over the rest of the family, so
+    reported failures are real, not search artifacts.
     """
     from . import bodies as _bodies
 
     if trials < 1:
         raise ValueError("at least one trial required")
-    thickened = _bodies.thicken(k_body, eps)
+    family = _bodies.CoverFamily(k_body, eps, t_net)
     gen = rng.generator()
-    net_mats = t_net.matrices().reshape(len(t_net), -1)
-    net_trans = t_net.translations()
+    net_mats = t_net.matrices.reshape(len(t_net), -1)
+    net_trans = t_net.translations
     failures = 0
     failure_examples = []
     base_probes = _bodies.probe_points(k_body, probes_per_trial, rng.child(0))
@@ -449,19 +450,8 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
         proxy = np.linalg.norm(net_mats - a.reshape(1, -1), axis=1) + \
             np.linalg.norm(net_trans - v, axis=1)
         order = np.argsort(proxy)
-        shortlist = order[:candidates]
-        found = False
-        for j in shortlist:
-            g = t_net.elements[int(j)]
-            if np.all(thickened.contains_many(g.inverse().apply(placed))):
-                found = True
-                break
-        if not found:
-            for j in order[candidates:]:
-                g = t_net.elements[int(j)]
-                if np.all(thickened.contains_many(g.inverse().apply(placed))):
-                    found = True
-                    break
+        found = any(family.contains(placed, part).all(axis=1).any()
+                    for part in (order[:candidates], order[candidates:]) if part.size)
         if not found:
             failures += 1
             if len(failure_examples) < 5:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import covercert
+import covercert.cli as cli
 from covercert.cli import main, render_json
 
 
@@ -116,6 +117,18 @@ def test_jung_check_domain():
     assert main(["jung-check", "--n", "0", "--seed", "0"]) == 2
 
 
+def test_jung_check_samples_limit(monkeypatch, capsys):
+    # one substream per cloud: past RngStream.CHILD_LIMIT clouds the streams
+    # would repeat, so the run is refused before any cloud is drawn
+    def no_clouds(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    monkeypatch.setattr(cli, "sample_uniform_ball", no_clouds)
+    assert main(["jung-check", "--n", "3", "--seed", "0", "--samples", "65537"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --samples is at most 65536 ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # witness pipeline
 
@@ -188,6 +201,55 @@ def test_witness_verify_cert_rejects_tampering(witness_cert, tmp_path, corrupt):
     rc, doc = run(["witness", "--verify-cert", str(bad)], tmp_path / "r.json")
     assert rc == 1
     assert not doc["pass"]
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
+    cert = json.loads(json.dumps(cert))
+    elements = cert["family_manifest"]["net"]["elements"]
+    if corrupt == "missing-key":
+        del cert["diam_X"]
+    elif corrupt == "non-orthogonal":
+        elements[len(elements) // 2]["matrix"][0][0] = 1.01
+    elif corrupt == "translation-length":
+        elements[-1]["translation"] = elements[-1]["translation"] + [0.0]
+    else:
+        raise ValueError(corrupt)
+    path = tmp_path / f"{corrupt}.json"
+    path.write_text(json.dumps(cert))
+    return path
+
+
+_MALFORMED = {"missing-key": "missing key 'diam_X'",
+              "non-orthogonal": "is not orthogonal",
+              "translation-length": "must share one shape"}
+
+
+@pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
+def test_witness_verify_cert_malformed_exits_2(witness_cert, tmp_path, capsys, corrupt):
+    # exit 1 means "verification failed"; input that cannot be checked is a
+    # usage error with one line on stderr, never a traceback
+    _, out, _ = witness_cert
+    bad = _bad_cert(json.loads(out.read_text()), tmp_path, corrupt)
+    capsys.readouterr()
+    assert main(["witness", "--verify-cert", str(bad)]) == 2
+    assert _MALFORMED[corrupt] in _one_line_error(capsys)
+
+
+def test_witness_verify_cert_unreadable_exits_2(witness_cert, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["witness", "--verify-cert", str(tmp_path / "missing.json")]) == 2
+    assert "No such file" in _one_line_error(capsys)
+    _, out, _ = witness_cert
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(out.read_text()[:1000])
+    assert main(["witness", "--verify-cert", str(truncated)]) == 2
+    _one_line_error(capsys)
 
 
 def test_witness_negative_control_fails(tmp_path):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covercert.bodies as bodies
 import covercert.coclique as coclique
-from covercert.bodies import BallBody
+from covercert.bodies import BallBody, CoverFamily, thicken, transform
 from covercert.coclique import (
     CocliqueParams,
     MeasurableGraphSpec,
@@ -25,7 +26,8 @@ from covercert.coclique import (
     family_membership_matrix,
     geometric_spec,
 )
-from covercert.geom_core import RngStream
+from covercert.geom_core import Ball, RngStream
+from covercert.isometry_nets import Isometry, IsometryNet, build_cover_family, haar_orthogonal
 
 
 # ---------------------------------------------------------------------------
@@ -218,36 +220,63 @@ def test_check_hypotheses_empty_family():
 # counting helpers
 
 
-class _OpaqueBall:
-    """Ball membership without the Body interface, to force the generic
-    counting path."""
+def _members(family: CoverFamily) -> list:
+    """The same family built member by member, for the generic
+    contains_many loop of family_counts."""
+    fat = thicken(family.base, family.eps)
+    net = family.net
+    return [transform(fat, Isometry(m, v))
+            for m, v in zip(net.matrices, net.translations)]
 
-    def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = radius
 
-    def contains_many(self, points):
-        return np.linalg.norm(points - self.center, axis=1) <= self.radius + 1e-12
+def _random_net(gen, n: int, size: int) -> IsometryNet:
+    return IsometryNet(n, 0.1, haar_orthogonal(n, gen, size),
+                       gen.normal(size=(size, n)), {})
 
 
 def test_family_counts_fast_path_matches_generic():
     gen = np.random.default_rng(31)
-    centers = gen.normal(size=(12, 3))
-    radii = gen.uniform(0.5, 1.5, size=12)
+    family = CoverFamily(BallBody(gen.normal(size=3), 0.8), 0.3, _random_net(gen, 3, 12))
+    assert family.centers is not None  # ball base: the centre-array path
     pts = gen.normal(size=(400, 3))
-    fast = family_counts([BallBody(c, r) for c, r in zip(centers, radii)], pts)
-    slow = family_counts([_OpaqueBall(c, r) for c, r in zip(centers, radii)], pts)
-    assert np.array_equal(fast, slow)
+    members = _members(family)
+    assert np.array_equal(family_counts(family, pts), family_counts(members, pts))
+    assert np.array_equal(family.contains(pts), family_membership_matrix(members, pts))
+    assert np.array_equal(family.counts(pts), family.contains(pts).sum(axis=1))
 
 
 def test_family_counts_chunked(monkeypatch):
-    monkeypatch.setattr(coclique, "_FAMILY_CHUNK_ELEMS", 7)
     gen = np.random.default_rng(32)
-    family = [BallBody(gen.normal(size=2), 1.0) for _ in range(9)]
+    family = CoverFamily(BallBody(np.zeros(2), 0.7), 0.3, _random_net(gen, 2, 9))
     pts = gen.normal(size=(50, 2))
-    chunked = family_counts(family, pts)
-    monkeypatch.setattr(coclique, "_FAMILY_CHUNK_ELEMS", 4_194_304)
-    assert np.array_equal(chunked, family_counts(family, pts))
+    whole_counts, whole_masks = family.counts(pts), family.contains(pts)
+    # 3 * 50 + 1 pairs per block: three members per block, the last block short
+    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_ELEMS", 151)
+    assert np.array_equal(family.counts(pts), whole_counts)
+    assert np.array_equal(family.contains(pts), whole_masks)
+    assert np.array_equal(whole_counts, family_counts(_members(family), pts))
+    rows = [8, 0, 5, 3]
+    assert np.array_equal(family.contains(pts, rows), whole_masks[rows])
+
+
+@pytest.mark.parametrize("budget", [None, 7 * 40 + 3], ids=["whole", "chunked"])
+def test_cover_family_segment_matches_generic(monkeypatch, budget):
+    from covercert.cli import segment_body
+
+    body = segment_body()
+    net = build_cover_family(body, 1.0, Ball(np.zeros(2), 0.4), 0.4, rng=RngStream(5, 0))
+    family = CoverFamily(body, 0.4, net)
+    assert family.centers is None and net.certificate["rotation_count"] > 1
+    if budget is not None:
+        # seven members per stacked batch; the net size is not a multiple of 7
+        assert len(net) % 7
+        monkeypatch.setattr(bodies, "_FAMILY_CHUNK_POINTS", budget)
+    pts = np.random.default_rng(34).uniform(-0.9, 0.9, size=(40, 2))
+    members = _members(family)
+    masks = family.contains(pts)
+    assert np.array_equal(masks, family_membership_matrix(members, pts))
+    assert np.array_equal(family_counts(family, pts), family_counts(members, pts))
+    assert 0 < masks.sum() < masks.size
 
 
 def test_family_counts_degenerate():

@@ -62,6 +62,17 @@ def test_rng_stream_validation():
         RngStream(0, 0).child(-1)
 
 
+def test_rng_stream_child_limit():
+    # child(131074) would be stream 131075, the same as child(1).child(0)
+    assert RngStream(1, 0).child(1).child(0).stream_id == 131075
+    with pytest.raises(ValueError):
+        RngStream(1, 0).child(131074)
+    with pytest.raises(ValueError):
+        RngStream(1, 0).child(RngStream.CHILD_LIMIT)
+    # inside the limit the ids, and so every seeded output, are unchanged
+    assert RngStream(1, 3).child(RngStream.CHILD_LIMIT - 1).stream_id == 3 * 65537 + 65536
+
+
 # ---------------------------------------------------------------------------
 # radii, diameters, simplices
 

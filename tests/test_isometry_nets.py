@@ -2,6 +2,7 @@
 and greedy net coverage, translation grids, and the product cover family
 with its fault-injection audit."""
 
+import json
 import math
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_net_n2_grid_coverage():
     assert len(net) == 2 * count
     # worst case: a rotation halfway between adjacent grid angles
     worst = _rot(math.pi / count)
-    d = min_distance_to_net(worst[None], net.matrices())[0]
+    d = min_distance_to_net(worst[None], net.matrices)[0]
     assert d <= delta + 1e-9
     rep = audit_orthogonal_net(net, 400, RngStream(2, 0))
     assert rep["pass"], rep
@@ -197,7 +198,28 @@ def test_net_json_round_trip():
     back = IsometryNet.from_json_dict(net.to_json_dict())
     assert back.dim == net.dim and back.delta == net.delta
     assert len(back) == len(net)
-    assert np.allclose(back.matrices(), net.matrices())
+    assert np.allclose(back.matrices, net.matrices)
+
+
+def test_net_json_batched_validation():
+    doc = build_orthogonal_net(2, 0.7).to_json_dict()
+    bad = json.loads(json.dumps(doc))
+    bad["elements"][3]["matrix"][0][0] = 1.01
+    with pytest.raises(ValueError, match="net element matrix 3 is not orthogonal"):
+        IsometryNet.from_json_dict(bad)
+    bad["elements"][3]["matrix"][0][0] = float("nan")  # json reads NaN tokens
+    with pytest.raises(ValueError, match="finite"):
+        IsometryNet.from_json_dict(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["elements"][-1]["translation"] = [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="must share one shape"):
+        IsometryNet.from_json_dict(bad)
+    for element in bad["elements"]:
+        element["translation"] = [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="translation dimension mismatch"):
+        IsometryNet.from_json_dict(bad)
+    empty = IsometryNet.from_json_dict(dict(doc, elements=[]))
+    assert len(empty) == 0 and empty.matrices.shape == (0, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +333,8 @@ def test_cover_family_direct_placement_guarantee():
         a = haar_orthogonal(2, gen)
         v = sample_uniform_ball(2, 1.0, 1, RngStream(int(gen.integers(1 << 30)), 0)).points[0]
         placed = boundary @ a.T + v
+        # g^-1(x) = A^T (x - v) for g = (A, v)
         assert any(
-            np.all(fat.contains_many(g.inverse().apply(placed)))
-            for g in net.elements
+            np.all(fat.contains_many((placed - v) @ a_g))
+            for a_g, v in zip(net.matrices, net.translations)
         )
