@@ -24,6 +24,7 @@ from .geom_core import (
     as_points,
     as_vector,
     ball_volume_log,
+    in_balls,
     min_enclosing_ball,
     sample_uniform_ball,
 )
@@ -110,8 +111,7 @@ class BallBody(Body):
         self.exact_volume = math.exp(ball_volume_log(self.dim, radius)) if radius > 0 else 0.0
 
     def contains_many(self, points):
-        pts = as_points(points, self.dim)
-        return np.linalg.norm(pts - self.ball.center, axis=1) <= self.ball.radius
+        return self.ball.contains_points(points)
 
     def project(self, points):
         return _project_onto_ball(as_points(points, self.dim), self.ball)
@@ -207,10 +207,7 @@ class BallIntersectionBody(Body):
 
     def contains_many(self, points):
         pts = as_points(points, self.dim)
-        ok = np.ones(len(pts), dtype=bool)
-        for b in self.balls:
-            ok &= np.linalg.norm(pts - b.center, axis=1) <= b.radius
-        return ok
+        return np.all([b.contains_points(pts) for b in self.balls], axis=0)
 
     def project(self, points):
         pts = as_points(points, self.dim)
@@ -310,10 +307,7 @@ class UnionBody(Body):
 
     def contains_many(self, points):
         pts = as_points(points, self.dim)
-        ok = np.zeros(len(pts), dtype=bool)
-        for p in self.parts:
-            ok |= p.contains_many(pts)
-        return ok
+        return np.any([p.contains_many(pts) for p in self.parts], axis=0)
 
     def project(self, points):
         pts = as_points(points, self.dim)
@@ -336,8 +330,8 @@ class UnionBody(Body):
 
 
 def thicken(b: Body, eps: float) -> Body:
-    """Minkowski sum with eps * B_n. Balls stay balls; stacked thickenings
-    add their amounts."""
+    """Minkowski sum with eps * B_n. Balls, also thickened ones, stay balls;
+    stacked thickenings add their amounts."""
     if eps < 0:
         raise ValueError("thickening amount must be nonnegative")
     if eps == 0:
@@ -345,7 +339,7 @@ def thicken(b: Body, eps: float) -> Body:
     if isinstance(b, BallBody):
         return BallBody(b.ball.center, b.ball.radius + eps)
     if isinstance(b, ThickenedBody):
-        return ThickenedBody(b.base, b.eps + eps)
+        return thicken(b.base, b.eps + eps)
     return ThickenedBody(b, eps)
 
 
@@ -384,9 +378,9 @@ class CoverFamily:
     body, eps and the net's arrays: no member is built as an object.
 
     Member i contains p iff thicken(base, eps) contains
-    matrices[i]^T (p - translations[i]). When the thickened base is a ball
-    (centre c, radius r), members are the balls of centres
-    translations + matrices @ c, decided by d^2 <= r^2 + 1e-12.
+    matrices[i]^T (p - translations[i]). When the thickened base is a
+    BallBody (centre c, radius r), members are the balls of centres
+    translations + matrices @ c, decided by in_balls, the rule of BallBody.
     """
 
     def __init__(self, base: Body, eps: float, net: IsometryNet):
@@ -397,7 +391,7 @@ class CoverFamily:
         self.net = net
         self.dim = base.dim
         self.body = thicken(base, self.eps)
-        ball = reduce_to_ball(self.body)
+        ball = self.body.ball if isinstance(self.body, BallBody) else None
         self.radius = None if ball is None else ball.radius
         self.centers = None if ball is None else (
             np.einsum("tij,j->ti", net.matrices, ball.center) + net.translations)
@@ -430,13 +424,10 @@ class CoverFamily:
             return
         m, n = pts.shape
         step = max(1, (_FAMILY_CHUNK_POINTS if self.centers is None else _FAMILY_CHUNK_ELEMS) // m)
-        sq = np.sum(pts * pts, axis=1)
         for start in range(0, len(idx), step):
             sel = idx[start:start + step]
             if self.centers is not None:
-                c = self.centers[sel]
-                d2 = np.sum(c * c, axis=1)[:, None] + sq[None, :] - 2.0 * (c @ pts.T)
-                yield slice(start, start + step), d2 <= self.radius * self.radius + 1e-12
+                yield slice(start, start + step), in_balls(self.centers[sel], self.radius, pts)
                 continue
             mats = self.net.matrices[sel]
             # inverse images A^T (p - v) = p A - v A, (m, members, n), in one product

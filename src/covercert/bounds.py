@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom_core import (
+    PREDICATE_TOL,
     RngStream,
     as_points,
     as_vector,
@@ -26,7 +27,6 @@ from .geom_core import (
     uniform_ball_points,
 )
 
-PREDICATE_TOL = 1e-12
 _LOG_FLOAT_MAX = 709.0
 
 

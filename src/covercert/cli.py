@@ -1,13 +1,11 @@
 """Command-line front end: reproducible bound sweeps, Jung-radius spot
-checks, invariant audit suites, and the end-to-end non-cover witness
-pipeline with self-contained certificates.
+checks, invariant audit suites, and the non-cover witness search and
+certificate verifier of covercert.witness.
 
 Every randomized command takes a mandatory --seed and is a deterministic
 function of (arguments, seed); rerunning reproduces output files byte for
 byte (output paths are excluded from the echoed configuration for exactly
-this reason). Probabilistic pipeline steps only inform diagnostics; a
-witness verdict rests solely on directly checked facts: the diameter of X
-and the per-member containment counts.
+this reason).
 
 Exit codes: 0 success / verdict true, 1 audit failure / verdict false,
 2 usage or configuration error.
@@ -18,26 +16,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as _bounds
-from .bodies import BallBody, CoverFamily, HalfspaceIntersectionBody, body_from_json_dict
-from .coclique import (
-    CocliqueParams,
-    build_coclique,
-    check_hypotheses,
-    edge_measure_audit,
-    family_counts,
-    family_membership_matrix,
-    geometric_spec,
-)
+from .bodies import BallBody, HalfspaceIntersectionBody, body_from_json_dict
+from .coclique import edge_measure_audit
 from .geom_core import (
     Ball,
     PointSet,
@@ -49,26 +36,21 @@ from .geom_core import (
     min_enclosing_ball,
     regular_simplex,
     sample_uniform_ball,
-    uniform_ball_points,
 )
 from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
+from .witness import (
+    SCHEMA_VERSION,
+    WITNESS_DIMS,
+    default_alpha,
+    search_witness,
+    verify_witness_certificate,
+)
 
-SCHEMA_VERSION = 1
-ENUMERATION_CAP = 1_000_000  # k-subsets enumerated exhaustively below this
 
-
-@dataclass(frozen=True)
-class RunConfig:
+def run_config(command: str, seed: int | None, params: dict) -> dict:
     """Echo of the arguments that determine a command's output. Output
     paths are deliberately not part of the record."""
-
-    command: str
-    seed: int | None
-    params: dict
-
-    def to_json_dict(self) -> dict:
-        return {"command": self.command, "seed": self.seed,
-                "params": dict(self.params)}
+    return {"command": command, "seed": seed, "params": dict(params)}
 
 
 def _json_default(x):
@@ -119,11 +101,11 @@ def cmd_bounds(args) -> int:
     if args.n is None:
         raise ValueError("either --n or --sweep is required")
     n = args.n
-    config = RunConfig("bounds", None, {"n": n, "lam": args.lam,
-                                        "r": args.r, "alpha": args.alpha})
+    config = run_config("bounds", None, {"n": n, "lam": args.lam,
+                                         "r": args.r, "alpha": args.alpha})
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": config.to_json_dict(),
+        "config": config,
         "theorem_lower_bound_log": _bounds.theorem_lower_bound(n),
         "borsuk": _bounds.borsuk_report(n),
         "pipeline": _bounds.proof_pipeline_budget(n).to_json_dict(),
@@ -173,12 +155,12 @@ def cmd_jung_check(args) -> int:
         max_radius = max(max_radius, ball.radius)
     clouds_ok = max_radius <= r_n + args.tol
 
-    config = RunConfig("jung-check", args.seed,
-                       {"n": n, "samples": args.samples,
-                        "cloud_size": args.cloud_size, "tol": args.tol})
+    config = run_config("jung-check", args.seed,
+                        {"n": n, "samples": args.samples,
+                         "cloud_size": args.cloud_size, "tol": args.tol})
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": config.to_json_dict(),
+        "config": config,
         "r_n": r_n,
         "simplex": {"radius": simplex_ball.radius, "ok": simplex_ok},
         "clouds": {"trials": args.samples, "max_radius": max_radius,
@@ -191,51 +173,6 @@ def cmd_jung_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 # witness
-
-
-def _default_alpha(r: float) -> float:
-    """Largest cap angle keeping the edge threshold 2 r cos(alpha/2) at 1
-    (so cocliques have diameter <= 1); a fixed interior angle when r <= 1/2
-    already keeps the threshold below 1."""
-    if r > 0.5:
-        return 2.0 * math.acos(1.0 / (2.0 * r))
-    return 1.0
-
-
-def _non_coverage(counts: np.ndarray, k: int, points: np.ndarray,
-                  family: CoverFamily) -> tuple[bool, str]:
-    """Does every k-subset of the family fail to cover X (the points)?
-
-    k = 1 reads off the counts. Small k-subset spaces are enumerated
-    exhaustively on the membership matrix; above the enumeration cap, the
-    sum of the k largest counts < |X| certificate is used (a union never
-    covers more than the sum of its parts).
-    """
-    x_size = len(points)
-    if x_size == 0:
-        return False, "empty"
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        return True, "empty-family"
-    if k == 1:
-        return bool(np.all(counts < x_size)), "per-member-counts"
-    if math.comb(counts.size, k) <= ENUMERATION_CAP:
-        masks = family_membership_matrix(family, points)
-        for combo in itertools.combinations(range(counts.size), k):
-            if bool(np.all(np.any(masks[list(combo)], axis=0))):
-                return False, "exhaustive-enumeration"
-        return True, "exhaustive-enumeration"
-    top = np.sort(counts)[-k:]
-    return bool(int(top.sum()) < x_size), "count-sum"
-
-
-def _witness_verdict(points: np.ndarray, counts: np.ndarray, threshold: float,
-                     k: int, family: CoverFamily) -> tuple[bool, float, str]:
-    if points.shape[0] == 0:
-        return False, 0.0, "empty"
-    diam = diameter(PointSet(points.shape[1], points))
-    uncovered, method = _non_coverage(counts, k, points, family)
-    return bool(diam <= threshold) and uncovered, diam, method
 
 
 def cmd_witness(args) -> int:
@@ -251,8 +188,10 @@ def cmd_witness(args) -> int:
         _emit(render_json(report), args.out)
         return 0 if report["pass"] else 1
 
+    if args.seed is None:
+        raise ValueError("witness search requires --seed")
     n = args.n
-    if n not in (2, 3):
+    if n not in WITNESS_DIMS:
         raise ValueError("witness search is desk-scale: n in {2, 3}")
     if args.body:
         with open(args.body, encoding="utf-8") as fh:
@@ -261,155 +200,22 @@ def cmd_witness(args) -> int:
             raise ValueError("body dimension does not match --n")
     else:
         base = BallBody(np.zeros(n), args.ball_radius)
-    r = args.r
-    if r <= 0:
+    if args.r <= 0:
         raise ValueError("r must be positive")
-    alpha = args.alpha if args.alpha is not None else _default_alpha(r)
-    eps = args.eps
-    if eps <= 0:
+    alpha = args.alpha if args.alpha is not None else default_alpha(args.r)
+    if args.eps <= 0:
         raise ValueError("eps must be positive")
 
-    rng = RngStream(args.seed, 0)
-    config = RunConfig("witness", args.seed, {
-        "n": n, "r": r, "alpha": alpha, "k": args.k, "eps": eps,
+    config = run_config("witness", args.seed, {
+        "n": n, "r": args.r, "alpha": alpha, "k": args.k, "eps": args.eps,
         "M": args.M, "p": args.p, "max_retries": args.max_retries,
         "samples": args.samples, "ball_radius": None if args.body else args.ball_radius,
         "body": args.body,
     })
-
-    # (1) cover family over the translation window that any copy touching
-    # r B_n can occupy: |g(0)| <= r + diam(K) + eps
-    diam_bound = 2.0 * (float(np.linalg.norm(base.bound.center)) + base.bound.radius)
-    window = Ball(np.zeros(n), r + diam_bound + eps)
-    net = build_cover_family(base, diam_bound, window, eps, rng=rng.child(1))
-
-    # (2) the family: thickened copies along the net, held as arrays
-    family = CoverFamily(base, eps, net)
-
-    # (3) shared-sample estimate of the worst member measure on r B_n
-    probe = uniform_ball_points(rng.child(2).generator(), n, r, args.samples)
-    member_hits = family_counts(family, probe)
-    nu_hat = member_hits / float(args.samples)
-    p_hat_max = float(nu_hat.max()) if nu_hat.size else 0.0
-
-    # (4) hypothesis report (diagnostic only; never gates the verdict)
-    threshold = 2.0 * r * math.cos(alpha / 2.0)
-    pair_gen = rng.child(3).generator()
-    xs = uniform_ball_points(pair_gen, n, r, args.samples)
-    ys = uniform_ball_points(pair_gen, n, r, args.samples)
-    edge_hat = float(np.count_nonzero(
-        np.linalg.norm(xs - ys, axis=1) >= threshold)) / args.samples
-    params = CocliqueParams(M=args.M, k=args.k, p=args.p,
-                            max_retries=args.max_retries)
-    hypotheses = check_hypotheses(params, len(family), nu_hat, edge_hat)
-    if not hypotheses["pass"]:
-        warnings.warn("lemma hypotheses fail on measured estimates; "
-                      "continuing — the verdict is decided by direct "
-                      "verification", UserWarning)
-
-    # (5) randomized coclique search, accepting on the certificate rule
-    spec = geometric_spec(n, r, alpha, family, unit_diameter=True)
-
-    def accept(points: np.ndarray, counts: np.ndarray) -> bool:
-        verdict, _, _ = _witness_verdict(points, counts, threshold, args.k, family)
-        return verdict
-
-    result = build_coclique(spec, params, rng.child(4), accept=accept)
-
-    # (6) certificate from directly checked facts
-    verdict, diam_x, method = _witness_verdict(
-        result.X.points, np.asarray(result.per_Y_counts), threshold, args.k, family)
-    cert = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "witness-certificate",
-        "config": config.to_json_dict(),
-        "n": n,
-        "k": args.k,
-        "r": r,
-        "alpha": alpha,
-        "threshold": threshold,
-        "family_manifest": {
-            "base_body": base.to_json_dict(),
-            "eps": eps,
-            "net": net.to_json_dict(),
-            "member_rule": "member = g(thicken(base_body, eps)) for g in net.elements",
-        },
-        "X": result.X.to_json_dict(),
-        "diam_X": diam_x,
-        "per_member_counts": list(result.per_Y_counts),
-        "verdict": verdict,
-        "non_coverage_method": method,
-        "coclique": {
-            "success": result.success,
-            "retries_used": result.retries_used,
-            "edges_found_per_attempt": result.edges_found_per_attempt,
-            "rule": result.rule,
-            "diagnostics": result.diagnostics,
-        },
-        "estimates": {
-            "samples": args.samples,
-            "p_hat_max": p_hat_max,
-            "edge_measure_hat": edge_hat,
-        },
-        "hypotheses": hypotheses,
-    }
+    cert = search_witness(base, args.seed, args.r, alpha, args.k, args.eps, args.M, args.p,
+                          args.max_retries, args.samples, config)
     _emit(render_json(cert), args.out)
-    return 0 if verdict else 1
-
-
-def verify_witness_certificate(cert: dict) -> dict:
-    """Recheck a certificate from its JSON alone: rebuild the family from
-    the manifest, recompute the diameter and membership counts, and re-derive
-    the verdict. No search is re-run."""
-    checks = []
-    n = int(cert["n"])
-    k = int(cert["k"])
-    threshold = float(cert["threshold"])
-    X = PointSet.from_json_dict(cert["X"])
-    manifest = cert["family_manifest"]
-    base = body_from_json_dict(manifest["base_body"])
-    eps = float(manifest["eps"])
-    net = IsometryNet.from_json_dict(manifest["net"])
-    family = CoverFamily(base, eps, net)
-
-    checks.append({"name": "dimensions",
-                   "ok": X.dim == n and base.dim == n and net.dim == n})
-
-    if len(X) > 0:
-        diam = diameter(X)
-        checks.append({"name": "diameter-recomputed",
-                       "ok": abs(diam - float(cert["diam_X"])) <= 1e-12,
-                       "recomputed": diam})
-        checks.append({"name": "diameter-threshold",
-                       "ok": diam <= threshold, "threshold": threshold})
-    else:
-        diam = 0.0
-        checks.append({"name": "diameter-recomputed", "ok": True,
-                       "recomputed": 0.0})
-        checks.append({"name": "diameter-threshold", "ok": False,
-                       "note": "empty witness"})
-
-    counts = family_counts(family, X.points)
-    stored = np.asarray(cert["per_member_counts"], dtype=int)
-    checks.append({"name": "membership-counts",
-                   "ok": counts.shape == stored.shape and bool(np.all(counts == stored))})
-
-    uncovered, method = _non_coverage(counts, k, X.points, family)
-    checks.append({"name": "non-coverage", "ok": uncovered, "method": method,
-                   "stored_method": cert["non_coverage_method"]})
-
-    verdict = (len(X) > 0) and diam <= threshold and uncovered
-    checks.append({"name": "verdict-matches",
-                   "ok": verdict == bool(cert["verdict"]),
-                   "recomputed": verdict})
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "witness-verification",
-        "checks": checks,
-        "verdict": verdict,
-        "pass": all(c["ok"] for c in checks),
-    }
+    return 0 if cert["verdict"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +341,10 @@ def cmd_audit(args) -> int:
         result = _suite_edges(rng, args.samples or 20000)
     else:
         result = _suite_cover(rng, args.samples or 200, args.expect_fail)
-    config = RunConfig("audit", args.seed,
-                       {"suite": suite, "samples": args.samples,
-                        "expect_fail": args.expect_fail})
-    out = {"schema_version": SCHEMA_VERSION, "config": config.to_json_dict()}
+    config = run_config("audit", args.seed,
+                        {"suite": suite, "samples": args.samples,
+                         "expect_fail": args.expect_fail})
+    out = {"schema_version": SCHEMA_VERSION, "config": config}
     out.update(result)
     _emit(render_json(out), args.out)
     return 0 if result["pass"] else 1
@@ -614,9 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "witness" and args.verify_cert is None and args.seed is None:
-        print("error: witness search requires --seed", file=sys.stderr)
-        return 2
     try:
         return int(args.func(args))
     except (ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .geom_core import PointSet, RngStream, cap_measure_exact, uniform_ball_points
+from .geom_core import PointSet, RngStream, cap_measure_exact, sq_distances, uniform_ball_points
 
 
 @dataclass
@@ -294,6 +294,11 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
     )
 
 
+def edge_threshold(r: float, alpha: float) -> float:
+    """Far-pair distance 2 r cos(alpha/2) of the geometric graph on r B_n."""
+    return 2.0 * r * math.cos(alpha / 2.0)
+
+
 def geometric_spec(n: int, r: float, alpha: float, family,
                    labels: list[str] | None = None,
                    unit_diameter: bool = False) -> MeasurableGraphSpec:
@@ -306,7 +311,7 @@ def geometric_spec(n: int, r: float, alpha: float, family,
     if not 0.0 < alpha < math.pi / 2.0:
         raise ValueError("alpha must lie in (0, pi/2)")
     n = int(n)
-    threshold = 2.0 * r * math.cos(alpha / 2.0)
+    threshold = edge_threshold(r, alpha)
     if unit_diameter and threshold > 1.0 + 1e-12:
         raise ValueError(
             f"2 r cos(alpha/2) = {threshold:.6f} > 1; a diameter-1 witness "
@@ -317,9 +322,7 @@ def geometric_spec(n: int, r: float, alpha: float, family,
         return uniform_ball_points(gen, n, r, count)
 
     def edge_matrix(points):
-        sq = np.sum(points * points, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-        mat = d2 >= threshold * threshold
+        mat = sq_distances(points, points) >= threshold * threshold
         np.fill_diagonal(mat, False)
         return mat
 
@@ -343,7 +346,7 @@ def edge_measure_audit(n: int, alpha: float, trials: int, rng: RngStream,
     if anchors < 2:
         raise ValueError("at least the origin and one more anchor required")
     n = int(n)
-    threshold = 2.0 * math.cos(alpha / 2.0)
+    threshold = edge_threshold(1.0, alpha)
     m_alpha = cap_measure_exact(n, alpha)
     sigma = math.sqrt(m_alpha * (1.0 - m_alpha) / trials)
     gen = rng.generator()

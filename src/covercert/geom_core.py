@@ -68,8 +68,7 @@ class Ball:
         return self.center.size
 
     def contains_points(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        pts = as_points(points, self.dim)
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
+        return in_balls(self.center[None, :], self.radius + tol, as_points(points, self.dim))[0]
 
     def to_json_dict(self) -> dict:
         return {"center": self.center.tolist(), "radius": self.radius}
@@ -162,16 +161,25 @@ def jung_radius(n: int) -> float:
     return math.sqrt(n / (2.0 * n + 2.0))
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances |a_i - b_j|^2, shape (len(a), len(b)), in the
+    expanded form |a_i|^2 + |b_j|^2 - 2 a_i . b_j (one matrix product)."""
+    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+
+
+def in_balls(centers: np.ndarray, radius: float, points: np.ndarray) -> np.ndarray:
+    """The one ball-membership rule: entry (i, j) says points[j] lies in the
+    closed ball (centers[i], radius), |p - c|^2 <= radius^2 + PREDICATE_TOL."""
+    return sq_distances(centers, points) <= radius * radius + PREDICATE_TOL
+
+
 def diameter(ps: PointSet) -> float:
     """Exact max pairwise distance by an O(m^2) scan; 0 for a singleton."""
     if len(ps) == 0:
         raise ValueError("diameter of an empty point set is undefined")
-    pts = ps.points
     if len(ps) == 1:
         return 0.0
-    sq = np.sum(pts * pts, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    return float(math.sqrt(max(0.0, float(d2.max()))))
+    return float(math.sqrt(max(0.0, float(sq_distances(ps.points, ps.points).max()))))
 
 
 def min_enclosing_ball(ps: PointSet, tol: float = SOLVER_TOL,

@@ -1,0 +1,195 @@
+"""Non-cover witnesses: the cover family a witness must defeat, the one
+verdict on a candidate set X, the seeded search that emits a certificate,
+and the verifier that rechecks one from its JSON alone. The verifier
+regenerates the family, so a certificate cannot list a smaller one.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import warnings
+
+import numpy as np
+
+from .bodies import Body, CoverFamily, body_from_json_dict
+from .coclique import (
+    CocliqueParams,
+    build_coclique,
+    check_hypotheses,
+    edge_threshold,
+    family_counts,
+    geometric_spec,
+)
+from .geom_core import PREDICATE_TOL, Ball, PointSet, RngStream, diameter, uniform_ball_points
+from .isometry_nets import IsometryNet, build_cover_family
+
+SCHEMA_VERSION = 1
+ENUMERATION_CAP = 1_000_000  # k-subsets enumerated exhaustively below this
+# orthogonal nets are deterministic grids here, so families regenerate exactly
+WITNESS_DIMS = (2, 3)
+
+
+def default_alpha(r: float) -> float:
+    """Largest cap angle keeping the edge threshold 2 r cos(alpha/2) at 1
+    (so cocliques have diameter <= 1); a fixed interior angle when r <= 1/2
+    already keeps the threshold below 1."""
+    if r > 0.5:
+        return 2.0 * math.acos(1.0 / (2.0 * r))
+    return 1.0
+
+
+def witness_family(base: Body, r: float, eps: float) -> CoverFamily:
+    """The copies g(base + eps B_n) for g in the cover family of every
+    placement of `base` that can touch r B_n. diam(base) is bounded by
+    2 (|c| + R) from its bounding ball, and a copy touching r B_n has
+    |g(0)| <= r + diam(base) + eps."""
+    diam_bound = 2.0 * (float(np.linalg.norm(base.bound.center)) + base.bound.radius)
+    window = Ball(np.zeros(base.dim), r + diam_bound + eps)
+    return CoverFamily(base, eps, build_cover_family(base, diam_bound, window, eps))
+
+
+def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
+            threshold: float) -> tuple[bool, float, str]:
+    """Is X (the points) a witness: non-empty, of diameter <= threshold,
+    and covered by no k members of the family? Returns the verdict, the
+    diameter of X and the non-coverage method.
+
+    k = 1 reads off the per-member counts. Small k-subset spaces are
+    enumerated exhaustively on the membership matrix; above the
+    enumeration cap, the sum of the k largest counts < |X| certificate is
+    used (a union never covers more than the sum of its parts). Coverage of
+    a set wider than the threshold is not decided (method "diameter").
+    """
+    if len(points) == 0:
+        return False, 0.0, "empty"
+    diam = diameter(PointSet(points.shape[1], points))
+    if diam > threshold:
+        return False, diam, "diameter"
+    counts = np.asarray(counts)
+    if k == 1:
+        return bool(np.all(counts < len(points))), diam, "per-member-counts"
+    if math.comb(counts.size, k) <= ENUMERATION_CAP:
+        masks = family.contains(points)
+        covered = any(bool(np.all(np.any(masks[list(combo)], axis=0)))
+                      for combo in itertools.combinations(range(counts.size), k))
+        return not covered, diam, "exhaustive-enumeration"
+    top = np.sort(counts)[-k:]
+    return bool(int(top.sum()) < len(points)), diam, "count-sum"
+
+
+def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: float,
+                   M: int, p: float, max_retries: int, samples: int, config: dict) -> dict:
+    """Seeded search for a witness against witness_family(base, r, eps);
+    returns its certificate, a deterministic function of the arguments.
+    `config` is the caller's echo of its arguments."""
+    n = base.dim
+    rng = RngStream(seed, 0)
+    family = witness_family(base, r, eps)
+
+    # shared-sample estimate of the worst member measure on r B_n
+    probe = uniform_ball_points(rng.child(2).generator(), n, r, samples)
+    nu_hat = family_counts(family, probe) / float(samples)
+    p_hat_max = float(nu_hat.max()) if nu_hat.size else 0.0
+
+    # hypothesis report (diagnostic only; never gates the verdict)
+    threshold = edge_threshold(r, alpha)
+    pair_gen = rng.child(3).generator()
+    xs = uniform_ball_points(pair_gen, n, r, samples)
+    ys = uniform_ball_points(pair_gen, n, r, samples)
+    edge_hat = float(np.count_nonzero(
+        np.linalg.norm(xs - ys, axis=1) >= threshold)) / samples
+    params = CocliqueParams(M=M, k=k, p=p, max_retries=max_retries)
+    hypotheses = check_hypotheses(params, len(family), nu_hat, edge_hat)
+    if not hypotheses["pass"]:
+        warnings.warn("lemma hypotheses fail on measured estimates; "
+                      "continuing — the verdict is decided by direct "
+                      "verification", UserWarning)
+
+    # randomized coclique search, accepting on the certificate's verdict
+    spec = geometric_spec(n, r, alpha, family, unit_diameter=True)
+    result = build_coclique(spec, params, rng.child(4),
+                            accept=lambda x, counts: verdict(x, counts, family, k, threshold)[0])
+    holds, diam_x, method = verdict(result.X.points, result.per_Y_counts, family, k, threshold)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "witness-certificate",
+        "config": config,
+        "n": n,
+        "k": k,
+        "r": r,
+        "alpha": alpha,
+        "threshold": threshold,
+        "family_manifest": {
+            "base_body": base.to_json_dict(),
+            "eps": eps,
+            "net": family.net.to_json_dict(),
+            "member_rule": "member = g(thicken(base_body, eps)) for g in net.elements",
+        },
+        "X": result.X.to_json_dict(),
+        "diam_X": diam_x,
+        "per_member_counts": list(result.per_Y_counts),
+        "verdict": holds,
+        "non_coverage_method": method,
+        "coclique": {
+            "success": result.success,
+            "retries_used": result.retries_used,
+            "edges_found_per_attempt": result.edges_found_per_attempt,
+            "rule": result.rule,
+            "diagnostics": result.diagnostics,
+        },
+        "estimates": {
+            "samples": samples,
+            "p_hat_max": p_hat_max,
+            "edge_measure_hat": edge_hat,
+        },
+        "hypotheses": hypotheses,
+    }
+
+
+def verify_witness_certificate(cert: dict) -> dict:
+    """Recheck a certificate from its JSON alone: regenerate the family
+    from the certificate's base body, r and eps and compare it with the
+    listed one, recompute the threshold, the diameter and the membership
+    counts, and re-derive the verdict. No search is re-run."""
+    n, k = int(cert["n"]), int(cert["k"])
+    r, alpha = float(cert["r"]), float(cert["alpha"])
+    threshold = float(cert["threshold"])
+    X = PointSet.from_json_dict(cert["X"])
+    manifest = cert["family_manifest"]
+    base = body_from_json_dict(manifest["base_body"])
+    eps = float(manifest["eps"])
+    family = CoverFamily(base, eps, IsometryNet.from_json_dict(manifest["net"]))
+    if n not in WITNESS_DIMS:
+        raise ValueError(f"n = {n} is outside the witness domain n in {{2, 3}}: "
+                         "its family cannot be regenerated")
+    listed = family.net
+    fresh = witness_family(base, r, eps).net if base.dim == n else None
+    counts = family_counts(family, X.points)
+    stored = np.asarray(cert["per_member_counts"], dtype=int)
+    holds, diam, method = verdict(X.points, counts, family, k, threshold)
+    checks = [
+        {"name": "dimensions", "ok": X.dim == n and family.dim == n},
+        {"name": "threshold-recomputed", "recomputed": edge_threshold(r, alpha),
+         "ok": threshold == edge_threshold(r, alpha) and threshold <= 1.0 + PREDICATE_TOL},
+        {"name": "family-regenerated", "ok": fresh is not None
+         and listed.delta == fresh.delta and listed.certificate == fresh.certificate
+         and np.array_equal(listed.matrices, fresh.matrices)
+         and np.array_equal(listed.translations, fresh.translations)},
+        {"name": "diameter-recomputed", "recomputed": diam,
+         "ok": abs(diam - float(cert["diam_X"])) <= 1e-12},
+        {"name": "diameter-threshold", "ok": diam <= threshold, "threshold": threshold}
+        if len(X) > 0 else {"name": "diameter-threshold", "ok": False, "note": "empty witness"},
+        {"name": "membership-counts",
+         "ok": counts.shape == stored.shape and bool(np.all(counts == stored))},
+        {"name": "non-coverage", "ok": holds, "method": method,
+         "stored_method": cert["non_coverage_method"]},
+        {"name": "verdict-matches", "ok": holds == bool(cert["verdict"]), "recomputed": holds},
+    ]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "witness-verification",
+        "checks": checks,
+        "verdict": holds,
+        "pass": all(c["ok"] for c in checks),
+    }

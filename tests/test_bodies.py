@@ -10,6 +10,7 @@ import pytest
 from covercert.bodies import (
     BallBody,
     BallIntersectionBody,
+    CoverFamily,
     HalfspaceIntersectionBody,
     ThickenedBody,
     TransformedBody,
@@ -24,7 +25,7 @@ from covercert.bodies import (
     transform,
 )
 from covercert.geom_core import Ball, RngStream
-from covercert.isometry_nets import Isometry
+from covercert.isometry_nets import Isometry, IsometryNet
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -59,6 +60,24 @@ def test_ball_body_membership_and_volume():
     assert b.exact_volume == pytest.approx(math.pi * 4.0, rel=1e-12)
     proj = b.project(np.array([[5.0, 0.0], [1.0, 0.5]]))
     assert np.allclose(proj, [[3.0, 0.0], [1.0, 0.5]], atol=1e-12)
+
+    # one rule, |p - c|^2 <= r^2 + 1e-12, for every ball oracle: points at
+    # r (1 + 1e-13), at squared distance r^2 + 5e-13 and at r^2 + 1e-11
+    c, base, eps = np.array([0.3, -0.2]), 0.5, 0.02
+    r = base + eps
+    offsets = [r * (1.0 + 1e-13), math.sqrt(r * r + 5e-13), math.sqrt(r * r + 1e-11)]
+    pts = c + np.array([[d, 0.0] for d in offsets])
+    net = IsometryNet(2, 0.0, np.eye(2)[None], c[None], {})
+    verdicts = [
+        Ball(c, r).contains_points(pts),
+        BallBody(c, r).contains_many(pts),
+        BallIntersectionBody([Ball(c, r), Ball(c, 2.0 * r)]).contains_many(pts),
+        thicken(BallBody(c, base), eps).contains_many(pts),
+        thicken(ThickenedBody(BallBody(c, base), eps / 2.0), eps / 2.0).contains_many(pts),
+        CoverFamily(BallBody(np.zeros(2), base), eps, net).contains(pts)[0],
+    ]
+    for inside in verdicts:
+        assert inside.tolist() == [True, True, False]
 
 
 def test_ball_body_dimension_mismatch():

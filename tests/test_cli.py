@@ -186,21 +186,64 @@ def test_witness_verify_cert_accepts(witness_cert, tmp_path):
     assert all(c["ok"] for c in doc["checks"])
 
 
-@pytest.mark.parametrize("corrupt", ["diam", "counts", "verdict"])
+# each tampering and the checks it must fail
+_TAMPERED = {
+    "diam": {"diameter-recomputed"},
+    "counts": {"membership-counts"},
+    "verdict": {"verdict-matches"},
+    # every 7th member and its count: counts and non-coverage still hold,
+    # but the family is no longer the one the covering guarantee describes
+    "thinned": {"family-regenerated"},
+    "reordered": {"family-regenerated"},
+    "threshold": {"threshold-recomputed"},
+    "r": {"threshold-recomputed", "family-regenerated"},
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(_TAMPERED))
 def test_witness_verify_cert_rejects_tampering(witness_cert, tmp_path, corrupt):
     _, out, _ = witness_cert
     cert = json.loads(out.read_text())
+    net = cert["family_manifest"]["net"]
     if corrupt == "diam":
         cert["diam_X"] = 0.5 * cert["diam_X"]
     elif corrupt == "counts":
         cert["per_member_counts"][0] += 1
-    else:
+    elif corrupt == "verdict":
         cert["X"]["points"] = cert["X"]["points"][:2]  # shrink the witness set
+    elif corrupt == "thinned":
+        net["elements"] = net["elements"][::7]
+        cert["per_member_counts"] = cert["per_member_counts"][::7]
+    elif corrupt == "reordered":
+        net["elements"] = net["elements"][::-1]
+        cert["per_member_counts"] = cert["per_member_counts"][::-1]
+    elif corrupt == "threshold":
+        cert["threshold"] = 5.0
+    else:
+        cert["r"] = 0.3
     bad = tmp_path / f"bad_{corrupt}.json"
     bad.write_text(json.dumps(cert))
     rc, doc = run(["witness", "--verify-cert", str(bad)], tmp_path / "r.json")
     assert rc == 1
     assert not doc["pass"]
+    failed = {c["name"] for c in doc["checks"] if not c["ok"]}
+    assert _TAMPERED[corrupt] <= failed
+    if corrupt in ("thinned", "reordered", "threshold"):
+        assert failed == _TAMPERED[corrupt] and doc["verdict"] is True
+
+
+def test_witness_k2_verify_reproduces_verdict(tmp_path):
+    # no family pair is enumerable at this size: the k = 2 verdict is the
+    # count-sum bound, and the verifier re-derives it with the same method
+    rc, cert = run(["witness", "--seed", "2", "--k", "2", "--samples", "500"],
+                   tmp_path / "k2.json")
+    assert rc == 1
+    assert cert["verdict"] is False and cert["non_coverage_method"] == "count-sum"
+    rc, doc = run(["witness", "--verify-cert", str(tmp_path / "k2.json")], tmp_path / "v.json")
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert rc == 1 and doc["verdict"] is False
+    assert by_name["non-coverage"]["method"] == "count-sum"
+    assert [name for name, c in by_name.items() if not c["ok"]] == ["non-coverage"]
 
 
 def _one_line_error(capsys) -> str:
@@ -218,6 +261,8 @@ def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
         elements[len(elements) // 2]["matrix"][0][0] = 1.01
     elif corrupt == "translation-length":
         elements[-1]["translation"] = elements[-1]["translation"] + [0.0]
+    elif corrupt == "n-outside-domain":
+        cert["n"] = 4
     else:
         raise ValueError(corrupt)
     path = tmp_path / f"{corrupt}.json"
@@ -227,7 +272,8 @@ def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
 
 _MALFORMED = {"missing-key": "missing key 'diam_X'",
               "non-orthogonal": "is not orthogonal",
-              "translation-length": "must share one shape"}
+              "translation-length": "must share one shape",
+              "n-outside-domain": "outside the witness domain"}
 
 
 @pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
@@ -376,3 +422,20 @@ def test_console_script_runs():
     exe = shutil.which("covercert")
     if exe:
         _check_bounds_run([exe], f"installed script {exe}")
+
+
+def test_bench_tracer_wraps_every_layer():
+    """bench/tracer.py wraps covercert's layer functions by module and name;
+    a moved or renamed function must not silently lose its spans. install()
+    patches covercert globally, so it runs in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    # the witness module's own references must be the wrapped functions too
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import tracer; "
+            "import covercert.witness as w; t = tracer.Tracer(); tracer.install(t); "
+            "print(sorted(t.missing)); print(all(hasattr(f, '__wrapped__') for f in "
+            "(w.family_counts, w.build_coclique, w.build_cover_family, "
+            "w.verify_witness_certificate)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
