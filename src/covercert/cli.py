@@ -38,13 +38,9 @@ from .geom_core import (
     sample_uniform_ball,
 )
 from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
-from .witness import (
-    SCHEMA_VERSION,
-    WITNESS_DIMS,
-    default_alpha,
-    search_witness,
-    verify_witness_certificate,
-)
+from .witness import WITNESS_DIMS, default_alpha, search_witness, verify_witness_certificate
+
+SCHEMA_VERSION = 1  # of bounds, jung-check and audit reports
 
 
 def run_config(command: str, seed: int | None, params: dict) -> dict:
@@ -175,16 +171,22 @@ def cmd_jung_check(args) -> int:
 # witness
 
 
+def _read_json(path: str, what: str, parse):
+    """parse(the JSON document at path); a document of the wrong shape is
+    a ValueError naming `what`, so it exits 2 with one line."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"malformed {what}: missing key {exc}") from None
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+
+
 def cmd_witness(args) -> int:
     if args.verify_cert:
-        with open(args.verify_cert, encoding="utf-8") as fh:
-            cert = json.load(fh)
-        try:
-            report = verify_witness_certificate(cert)
-        except KeyError as exc:
-            raise ValueError(f"malformed certificate: missing key {exc}") from None
-        except (TypeError, IndexError, AttributeError) as exc:
-            raise ValueError(f"malformed certificate: {exc}") from None
+        report = _read_json(args.verify_cert, "certificate", verify_witness_certificate)
         _emit(render_json(report), args.out)
         return 0 if report["pass"] else 1
 
@@ -194,8 +196,7 @@ def cmd_witness(args) -> int:
     if n not in WITNESS_DIMS:
         raise ValueError("witness search is desk-scale: n in {2, 3}")
     if args.body:
-        with open(args.body, encoding="utf-8") as fh:
-            base = body_from_json_dict(json.load(fh))
+        base = _read_json(args.body, "body", body_from_json_dict)
         if base.dim != n:
             raise ValueError("body dimension does not match --n")
     else:

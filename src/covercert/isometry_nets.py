@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import Ball, RngStream, as_points, sample_uniform_ball
+from .geom_core import Ball, RngStream, as_points, ball_volume_log, sample_uniform_ball
 
 ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-8
@@ -230,6 +230,19 @@ def audit_orthogonal_net(net: IsometryNet, probes: int, rng: RngStream) -> dict:
     }
 
 
+def _grid_axes(n: int, delta: float) -> tuple[float, list[int]]:
+    """Spacing and per-axis angle counts of the grid nets over O(2) and O(3).
+    n = 2: one angle, spacing 2 arcsin(delta/2). n = 3: three ZYZ Euler
+    factors; each contributes chord 2 sin(spacing/4), so spacing
+    4 arcsin(delta/6) certifies total coverage <= delta."""
+    if n == 2:
+        theta = 2.0 * math.asin(min(delta, 2.0) / 2.0)
+        return theta, [int(math.ceil(2.0 * math.pi / theta))]
+    s = 4.0 * math.asin(min(delta, 6.0) / 6.0)
+    around = int(math.ceil(2.0 * math.pi / s))
+    return s, [around, int(math.ceil(math.pi / s)) + 1, around]
+
+
 def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
                          trials: int = 2000) -> IsometryNet:
     """Net over O(n) with covering radius <= delta in the operator norm.
@@ -255,8 +268,7 @@ def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
         return rotation_net([[[1.0]], [[-1.0]]], {"kind": "exact", "covering_radius": 0.0})
 
     if n == 2:
-        theta = 2.0 * math.asin(min(delta, 2.0) / 2.0)
-        count = int(math.ceil(2.0 * math.pi / theta))
+        theta, (count,) = _grid_axes(2, delta)
         reflector = np.diag([1.0, -1.0])
         rotations = [_rotation_2d(2.0 * math.pi * j / count) for j in range(count)]
         cert = {
@@ -268,12 +280,7 @@ def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
         return rotation_net(rotations + [r @ reflector for r in rotations], cert)
 
     if n == 3:
-        # three Euler factors; each contributes chord 2 sin(spacing/4), so
-        # spacing = 4 arcsin(delta/6) certifies total coverage <= delta
-        s = 4.0 * math.asin(min(delta, 6.0) / 6.0)
-        n_phi = int(math.ceil(2.0 * math.pi / s))
-        n_theta = int(math.ceil(math.pi / s)) + 1
-        n_psi = int(math.ceil(2.0 * math.pi / s))
+        s, (n_phi, n_theta, n_psi) = _grid_axes(3, delta)
         reflector = np.diag([1.0, 1.0, -1.0])
         rotations = []
         for i in range(n_phi):
@@ -344,6 +351,21 @@ def build_translation_cover(v_ball: Ball, rho: float) -> np.ndarray:
     return grid[keep]
 
 
+def translation_cover_size_floor_log(v_ball: Ball, rho: float) -> float:
+    """Lower bound on log len(build_translation_cover(v_ball, rho)), found
+    without building the grid. Each point of the ball lies in the pitch cube
+    of its nearest grid center, which is within pitch sqrt(n) / 2 = rho of
+    it and so is kept; the disjoint cubes of the kept centers thus cover
+    the ball, and there are at least vol(v_ball) / pitch^n of them."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    n = v_ball.dim
+    if v_ball.radius <= rho:
+        return 0.0
+    pitch = 2.0 * rho / math.sqrt(n)
+    return max(0.0, ball_volume_log(n, v_ball.radius) - n * math.log(pitch))
+
+
 def _size_bound_log(n: int, d_bound: float, eps: float, translation_count: int) -> float:
     """log of 2 * N_translations * (500 D / eps)^(n(n-1)/2)."""
     return (
@@ -354,7 +376,8 @@ def _size_bound_log(n: int, d_bound: float, eps: float, translation_count: int) 
 
 
 def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
-                       rng: RngStream | None = None, trials: int = 2000) -> IsometryNet:
+                       rng: RngStream | None = None, trials: int = 2000,
+                       max_size: float = math.inf) -> IsometryNet:
     """Finite family T of isometries such that any placement A K + v with
     v in the translation window lies inside g(thicken(K, eps)) for some
     g in T.
@@ -365,7 +388,9 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     (which lies in D B_n since K contains the origin and diam(K) <= D):
     |f(x) - g(x)| <= D |A - A'|_op + |v - v'| <= eps/2 + eps/2.
     Rotation-invariant bodies (balls centered at the origin) only need the
-    identity rotation.
+    identity rotation. A family that must hold more than `max_size` members
+    (grid rotation nets times the translation grid's floor) is refused
+    before anything is built.
     """
     from . import bodies as _bodies
 
@@ -380,8 +405,16 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         raise ValueError("body must contain the origin")
 
     delta = eps / (2.0 * d_bound)
+    rho = eps / (2.0 * max(d_bound, 1.0))
     ball_form = _bodies.reduce_to_ball(k_body)
-    if ball_form is not None and float(np.linalg.norm(ball_form.center)) <= 1e-12:
+    symmetric = ball_form is not None and float(np.linalg.norm(ball_form.center)) <= 1e-12
+    # grid nets (n = 2, 3) have a known size; any other net at least one element
+    rotation_floor = 1 if symmetric or n not in (2, 3) else 2 * math.prod(_grid_axes(n, delta)[1])
+    floor_log = math.log(rotation_floor) + translation_cover_size_floor_log(v_ball, rho)
+    if floor_log > math.log(max(max_size, 1)) + 1e-9:
+        raise ValueError(f"the family needs at least 10^{floor_log / math.log(10.0):.1f} "
+                         f"members, more than the {max_size} allowed")
+    if symmetric:
         rotations = np.eye(n)[None]
         rot_cert = {"kind": "symmetry", "covering_radius": 0.0,
                     "note": "origin-centered ball is rotation invariant"}
@@ -390,7 +423,6 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         rotations = rot_net.matrices
         rot_cert = rot_net.certificate
 
-    rho = eps / (2.0 * max(d_bound, 1.0))
     translations = build_translation_cover(v_ball, rho)
 
     # product in rotation-major order: each rotation with every translation

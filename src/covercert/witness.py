@@ -1,7 +1,8 @@
 """Non-cover witnesses: the cover family a witness must defeat, the one
 verdict on a candidate set X, the seeded search that emits a certificate,
-and the verifier that rechecks one from its JSON alone. The verifier
-regenerates the family, so a certificate cannot list a smaller one.
+and the verifier that rechecks one from its JSON alone. A certificate names
+its family by its rule, and the verifier counts against the family it
+regenerates, so a certificate cannot claim a smaller one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .coclique import (
 from .geom_core import PREDICATE_TOL, Ball, PointSet, RngStream, diameter, uniform_ball_points
 from .isometry_nets import IsometryNet, build_cover_family
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # of certificates and their verification reports
 ENUMERATION_CAP = 1_000_000  # k-subsets enumerated exhaustively below this
 # orthogonal nets are deterministic grids here, so families regenerate exactly
 WITNESS_DIMS = (2, 3)
@@ -39,14 +40,16 @@ def default_alpha(r: float) -> float:
     return 1.0
 
 
-def witness_family(base: Body, r: float, eps: float) -> CoverFamily:
+def witness_family(base: Body, r: float, eps: float, max_size: float = math.inf) -> CoverFamily:
     """The copies g(base + eps B_n) for g in the cover family of every
     placement of `base` that can touch r B_n. diam(base) is bounded by
     2 (|c| + R) from its bounding ball, and a copy touching r B_n has
-    |g(0)| <= r + diam(base) + eps."""
+    |g(0)| <= r + diam(base) + eps. A family that must hold more than
+    `max_size` members is refused before it is built."""
     diam_bound = 2.0 * (float(np.linalg.norm(base.bound.center)) + base.bound.radius)
     window = Ball(np.zeros(base.dim), r + diam_bound + eps)
-    return CoverFamily(base, eps, build_cover_family(base, diam_bound, window, eps))
+    return CoverFamily(base, eps, build_cover_family(base, diam_bound, window, eps,
+                                                     max_size=max_size))
 
 
 def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
@@ -83,6 +86,8 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
     """Seeded search for a witness against witness_family(base, r, eps);
     returns its certificate, a deterministic function of the arguments.
     `config` is the caller's echo of its arguments."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     n = base.dim
     rng = RngStream(seed, 0)
     family = witness_family(base, r, eps)
@@ -123,8 +128,9 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
         "family_manifest": {
             "base_body": base.to_json_dict(),
             "eps": eps,
-            "net": family.net.to_json_dict(),
-            "member_rule": "member = g(thicken(base_body, eps)) for g in net.elements",
+            "net": {"dim": n, "delta": family.net.delta, "certificate": family.net.certificate},
+            "member_rule": "member = g(thicken(base_body, eps)) "
+                           "for g in witness_family(base_body, r, eps).net",
         },
         "X": result.X.to_json_dict(),
         "diam_X": diam_x,
@@ -148,10 +154,10 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
 
 
 def verify_witness_certificate(cert: dict) -> dict:
-    """Recheck a certificate from its JSON alone: regenerate the family
-    from the certificate's base body, r and eps and compare it with the
-    listed one, recompute the threshold, the diameter and the membership
-    counts, and re-derive the verdict. No search is re-run."""
+    """Recheck a certificate from its JSON alone: regenerate the family from
+    its base body, r and eps, compare the stated net record (and a schema-1
+    certificate's element list) with it, and recompute the threshold, the
+    diameter, the counts and the verdict against it. No search is re-run."""
     n, k = int(cert["n"]), int(cert["k"])
     r, alpha = float(cert["r"]), float(cert["alpha"])
     threshold = float(cert["threshold"])
@@ -159,23 +165,25 @@ def verify_witness_certificate(cert: dict) -> dict:
     manifest = cert["family_manifest"]
     base = body_from_json_dict(manifest["base_body"])
     eps = float(manifest["eps"])
-    family = CoverFamily(base, eps, IsometryNet.from_json_dict(manifest["net"]))
+    stated = manifest["net"]
+    listed = IsometryNet.from_json_dict(stated) if "elements" in stated else None
+    stored = np.asarray(cert["per_member_counts"], dtype=int)
     if n not in WITNESS_DIMS:
         raise ValueError(f"n = {n} is outside the witness domain n in {{2, 3}}: "
                          "its family cannot be regenerated")
-    listed = family.net
-    fresh = witness_family(base, r, eps).net if base.dim == n else None
+    if X.dim != n or base.dim != n:
+        raise ValueError(f"X and the base body must have dimension n = {n}")
+    family = witness_family(base, r, eps, max_size=len(stored))
+    fresh = family.net
     counts = family_counts(family, X.points)
-    stored = np.asarray(cert["per_member_counts"], dtype=int)
     holds, diam, method = verdict(X.points, counts, family, k, threshold)
     checks = [
-        {"name": "dimensions", "ok": X.dim == n and family.dim == n},
         {"name": "threshold-recomputed", "recomputed": edge_threshold(r, alpha),
          "ok": threshold == edge_threshold(r, alpha) and threshold <= 1.0 + PREDICATE_TOL},
-        {"name": "family-regenerated", "ok": fresh is not None
-         and listed.delta == fresh.delta and listed.certificate == fresh.certificate
-         and np.array_equal(listed.matrices, fresh.matrices)
-         and np.array_equal(listed.translations, fresh.translations)},
+        {"name": "family-regenerated", "ok": int(stated["dim"]) == n
+         and float(stated["delta"]) == fresh.delta and stated["certificate"] == fresh.certificate
+         and (listed is None or (np.array_equal(listed.matrices, fresh.matrices)
+                                 and np.array_equal(listed.translations, fresh.translations)))},
         {"name": "diameter-recomputed", "recomputed": diam,
          "ok": abs(diam - float(cert["diam_X"])) <= 1e-12},
         {"name": "diameter-threshold", "ok": diam <= threshold, "threshold": threshold}

@@ -18,6 +18,9 @@ import pytest
 
 import covercert
 import covercert.cli as cli
+import covercert.isometry_nets as isometry_nets
+import covercert.witness as witness
+from covercert.bodies import body_from_json_dict
 from covercert.cli import main, render_json
 
 
@@ -152,8 +155,11 @@ def test_witness_succeeds_and_replays(witness_cert, tmp_path):
     rc, out, _ = witness_cert
     assert rc == 0
     cert = json.loads(out.read_text())
-    assert cert["schema_version"] == 1
+    assert cert["schema_version"] == 2
     assert cert["kind"] == "witness-certificate"
+    # the family is named by its rule, not listed member by member
+    assert "elements" not in cert["family_manifest"]["net"]
+    assert out.stat().st_size < 150_000
     assert cert["verdict"] is True
     assert cert["diam_X"] <= cert["threshold"] + 1e-12
     # verdict rule for k = 1: no single member holds every witness point
@@ -176,44 +182,75 @@ def test_witness_flags_hypothesis_estimates(witness_cert):
     assert not cert["hypotheses"]["pass"]
 
 
-def test_witness_verify_cert_accepts(witness_cert, tmp_path):
+@pytest.fixture(scope="module")
+def witness_cert_v1(witness_cert):
+    """The seed-2 certificate in schema 1, which also lists the net element
+    by element."""
     _, out, _ = witness_cert
-    report_path = tmp_path / "verify.json"
-    rc, doc = run(["witness", "--verify-cert", str(out)], report_path)
-    assert rc == 0
-    assert doc["kind"] == "witness-verification"
-    assert doc["pass"]
-    assert all(c["ok"] for c in doc["checks"])
+    cert = json.loads(out.read_text())
+    manifest = cert["family_manifest"]
+    family = witness.witness_family(body_from_json_dict(manifest["base_body"]),
+                                    cert["r"], manifest["eps"])
+    manifest["net"]["elements"] = family.net.to_json_dict()["elements"]
+    cert["schema_version"] = 1
+    return cert
+
+
+def _verify(cert: dict, tmp_path, name: str):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cert))
+    return run(["witness", "--verify-cert", str(path)], tmp_path / f"{name}-report.json")
+
+
+def test_witness_verify_cert_accepts(witness_cert, witness_cert_v1, tmp_path):
+    _, out, _ = witness_cert
+    for name, cert in (("v2", json.loads(out.read_text())), ("v1", witness_cert_v1)):
+        rc, doc = _verify(cert, tmp_path, name)
+        assert rc == 0, name
+        assert doc["kind"] == "witness-verification"
+        assert doc["pass"]
+        assert all(c["ok"] for c in doc["checks"])
 
 
 # each tampering and the checks it must fail
 _TAMPERED = {
     "diam": {"diameter-recomputed"},
     "counts": {"membership-counts"},
+    "counts-thinned": {"membership-counts"},
     "verdict": {"verdict-matches"},
-    # every 7th member and its count: counts and non-coverage still hold,
-    # but the family is no longer the one the covering guarantee describes
-    "thinned": {"family-regenerated"},
-    "reordered": {"family-regenerated"},
+    "net-certificate": {"family-regenerated"},
+    # on a schema-1 certificate, 40 of the 39,193 listed members and their
+    # counts removed, or all reversed: the listed family is no longer the
+    # one the covering guarantee describes, and the counts no longer match
+    # the regenerated family (thinner certificates exit 2, see below)
+    "thinned": {"family-regenerated", "membership-counts"},
+    "reordered": {"family-regenerated", "membership-counts"},
     "threshold": {"threshold-recomputed"},
     "r": {"threshold-recomputed", "family-regenerated"},
 }
+# tamperings that edit the element list of a schema-1 certificate
+_LISTED = {"thinned", "reordered"}
 
 
 @pytest.mark.parametrize("corrupt", sorted(_TAMPERED))
-def test_witness_verify_cert_rejects_tampering(witness_cert, tmp_path, corrupt):
+def test_witness_verify_cert_rejects_tampering(witness_cert, witness_cert_v1, tmp_path,
+                                               corrupt):
     _, out, _ = witness_cert
-    cert = json.loads(out.read_text())
+    cert = json.loads(json.dumps(witness_cert_v1) if corrupt in _LISTED else out.read_text())
     net = cert["family_manifest"]["net"]
     if corrupt == "diam":
         cert["diam_X"] = 0.5 * cert["diam_X"]
     elif corrupt == "counts":
         cert["per_member_counts"][0] += 1
+    elif corrupt == "counts-thinned":
+        del cert["per_member_counts"][::1000]
     elif corrupt == "verdict":
         cert["X"]["points"] = cert["X"]["points"][:2]  # shrink the witness set
+    elif corrupt == "net-certificate":
+        net["certificate"]["translation_count"] -= 1
     elif corrupt == "thinned":
-        net["elements"] = net["elements"][::7]
-        cert["per_member_counts"] = cert["per_member_counts"][::7]
+        del net["elements"][::1000]
+        del cert["per_member_counts"][::1000]
     elif corrupt == "reordered":
         net["elements"] = net["elements"][::-1]
         cert["per_member_counts"] = cert["per_member_counts"][::-1]
@@ -221,15 +258,39 @@ def test_witness_verify_cert_rejects_tampering(witness_cert, tmp_path, corrupt):
         cert["threshold"] = 5.0
     else:
         cert["r"] = 0.3
-    bad = tmp_path / f"bad_{corrupt}.json"
-    bad.write_text(json.dumps(cert))
-    rc, doc = run(["witness", "--verify-cert", str(bad)], tmp_path / "r.json")
+    rc, doc = _verify(cert, tmp_path, f"bad_{corrupt}")
     assert rc == 1
     assert not doc["pass"]
     failed = {c["name"] for c in doc["checks"] if not c["ok"]}
     assert _TAMPERED[corrupt] <= failed
-    if corrupt in ("thinned", "reordered", "threshold"):
+    if corrupt not in ("diam", "verdict", "r"):
         assert failed == _TAMPERED[corrupt] and doc["verdict"] is True
+
+
+def test_witness_verify_cert_bounds_family_before_building(witness_cert, witness_cert_v1,
+                                                           tmp_path, monkeypatch, capsys):
+    # a family that must hold more members than the certificate counts is
+    # refused before any net or grid is built: eps = 2e-4 implies about 4e8
+    # members, and a schema-1 family thinned to every 7th member (and count)
+    # counts 5,599 where the grid alone has at least 38,718
+    def never(*args, **kwargs):
+        raise AssertionError("a net was built")
+
+    monkeypatch.setattr(isometry_nets, "build_translation_cover", never)
+    monkeypatch.setattr(isometry_nets, "build_orthogonal_net", never)
+    _, out, _ = witness_cert
+    fine_eps = json.loads(out.read_text())
+    fine_eps["family_manifest"]["eps"] = 2e-4
+    thinned = json.loads(json.dumps(witness_cert_v1))
+    net = thinned["family_manifest"]["net"]
+    net["elements"] = net["elements"][::7]
+    thinned["per_member_counts"] = thinned["per_member_counts"][::7]
+    for name, cert, allowed in (("fine-eps", fine_eps, 39193), ("thinned", thinned, 5599)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert main(["witness", "--verify-cert", str(path)]) == 2, name
+        assert f"members, more than the {allowed} allowed" in _one_line_error(capsys)
 
 
 def test_witness_k2_verify_reproduces_verdict(tmp_path):
@@ -254,7 +315,7 @@ def _one_line_error(capsys) -> str:
 
 def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
     cert = json.loads(json.dumps(cert))
-    elements = cert["family_manifest"]["net"]["elements"]
+    elements = cert["family_manifest"]["net"].get("elements")
     if corrupt == "missing-key":
         del cert["diam_X"]
     elif corrupt == "non-orthogonal":
@@ -277,11 +338,15 @@ _MALFORMED = {"missing-key": "missing key 'diam_X'",
 
 
 @pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
-def test_witness_verify_cert_malformed_exits_2(witness_cert, tmp_path, capsys, corrupt):
+def test_witness_verify_cert_malformed_exits_2(witness_cert, witness_cert_v1, tmp_path,
+                                               capsys, corrupt):
     # exit 1 means "verification failed"; input that cannot be checked is a
-    # usage error with one line on stderr, never a traceback
+    # usage error with one line on stderr, never a traceback. Listed net
+    # elements exist only in schema-1 certificates.
     _, out, _ = witness_cert
-    bad = _bad_cert(json.loads(out.read_text()), tmp_path, corrupt)
+    listed = corrupt in ("non-orthogonal", "translation-length")
+    bad = _bad_cert(witness_cert_v1 if listed else json.loads(out.read_text()), tmp_path,
+                    corrupt)
     capsys.readouterr()
     assert main(["witness", "--verify-cert", str(bad)]) == 2
     assert _MALFORMED[corrupt] in _one_line_error(capsys)
@@ -322,6 +387,30 @@ def test_witness_body_file(tmp_path):
         {"kind": "ball", "dim": 3,
          "ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5}}))
     assert main(["witness", "--seed", "2", "--body", str(wrong)]) == 2
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "ball", "dim": 2}, "malformed body: missing key 'ball'"),
+    ({"kind": "cube", "dim": 2}, "unknown body kind: cube"),
+    ([1, 2], "malformed body: "),
+], ids=["missing-key", "unknown-kind", "not-an-object"])
+def test_witness_bad_body_file_exits_2(tmp_path, capsys, doc, message):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["witness", "--seed", "1", "--body", str(body)]) == 2
+    assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_witness_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
+    def never(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(witness, "build_cover_family", never)
+    capsys.readouterr()
+    assert main(["witness", "--seed", "1", "--samples", samples]) == 2
+    assert "samples must be positive" in _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------

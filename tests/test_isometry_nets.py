@@ -24,6 +24,7 @@ from covercert.isometry_nets import (
     iso_distance_surrogate,
     min_distance_to_net,
     op_norm_distance,
+    translation_cover_size_floor_log,
 )
 
 
@@ -248,6 +249,56 @@ def test_translation_cover_degenerate_and_pitch():
     xs = np.unique(centers[:, 0])
     gaps = np.diff(xs)
     assert np.allclose(gaps, 2.0 * 0.2 / math.sqrt(2.0), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.floats(0.01, 2.0), st.floats(0.03, 0.5),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_translation_cover_size_floor_is_a_lower_bound(n, radius, rho, center):
+    ball = Ball(np.array(center[:n]), radius)
+    count = len(build_translation_cover(ball, rho))
+    assert math.exp(translation_cover_size_floor_log(ball, rho)) <= count
+
+
+def test_translation_cover_size_floor_is_close_and_validated():
+    ball = Ball(np.zeros(2), 1.57)  # the seed-2 witness window
+    floor = math.exp(translation_cover_size_floor_log(ball, 0.01))
+    assert 0.95 * len(build_translation_cover(ball, 0.01)) <= floor
+    assert translation_cover_size_floor_log(Ball(np.zeros(3), 0.05), 0.1) == 0.0
+    with pytest.raises(ValueError):
+        translation_cover_size_floor_log(ball, 0.0)
+
+
+@pytest.mark.parametrize("body,window,eps", [
+    (BallBody(np.zeros(2), 0.5), Ball(np.zeros(2), 1.57), 0.02),
+    (BallBody(np.array([0.1, 0.0]), 0.3), Ball(np.zeros(2), 1.2), 0.3),
+    (BallBody(np.array([0.1, 0.0, 0.0]), 0.3), Ball(np.zeros(3), 0.3), 1.0),
+    (BallBody(np.array([0.1, 0.0, 0.0]), 0.3), Ball(np.zeros(3), 0.6), 1.0),
+], ids=["ball-2d", "off-centre-2d", "rotations-only-3d", "off-centre-3d"])
+def test_cover_family_max_size_admits_its_own_size(body, window, eps):
+    # the floor (grid rotation net times translation-grid floor) never
+    # exceeds the size of the family it bounds, also for O(2) and O(3) nets
+    d_bound = 2.0 * (float(np.linalg.norm(body.bound.center)) + body.bound.radius)
+    full = build_cover_family(body, d_bound, window, eps)
+    assert len(build_cover_family(body, d_bound, window, eps, max_size=len(full))) == len(full)
+
+
+def test_cover_family_max_size_refuses_before_building(monkeypatch):
+    import covercert.isometry_nets as isometry_nets
+
+    def never(*args, **kwargs):
+        raise AssertionError("a net was built")
+
+    body, window = segment_2d(), Ball(np.zeros(2), 1.0)
+    monkeypatch.setattr(isometry_nets, "build_translation_cover", never)
+    monkeypatch.setattr(isometry_nets, "build_orthogonal_net", never)
+    with pytest.raises(ValueError, match="more than the 10 allowed"):
+        build_cover_family(body, 1.0, window, 0.2, max_size=10)
+    # the rotation grid counts: the 3-d family below has 4,608 rotations and
+    # one translation, so it is refused at 1,000 members
+    off_centre = BallBody(np.array([0.1, 0.0, 0.0]), 0.3)
+    with pytest.raises(ValueError, match="more than the 1000 allowed"):
+        build_cover_family(off_centre, 0.8, Ball(np.zeros(3), 0.3), 1.0, max_size=1000)
 
 
 # ---------------------------------------------------------------------------
