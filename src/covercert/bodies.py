@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom_core import (
+    PREDICATE_TOL,
     Ball,
     PointSet,
     RngStream,
@@ -27,14 +28,17 @@ from .geom_core import (
     in_balls,
     min_enclosing_ball,
     sample_uniform_ball,
+    sq_norms,
 )
 from .isometry_nets import Isometry, IsometryNet
 
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEP_CAP = 10_000
-_FAMILY_CHUNK_ELEMS = 131_072  # centre-point pairs per distance block (1 MB of float64)
+_FAMILY_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
 _FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
+_FAMILY_LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0  # u = 2^-53
 
 
 @dataclass(frozen=True)
@@ -380,7 +384,9 @@ class CoverFamily:
     Member i contains p iff thicken(base, eps) contains
     matrices[i]^T (p - translations[i]). When the thickened base is a
     BallBody (centre c, radius r), members are the balls of centres
-    translations + matrices @ c, decided by in_balls, the rule of BallBody.
+    translations + matrices @ c, decided by in_balls, the rule of BallBody;
+    balls that provably hold none or all of a group of points skip the
+    pair-by-pair test (see _cull).
     """
 
     def __init__(self, base: Body, eps: float, net: IsometryNet):
@@ -395,6 +401,7 @@ class CoverFamily:
         self.radius = None if ball is None else ball.radius
         self.centers = None if ball is None else (
             np.einsum("tij,j->ti", net.matrices, ball.center) + net.translations)
+        self.centers_sq = None if ball is None else sq_norms(self.centers)
 
     def __len__(self) -> int:
         return len(self.net)
@@ -402,8 +409,8 @@ class CoverFamily:
     def counts(self, points) -> np.ndarray:
         """How many of the points each member contains, shape (T,)."""
         counts = np.zeros(len(self), dtype=int)
-        for rows, inside in self._blocks(as_points(points, self.dim), np.arange(len(self))):
-            counts[rows] = np.count_nonzero(inside, axis=1)
+        for rows, cols, inside in self._blocks(as_points(points, self.dim), np.arange(len(self))):
+            counts[rows] += len(cols) if inside is None else np.count_nonzero(inside, axis=1)
         return counts
 
     def contains(self, points, members=None) -> np.ndarray:
@@ -412,29 +419,109 @@ class CoverFamily:
         pts = as_points(points, self.dim)
         idx = np.arange(len(self)) if members is None else np.asarray(members, dtype=int)
         out = np.zeros((len(idx), len(pts)), dtype=bool)
-        for rows, inside in self._blocks(pts, idx):
-            out[rows] = inside
+        for rows, cols, inside in self._blocks(pts, idx):
+            out[np.ix_(rows, cols)] = True if inside is None else inside
         return out
 
     def _blocks(self, pts: np.ndarray, idx: np.ndarray):
-        """(row slice, membership block) pairs over the members idx. A block
-        holds at most _FAMILY_CHUNK_ELEMS centre-point pairs of ball members,
-        or _FAMILY_CHUNK_POINTS mapped points otherwise."""
-        if len(pts) == 0:
+        """(rows, cols, membership block) triples over the members idx; rows
+        index idx and cols index pts. A block of None says that every pair
+        is inside, and a pair no block names is outside. A block holds at
+        most _FAMILY_CHUNK_ELEMS centre-point pairs of ball members, or
+        _FAMILY_CHUNK_POINTS mapped points otherwise."""
+        if len(pts) == 0 or len(idx) == 0:
+            return
+        if self.centers is not None:
+            yield from self._ball_blocks(pts, idx)
             return
         m, n = pts.shape
-        step = max(1, (_FAMILY_CHUNK_POINTS if self.centers is None else _FAMILY_CHUNK_ELEMS) // m)
+        step = max(1, _FAMILY_CHUNK_POINTS // m)
         for start in range(0, len(idx), step):
             sel = idx[start:start + step]
-            if self.centers is not None:
-                yield slice(start, start + step), in_balls(self.centers[sel], self.radius, pts)
-                continue
             mats = self.net.matrices[sel]
             # inverse images A^T (p - v) = p A - v A, (m, members, n), in one product
             shift = np.einsum("tj,tji->ti", self.net.translations[sel], mats)
             back = (pts @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(m, len(sel), n) - shift
             inside = self.body.contains_many(back.reshape(-1, n)).reshape(m, len(sel))
-            yield slice(start, start + step), inside.T
+            yield np.arange(start, start + len(sel)), np.arange(m), inside.T
+
+    def _ball_blocks(self, pts: np.ndarray, idx: np.ndarray):
+        """_blocks for ball members, output-sensitive: the points are split
+        k-d style (at the median of the widest coordinate) down to groups of
+        _FAMILY_LEAF_POINTS. Each node sorts the balls its parent left
+        undecided by _cull: those that hold none of its points are dropped,
+        those that hold all of them are one all-inside block, and in_balls
+        decides the rest pair by pair at the leaves."""
+        pts_sq = sq_norms(pts)
+        center_norm = math.sqrt(float(self.centers_sq[idx].max()))
+        stack = [(np.arange(len(pts)), np.arange(len(idx)))]
+        while stack:
+            cols, rows = stack.pop()
+            group, group_sq = pts[cols], pts_sq[cols]
+            near, full = _cull(self.centers[idx[rows]], center_norm, self.radius, group, group_sq)
+            if full.any():
+                yield rows[near[full]], cols, None
+            rows = rows[near[~full]]
+            if len(rows) == 0:
+                continue
+            if len(cols) > _FAMILY_LEAF_POINTS:
+                half = len(cols) // 2
+                order = np.argpartition(group[:, int(np.argmax(np.ptp(group, axis=0)))], half)
+                stack += [(cols[order[half:]], rows), (cols[order[:half]], rows)]
+                continue
+            step = max(1, _FAMILY_CHUNK_ELEMS // len(cols))
+            for start in range(0, len(rows), step):
+                sel = idx[rows[start:start + step]]
+                yield rows[start:start + step], cols, in_balls(
+                    self.centers[sel], self.radius, group, self.centers_sq[sel], group_sq)
+
+
+def _cull(centers: np.ndarray, center_norm: float, radius: float,
+          pts: np.ndarray, pts_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(near, full): the indices of the balls (centers, radius) that may hold
+    a point of pts under in_balls, and a mask over near of those that hold
+    every point; the other balls hold none. center_norm is at least max |c|,
+    and pts_sq is sq_norms(pts).
+
+    Let h be the midpoint of the points' bounding box, rho their largest
+    distance from h, q = sqrt(R^2 + tol) for the radius R and
+    tol = PREDICATE_TOL, u = 2^-53 and g_k = k u / (1 - k u). With
+
+        S = center_norm + max|p| + |h| + R + 1,   g = g_{n+3},
+        delta = 2 sqrt(g) S,   eta = 2 g S^2 / q,
+
+    a ball is near when |c - h| <= q + rho + delta, and full when also
+    |c - h| <= q - rho - delta - eta.
+
+    in_balls evaluates d^2 = |c - p|^2 as fl(fl(|c|^2 + |p|^2) - 2 fl(c.p))
+    with n-term sums, so its error is at most g_{n+2} (|c| + |p|)^2 <= g S^2,
+    and its threshold fl(fl(R R) + tol) is within g_2 q^2 <= g S^2 of q^2.
+    The tests themselves (rho, the bounds, |c - h|, compared squared) are
+    off by less than 15 g S < delta/2 in float. So, for every point p:
+    - a ball that is not near has d >= |c - h| - rho > q + delta/2, so the
+      evaluated d^2 exceeds d^2 - g S^2 > q^2 + q delta, above the
+      threshold: p fails the rule;
+    - a full ball has d <= |c - h| + rho <= q - eta < q, so the evaluated
+      d^2 is at most d^2 + g S^2 <= q^2 - q eta + g S^2 = q^2 - g S^2, not
+      above the threshold: p passes it.
+    Inputs for which S^2 is not finite leave every ball near and none full.
+    """
+    n = pts.shape[1]
+    h = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    rho = math.sqrt(float(sq_norms(pts - h).max()))
+    scale = center_norm + math.sqrt(float(pts_sq.max())) + float(np.linalg.norm(h)) + radius + 1.0
+    if not math.isfinite(scale * scale):
+        return np.arange(len(centers)), np.zeros(len(centers), dtype=bool)
+    gamma = (n + 3) * _UNIT_ROUNDOFF / (1.0 - (n + 3) * _UNIT_ROUNDOFF)
+    q = math.sqrt(radius * radius + PREDICATE_TOL)
+    delta = 2.0 * math.sqrt(gamma) * scale
+    offsets = centers - h
+    offsets *= offsets
+    dist_sq = offsets.sum(axis=1)
+    near = np.flatnonzero(dist_sq <= (q + rho + delta) ** 2)
+    inner = q - rho - delta - 2.0 * gamma * scale * scale / q
+    full = dist_sq[near] <= inner * inner if inner > 0.0 else np.zeros(len(near), dtype=bool)
+    return near, full
 
 
 def mc_volume(b: Body, samples: int, rng: RngStream) -> VolumeEstimate:

@@ -129,6 +129,8 @@ def cmd_jung_check(args) -> int:
     n = args.n
     if not 1 <= n <= 10:
         raise ValueError("jung-check is desk-scale: 1 <= n <= 10")
+    if args.samples < 1:
+        raise ValueError("--samples must be positive")
     if args.samples > RngStream.CHILD_LIMIT:
         raise ValueError(f"--samples is at most {RngStream.CHILD_LIMIT} (one substream per cloud)")
     if args.cloud_size < 2:
@@ -327,21 +329,27 @@ def _suite_cover(rng: RngStream, trials: int, expect_fail: bool) -> dict:
             "pass": ok}
 
 
+_SUITE_SAMPLES = {"cone": 2000, "sweep": 1000, "edges": 20000, "cover": 200}
+
+
 def cmd_audit(args) -> int:
     rng = RngStream(args.seed, 0)
     suite = args.suite
     if args.expect_fail and suite not in ("cone", "cover"):
         raise ValueError(f"suite {suite!r} has no fault-injection mode")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be positive")
+    samples = _SUITE_SAMPLES.get(suite) if args.samples is None else args.samples
     if suite == "caps":
         result = _suite_caps()
     elif suite == "cone":
-        result = _suite_cone(rng, args.samples or 2000, args.expect_fail)
+        result = _suite_cone(rng, samples, args.expect_fail)
     elif suite == "sweep":
-        result = _suite_sweep(rng, args.samples or 1000)
+        result = _suite_sweep(rng, samples)
     elif suite == "edges":
-        result = _suite_edges(rng, args.samples or 20000)
+        result = _suite_edges(rng, samples)
     else:
-        result = _suite_cover(rng, args.samples or 200, args.expect_fail)
+        result = _suite_cover(rng, samples, args.expect_fail)
     config = run_config("audit", args.seed,
                         {"suite": suite, "samples": args.samples,
                          "expect_fail": args.expect_fail})

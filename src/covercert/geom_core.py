@@ -167,10 +167,35 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
 
 
-def in_balls(centers: np.ndarray, radius: float, points: np.ndarray) -> np.ndarray:
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Row squared norms |a_i|^2, summed coordinate by coordinate in index
+    order, as in_balls sums them."""
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * a[:, j]
+    return out
+
+
+def in_balls(centers: np.ndarray, radius: float, points: np.ndarray,
+             centers_sq: np.ndarray | None = None,
+             points_sq: np.ndarray | None = None) -> np.ndarray:
     """The one ball-membership rule: entry (i, j) says points[j] lies in the
-    closed ball (centers[i], radius), |p - c|^2 <= radius^2 + PREDICATE_TOL."""
-    return sq_distances(centers, points) <= radius * radius + PREDICATE_TOL
+    closed ball (centers[i], radius), |p - c|^2 <= radius^2 + PREDICATE_TOL.
+
+    |p - c|^2 is evaluated as (|c|^2 + |p|^2) - 2 c.p, the norms and c.p
+    summed coordinate by coordinate in index order, so that every entry is
+    a function of its own pair: a BLAS product rounds one entry differently
+    in blocks of different shapes. centers_sq and points_sq are
+    sq_norms(centers) and sq_norms(points) when the caller has them."""
+    centers_sq = sq_norms(centers) if centers_sq is None else centers_sq
+    points_sq = sq_norms(points) if points_sq is None else points_sq
+    dot = centers[:, :1] * points[:, 0]
+    for j in range(1, centers.shape[1]):
+        dot += centers[:, j:j + 1] * points[:, j]
+    dot *= 2.0
+    sq = centers_sq[:, None] + points_sq[None, :]
+    sq -= dot
+    return sq <= radius * radius + PREDICATE_TOL
 
 
 def diameter(ps: PointSet) -> float:

@@ -63,7 +63,11 @@ def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
     enumeration cap, the sum of the k largest counts < |X| certificate is
     used (a union never covers more than the sum of its parts). Coverage of
     a set wider than the threshold is not decided (method "diameter").
+    k must lie in [1, |family|]: more members than the family holds state
+    nothing, and exhaustive enumeration would allocate k indices first.
     """
+    if not 1 <= k <= len(family):
+        raise ValueError(f"k = {k} must lie in [1, {len(family)}], the family size")
     if len(points) == 0:
         return False, 0.0, "empty"
     diam = diameter(PointSet(points.shape[1], points))

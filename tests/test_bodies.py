@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covercert.bodies import (
     BallBody,
@@ -16,6 +18,7 @@ from covercert.bodies import (
     TransformedBody,
     UnionBody,
     VolumeEstimate,
+    _cull,
     body_from_json_dict,
     mc_overlap_fraction,
     mc_volume,
@@ -24,7 +27,7 @@ from covercert.bodies import (
     thicken,
     transform,
 )
-from covercert.geom_core import Ball, RngStream
+from covercert.geom_core import PREDICATE_TOL, Ball, RngStream, in_balls, sq_norms
 from covercert.isometry_nets import Isometry, IsometryNet
 
 
@@ -335,3 +338,93 @@ def test_json_unknown_kind():
 def test_square_exact_volume_survives_round_trip():
     back = body_from_json_dict(unit_square().to_json_dict())
     assert back.exact_volume == 1.0
+
+
+# ---------------------------------------------------------------------------
+# cover families: the culled ball path against the dense in_balls matrix
+
+
+def _ball_family(base_center, base_radius, eps, matrices, translations) -> CoverFamily:
+    net = IsometryNet(len(base_center), 0.0, np.asarray(matrices, dtype=float),
+                      np.asarray(translations, dtype=float), {})
+    return CoverFamily(BallBody(base_center, base_radius), eps, net)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       offset=st.floats(0.0, 1e3), radius=st.sampled_from(["zero", "tiny", "random"]),
+       members=st.integers(1, 80), points=st.integers(1, 600))
+def test_cover_family_cull_equals_dense(n, seed, offset, radius, members, points):
+    rng = np.random.default_rng(seed)
+    base = {"zero": 0.0, "tiny": 1e-7, "random": float(rng.uniform(0.01, 2.0))}[radius]
+    eps = float(rng.uniform(0.0, 0.5)) if radius == "random" else 0.0
+    # random rotations (QR of Gaussians) and translations around `offset`
+    q = np.linalg.qr(rng.normal(size=(members, n, n)))[0]
+    spread = float(rng.uniform(0.1, 5.0))
+    translations = offset + rng.uniform(-spread, spread, (members, n))
+    family = _ball_family(rng.uniform(-1.0, 1.0, n), base, eps, q, translations)
+    # points around the centres, some exactly on one
+    pts = offset + rng.uniform(-spread, spread, (points, n))
+    pts[: min(points, members) // 2] = family.centers[: min(points, members) // 2]
+
+    dense = in_balls(family.centers, family.radius, pts)
+    assert family.counts(pts).tolist() == np.count_nonzero(dense, axis=1).tolist()
+    assert np.array_equal(family.contains(pts), dense)
+    subset = rng.permutation(members)[: int(rng.integers(1, members + 1))]
+    assert np.array_equal(family.contains(pts, members=subset), dense[subset])
+    assert np.array_equal(family.contains(pts[:1]), dense[:, :1])
+
+
+def test_cover_family_counts_boundary():
+    # the [in, in, out] cases of the one ball rule, point by point and
+    # together, through the culled count
+    c, base, eps = np.array([0.3, -0.2]), 0.5, 0.02
+    r = base + eps
+    offsets = [r * (1.0 + 1e-13), math.sqrt(r * r + 5e-13), math.sqrt(r * r + 1e-11)]
+    pts = c + np.array([[d, 0.0] for d in offsets])
+    family = _ball_family(np.zeros(2), base, eps, np.eye(2)[None], c[None])
+    assert [int(family.counts(p)[0]) for p in pts] == [1, 1, 0]
+    assert family.counts(pts).tolist() == [2]
+
+
+def test_cover_family_cull_bounds():
+    # centres at and around the two bounds of _cull, whose formula this
+    # restates: near |c - h| <= q + rho + delta, full |c - h| <= q - rho - delta - eta
+    base = 0.5
+    q = math.sqrt(base * base + PREDICATE_TOL)
+    gamma = 5 * 2.0 ** -53 / (1.0 - 5 * 2.0 ** -53)
+
+    # points (-1, 0) and (1, 0): h = 0, rho = 1 > q, so no ball holds both;
+    # the farthest centre, (3, 0), fixes S = 3 + 1 + 0 + R + 1
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    scale = 3.0 + 1.0 + 0.0 + base + 1.0
+    bound = q + 1.0 + 2.0 * math.sqrt(gamma) * scale
+    # in, on the rule's boundary, just beyond it, at the near bound from
+    # both sides and beyond it
+    xs = [1.0 + base, 1.0 + q, 1.0 + q + 1e-9, bound * (1.0 - 1e-12), bound,
+          bound * (1.0 + 1e-12), 3.0]
+    centers = np.array([[x, 0.0] for x in xs])
+    near, full = _cull(centers, 3.0, base, pts, sq_norms(pts))
+    assert near.tolist() == [0, 1, 2, 3, 4]
+    assert not full.any()
+
+    # points (-0.1, 0) and (0.1, 0): h = 0, rho = 0.1; centres inside the
+    # full bound hold both points, and one just outside it goes pair by pair
+    pts = np.array([[-0.1, 0.0], [0.1, 0.0]])
+    scale = 1.0 + 0.1 + 0.0 + base + 1.0
+    delta, eta = 2.0 * math.sqrt(gamma) * scale, 2.0 * gamma * scale * scale / q
+    inner = q - 0.1 - delta - eta
+    xs = [0.0, inner * (1.0 - 1e-12), inner, inner + eta / 2.0, q - 0.1, q + 0.1]
+    centers = np.array([[x, 0.0] for x in xs])
+    near, full = _cull(centers, 1.0, base, pts, sq_norms(pts))
+    assert near.tolist() == list(range(6))
+    assert full.tolist() == [True, True, True, False, False, False]
+
+    for pts, centers in ((np.array([[-1.0, 0.0], [1.0, 0.0]]),
+                          np.array([[x, 0.0] for x in (1.5, 1.0 + q, 2.5, 3.0)])),
+                         (pts, centers)):
+        family = _ball_family(np.zeros(2), base, 0.0,
+                              np.repeat(np.eye(2)[None], len(centers), 0), centers)
+        dense = in_balls(centers, base, pts)
+        assert family.counts(pts).tolist() == np.count_nonzero(dense, axis=1).tolist()
+        assert np.array_equal(family.contains(pts), dense)

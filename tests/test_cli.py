@@ -5,7 +5,9 @@ Output goes through --out files rather than captured stdout so the replay
 tests can compare bytes directly.
 """
 
+import copy
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -130,6 +132,18 @@ def test_jung_check_samples_limit(monkeypatch, capsys):
     assert main(["jung-check", "--n", "3", "--seed", "0", "--samples", "65537"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --samples is at most 65536 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_jung_check_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
+    # zero clouds would pass vacuously
+    def no_clouds(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    monkeypatch.setattr(cli, "sample_uniform_ball", no_clouds)
+    capsys.readouterr()
+    assert main(["jung-check", "--n", "3", "--seed", "1", "--samples", samples]) == 2
+    assert "--samples must be positive" in _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +377,63 @@ def test_witness_verify_cert_unreadable_exits_2(witness_cert, tmp_path, capsys):
     _one_line_error(capsys)
 
 
+def _field_paths(doc, path=()):
+    """Every key path of a JSON document; a list contributes its first item."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:1])
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+_DELETE = object()
+
+
+def test_witness_verify_cert_fuzz(tmp_path, capsys):
+    # every field of a valid certificate deleted or replaced by a value of the
+    # wrong type or size, the file cut short, or a top-level list: the
+    # verifier answers 0, 1 or 2 (one error line), never with a traceback. A
+    # small family (1,425 members) keeps the 700-odd runs quick.
+    src = tmp_path / "cert.json"
+    rc, cert = run(["witness", "--seed", "1", "--samples", "500", "--ball-radius", "0.4",
+                    "--eps", "0.1"], src)
+    assert rc == 0 and cert["verdict"]
+    paths = list(_field_paths(cert))
+    assert len(paths) > 80
+    docs = []
+    for path in paths:
+        for value in (_DELETE, None, "x", -1, 0, 1e9, [], math.nan):
+            doc = copy.deepcopy(cert)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            docs.append((f"{path} -> {value!r}", json.dumps(doc)))
+    text = src.read_text()
+    docs += [(f"cut at {cut}", text[:cut]) for cut in (0, 1, 100, len(text) // 2, len(text) - 2)]
+    docs.append(("top-level list", json.dumps([cert])))
+
+    mutated = tmp_path / "mutated.json"
+    capsys.readouterr()
+    codes = {}
+    for name, body in docs:
+        mutated.write_text(body)
+        rc = main(["witness", "--verify-cert", str(mutated), "--out", str(tmp_path / "r.json")])
+        assert rc in (0, 1, 2), name
+        if rc == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        codes[rc] = codes.get(rc, 0) + 1
+    assert codes.get(0, 0) and codes.get(1, 0) and codes.get(2, 0), codes
+
+
 def test_witness_negative_control_fails(tmp_path):
     # a radius-0.7 window: every diameter-1 set fits in some radius r_2 < 0.7
     # ball, so one family member always covers the survivors
@@ -440,6 +511,32 @@ def test_audit_expect_fail_controls(tmp_path, suite, samples):
     assert rc == 0
     assert doc["fault_injection"]
     assert doc["pass"]  # pass means the injected fault was detected
+
+
+@pytest.mark.parametrize("suite", ["caps", "cone", "sweep", "edges", "cover"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_audit_nonpositive_samples_exits_2(monkeypatch, capsys, suite, samples):
+    # --samples 0 used to fall back to the suite's default count while the
+    # report echoed 0
+    for name in ("_suite_caps", "_suite_cone", "_suite_sweep", "_suite_edges", "_suite_cover"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a suite ran"))
+    capsys.readouterr()
+    assert main(["audit", "--suite", suite, "--seed", "1", "--samples", samples]) == 2
+    assert "--samples must be positive" in _one_line_error(capsys)
+
+
+def test_audit_default_samples_echo(monkeypatch, tmp_path):
+    # without --samples each suite runs its default count; the echo says None
+    seen = {}
+    for suite in ("cone", "sweep", "edges", "cover"):
+        def record(rng, samples, *rest, suite=suite):
+            seen[suite] = samples
+            return {"pass": True}
+
+        monkeypatch.setattr(cli, f"_suite_{suite}", record)
+        rc, doc = run(["audit", "--suite", suite, "--seed", "1"], tmp_path / f"{suite}.json")
+        assert rc == 0 and doc["config"]["params"]["samples"] is None
+    assert seen == {"cone": 2000, "sweep": 1000, "edges": 20000, "cover": 200}
 
 
 def test_audit_expect_fail_rejected_elsewhere():

@@ -54,3 +54,11 @@ def test_verdict_empty_and_too_wide():
     # wider than the threshold: not a witness, whatever the family does
     holds, diam, method = verdict(X, NO_PAIR_COVERS.counts(X), NO_PAIR_COVERS, 1, 1.0)
     assert (holds, method) == (False, "diameter") and diam > 1.0
+
+
+@pytest.mark.parametrize("k", [0, -1, 4, 10**9])
+def test_verdict_rejects_k_outside_family(k):
+    # k = 10**9 would otherwise reach itertools.combinations, which
+    # allocates k indices before it finds no subset
+    with pytest.raises(ValueError, match="must lie in \\[1, 3\\]"):
+        verdict(X, PAIR_COVERS.counts(X), PAIR_COVERS, k, 2.0)
