@@ -62,17 +62,14 @@ class VolumeEstimate:
 
 
 def _wilson_interval(hits: int, samples: int) -> tuple[float, float]:
-    # degenerate rates cannot vary under resampling of the same oracle
-    if hits == 0:
-        return 0.0, 0.0
-    if hits == samples:
-        return 1.0, 1.0
     z = _WILSON_Z
     phat = hits / samples
     denom = 1.0 + z * z / samples
     center = (phat + z * z / (2.0 * samples)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / samples + z * z / (4.0 * samples * samples)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # the bound is exactly 0 at no hits and 1 at all hits; rounding misses by an ulp
+    return (max(0.0, center - half) if hits else 0.0,
+            min(1.0, center + half) if hits < samples else 1.0)
 
 
 class Body:
@@ -526,11 +523,15 @@ def _cull(centers: np.ndarray, center_norm: float, radius: float,
 
 def mc_volume(b: Body, samples: int, rng: RngStream) -> VolumeEstimate:
     """Monte Carlo volume: hit rate inside the bounding ball scaled by the
-    exact bounding-ball volume, with a Wilson 95% interval on the rate."""
+    exact bounding-ball volume, with a Wilson 95% interval on the rate. A
+    ball fills its bounding ball, so its exact volume is returned instead."""
     if samples < 100:
         raise ValueError("at least 100 samples required")
     if b.bound.radius <= 0:
         raise ValueError("degenerate bounding ball (radius 0)")
+    if b.exact_volume is not None and reduce_to_ball(b) is not None:
+        v = b.exact_volume
+        return VolumeEstimate(mean=v, ci_low=v, ci_high=v, samples=samples)
     pts = sample_uniform_ball(b.dim, b.bound.radius, samples, rng).points + b.bound.center
     hits = int(np.count_nonzero(b.contains_many(pts)))
     vol_bound = math.exp(ball_volume_log(b.dim, b.bound.radius))

@@ -38,7 +38,7 @@ from .geom_core import (
     sample_uniform_ball,
 )
 from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
-from .witness import WITNESS_DIMS, default_alpha, search_witness, verify_witness_certificate
+from .witness import check_witness_dim, default_alpha, search_witness, verify_witness_certificate
 
 SCHEMA_VERSION = 1  # of bounds, jung-check and audit reports
 
@@ -195,8 +195,7 @@ def cmd_witness(args) -> int:
     if args.seed is None:
         raise ValueError("witness search requires --seed")
     n = args.n
-    if n not in WITNESS_DIMS:
-        raise ValueError("witness search is desk-scale: n in {2, 3}")
+    check_witness_dim(n)
     if args.body:
         base = _read_json(args.body, "body", body_from_json_dict)
         if base.dim != n:
@@ -318,7 +317,7 @@ def _suite_cover(rng: RngStream, trials: int, expect_fail: bool) -> dict:
     body = segment_body()
     eps = 0.2
     window = Ball(np.zeros(2), 1.0)
-    net = build_cover_family(body, 1.0, window, eps, rng=rng.child(1))
+    net = build_cover_family(body, 1.0, window, eps)
     if expect_fail:
         net = strip_rotations(net)
     rep = audit_cover_family(net, body, window, eps, trials, rng.child(2))

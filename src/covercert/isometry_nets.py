@@ -1,5 +1,6 @@
-"""Finite nets over rigid motions: orthogonal-group nets with coverage
-certificates, translation grids, and product cover families.
+"""Finite nets over rigid motions: orthogonal-group nets (n <= 3) with
+deterministic coverage certificates, translation grids, and product cover
+families.
 
 Distances: rotations are compared in the operator norm; full isometries in
 the conservative surrogate  d(f, g) = |A - B|_op + |v - w|.  For n <= 3 the
@@ -20,7 +21,7 @@ from .geom_core import Ball, RngStream, as_points, ball_volume_log, sample_unifo
 ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-8
 COVER_SLACK = 1e-9  # float slack when comparing distances against delta
-MAX_NET_DIM = 6
+MAX_NET_DIM = 3  # nets are deterministic, certified grids up to here
 
 
 def _check_isometries(matrices, translations=None, name: str = "isometry matrix"):
@@ -173,15 +174,17 @@ def _rot_y(theta: float) -> np.ndarray:
 
 def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray,
                         chunk: int = 2048) -> np.ndarray:
-    """Operator-norm distance from each matrix to the nearest net element.
+    """Operator-norm distance from each matrix to the nearest net element,
+    for n <= MAX_NET_DIM, by the exact trace formula.
 
     Same-determinant pairs only (opposite classes are at distance >= 2, so
-    they contribute 2.0). Exact trace formula for n <= 3; Frobenius
-    prefilter plus batched SVD refinement for n >= 4.
+    they contribute 2.0).
     """
     mats = np.asarray(mats, dtype=float)
     net_mats = np.asarray(net_mats, dtype=float)
     b, n, _ = mats.shape
+    if n > MAX_NET_DIM:
+        raise ValueError(f"net distances support dimensions 1..{MAX_NET_DIM}")
     det_p = np.linalg.det(mats) > 0
     det_e = np.linalg.det(net_mats) > 0
     out = np.full(b, 2.0)
@@ -194,23 +197,10 @@ def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray,
         fe = flat_e[cols]
         for start in range(0, rows.size, chunk):
             idx = rows[start:start + chunk]
-            fp = mats[idx].reshape(len(idx), n * n)
-            gram = fp @ fe.T  # <A, E> Frobenius inner products
-            if n == 1:
-                out[idx] = 0.0  # same coset in O(1) means equal matrices
-            elif n <= 3:
-                # |A - E|_op = sqrt(n - <A, E>) for proper/improper pairs
-                best = gram.max(axis=1)
-                out[idx] = np.sqrt(np.maximum(0.0, n - best))
-            else:
-                frob2 = np.maximum(0.0, 2.0 * n - 2.0 * gram)
-                # op <= frob, op >= frob / sqrt(n): candidates in between
-                quick = np.sqrt(frob2.min(axis=1))
-                for local, row in enumerate(idx):
-                    cand = np.flatnonzero(frob2[local] <= n * min(4.0, quick[local] ** 2) + 1e-12)
-                    diffs = mats[row][None] - net_mats[cols[cand]]
-                    svs = np.linalg.svd(diffs, compute_uv=False)[:, 0]
-                    out[row] = float(svs.min())
+            # |A - E|_op = sqrt(n - <A, E>) for proper/improper pairs, with
+            # <A, E> the Frobenius inner product (n = 1: equal, so 0)
+            best = (mats[idx].reshape(len(idx), n * n) @ fe.T).max(axis=1)
+            out[idx] = np.sqrt(np.maximum(0.0, n - best))
     return out
 
 
@@ -243,16 +233,13 @@ def _grid_axes(n: int, delta: float) -> tuple[float, list[int]]:
     return s, [around, int(math.ceil(math.pi / s)) + 1, around]
 
 
-def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
-                         trials: int = 2000) -> IsometryNet:
-    """Net over O(n) with covering radius <= delta in the operator norm.
+def build_orthogonal_net(n: int, delta: float) -> IsometryNet:
+    """Net over O(n), n <= MAX_NET_DIM, with covering radius <= delta in the
+    operator norm and a deterministic certificate.
 
     n = 1: exact two-element group. n = 2: angle grids on each determinant
     class (spacing 2 arcsin(delta/2)). n = 3: ZYZ Euler grid with a
-    deterministic triangle-inequality certificate, mirrored onto the
-    improper class. n in {4, 5, 6}: greedy farthest-point packing over Haar
-    samples with a probabilistic certificate (`trials` consecutive covered
-    probes).
+    triangle-inequality certificate, mirrored onto the improper class.
     """
     if int(n) != n or not 1 <= n <= MAX_NET_DIM:
         raise ValueError(f"orthogonal nets support dimensions 1..{MAX_NET_DIM}")
@@ -298,40 +285,6 @@ def build_orthogonal_net(n: int, delta: float, rng: RngStream | None = None,
         }
         return rotation_net(rotations + [r @ reflector for r in rotations], cert)
 
-    if rng is None:
-        raise ValueError("dimensions 4..6 use randomized construction; rng required")
-    gen = rng.generator()
-    mats = [np.eye(n), np.diag([1.0] * (n - 1) + [-1.0])]
-    batch = 256
-
-    def absorb(sample, candidates):
-        """Add, in order, each candidate still uncovered by the growing net."""
-        for idx in candidates:
-            if min_distance_to_net(sample[idx:idx + 1], np.stack(mats))[0] > delta + COVER_SLACK:
-                mats.append(sample[idx])
-
-    # greedy farthest-point: repeatedly add the worst-covered sample
-    while True:
-        sample = haar_orthogonal(n, gen, batch)
-        dists = min_distance_to_net(sample, np.stack(mats))
-        if dists.max() <= delta + COVER_SLACK:
-            break
-        order = np.argsort(-dists)
-        absorb(sample, order[dists[order] > delta + COVER_SLACK])
-    # certification: `trials` fresh probes in a row must be covered
-    covered_in_a_row = 0
-    while covered_in_a_row < trials:
-        take = min(512, trials - covered_in_a_row)
-        sample = haar_orthogonal(n, gen, take)
-        dists = min_distance_to_net(sample, np.stack(mats))
-        bad = np.flatnonzero(dists > delta + COVER_SLACK)
-        if bad.size:
-            absorb(sample, bad)
-            covered_in_a_row = 0
-        else:
-            covered_in_a_row += take
-    return rotation_net(mats, {"kind": "probabilistic", "trials": int(trials), "failures": 0})
-
 
 def build_translation_cover(v_ball: Ball, rho: float) -> np.ndarray:
     """Centers of a cubic grid of pitch 2 rho / sqrt(n), clipped to the ball
@@ -376,7 +329,6 @@ def _size_bound_log(n: int, d_bound: float, eps: float, translation_count: int) 
 
 
 def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
-                       rng: RngStream | None = None, trials: int = 2000,
                        max_size: float = math.inf) -> IsometryNet:
     """Finite family T of isometries such that any placement A K + v with
     v in the translation window lies inside g(thicken(K, eps)) for some
@@ -388,9 +340,10 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     (which lies in D B_n since K contains the origin and diam(K) <= D):
     |f(x) - g(x)| <= D |A - A'|_op + |v - v'| <= eps/2 + eps/2.
     Rotation-invariant bodies (balls centered at the origin) only need the
-    identity rotation. A family that must hold more than `max_size` members
-    (grid rotation nets times the translation grid's floor) is refused
-    before anything is built.
+    identity rotation, in every n; any other body needs a rotation net, and
+    those exist for n <= MAX_NET_DIM only. A family that must hold more than
+    `max_size` members (grid rotation nets times the translation grid's
+    floor) is refused before anything is built.
     """
     from . import bodies as _bodies
 
@@ -408,7 +361,9 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     rho = eps / (2.0 * max(d_bound, 1.0))
     ball_form = _bodies.reduce_to_ball(k_body)
     symmetric = ball_form is not None and float(np.linalg.norm(ball_form.center)) <= 1e-12
-    # grid nets (n = 2, 3) have a known size; any other net at least one element
+    # grid nets (n = 2, 3) have a known size and O(1)'s net at least one
+    # element; build_orthogonal_net refuses n > MAX_NET_DIM before the
+    # translation grid is built
     rotation_floor = 1 if symmetric or n not in (2, 3) else 2 * math.prod(_grid_axes(n, delta)[1])
     floor_log = math.log(rotation_floor) + translation_cover_size_floor_log(v_ball, rho)
     if floor_log > math.log(max(max_size, 1)) + 1e-9:
@@ -419,7 +374,7 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         rot_cert = {"kind": "symmetry", "covering_radius": 0.0,
                     "note": "origin-centered ball is rotation invariant"}
     else:
-        rot_net = build_orthogonal_net(n, delta, rng=rng, trials=trials)
+        rot_net = build_orthogonal_net(n, delta)
         rotations = rot_net.matrices
         rot_cert = rot_net.certificate
 

@@ -29,6 +29,20 @@ SCHEMA_VERSION = 2  # of certificates and their verification reports
 ENUMERATION_CAP = 1_000_000  # k-subsets enumerated exhaustively below this
 # orthogonal nets are deterministic grids here, so families regenerate exactly
 WITNESS_DIMS = (2, 3)
+# the family each certificate schema names, by its rule
+MEMBER_RULES = {
+    1: "member = g(thicken(base_body, eps)) for g in net.elements",
+    2: "member = g(thicken(base_body, eps)) for g in witness_family(base_body, r, eps).net",
+}
+
+
+def check_witness_dim(n: int) -> None:
+    """The witness domain, shared by the search and the verifier: a family
+    is regenerated exactly only for n in WITNESS_DIMS."""
+    if n not in WITNESS_DIMS:
+        dims = ", ".join(map(str, WITNESS_DIMS))
+        raise ValueError(f"n = {n} is outside the witness domain n in {{{dims}}}: "
+                         "its family cannot be regenerated")
 
 
 def default_alpha(r: float) -> float:
@@ -133,8 +147,7 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
             "base_body": base.to_json_dict(),
             "eps": eps,
             "net": {"dim": n, "delta": family.net.delta, "certificate": family.net.certificate},
-            "member_rule": "member = g(thicken(base_body, eps)) "
-                           "for g in witness_family(base_body, r, eps).net",
+            "member_rule": MEMBER_RULES[SCHEMA_VERSION],
         },
         "X": result.X.to_json_dict(),
         "diam_X": diam_x,
@@ -159,9 +172,16 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
 
 def verify_witness_certificate(cert: dict) -> dict:
     """Recheck a certificate from its JSON alone: regenerate the family from
-    its base body, r and eps, compare the stated net record (and a schema-1
-    certificate's element list) with it, and recompute the threshold, the
-    diameter, the counts and the verdict against it. No search is re-run."""
+    its base body, r and eps, compare the stated net record, member rule
+    (and a schema-1 certificate's element list) with it, and recompute the
+    threshold, the diameter, the counts, the verdict and its method against
+    it. No search is re-run."""
+    version = cert["schema_version"]
+    if type(version) is not int or version not in MEMBER_RULES:
+        raise ValueError(f"schema_version {version!r} is not one of "
+                         f"{', '.join(map(str, MEMBER_RULES))}")
+    if cert["kind"] != "witness-certificate":
+        raise ValueError(f"kind {cert['kind']!r} is not a witness certificate")
     n, k = int(cert["n"]), int(cert["k"])
     r, alpha = float(cert["r"]), float(cert["alpha"])
     threshold = float(cert["threshold"])
@@ -172,9 +192,7 @@ def verify_witness_certificate(cert: dict) -> dict:
     stated = manifest["net"]
     listed = IsometryNet.from_json_dict(stated) if "elements" in stated else None
     stored = np.asarray(cert["per_member_counts"], dtype=int)
-    if n not in WITNESS_DIMS:
-        raise ValueError(f"n = {n} is outside the witness domain n in {{2, 3}}: "
-                         "its family cannot be regenerated")
+    check_witness_dim(n)
     if X.dim != n or base.dim != n:
         raise ValueError(f"X and the base body must have dimension n = {n}")
     family = witness_family(base, r, eps, max_size=len(stored))
@@ -184,7 +202,8 @@ def verify_witness_certificate(cert: dict) -> dict:
     checks = [
         {"name": "threshold-recomputed", "recomputed": edge_threshold(r, alpha),
          "ok": threshold == edge_threshold(r, alpha) and threshold <= 1.0 + PREDICATE_TOL},
-        {"name": "family-regenerated", "ok": int(stated["dim"]) == n
+        {"name": "family-regenerated", "ok": manifest["member_rule"] == MEMBER_RULES[version]
+         and int(stated["dim"]) == n
          and float(stated["delta"]) == fresh.delta and stated["certificate"] == fresh.certificate
          and (listed is None or (np.array_equal(listed.matrices, fresh.matrices)
                                  and np.array_equal(listed.translations, fresh.translations)))},
@@ -196,7 +215,8 @@ def verify_witness_certificate(cert: dict) -> dict:
          "ok": counts.shape == stored.shape and bool(np.all(counts == stored))},
         {"name": "non-coverage", "ok": holds, "method": method,
          "stored_method": cert["non_coverage_method"]},
-        {"name": "verdict-matches", "ok": holds == bool(cert["verdict"]), "recomputed": holds},
+        {"name": "verdict-matches", "recomputed": holds,
+         "ok": cert["verdict"] is holds and cert["non_coverage_method"] == method},
     ]
     return {
         "schema_version": SCHEMA_VERSION,

@@ -169,6 +169,15 @@ def test_mc_overlap_fraction():
     assert far.mean == 0.0
 
 
+def test_mc_overlap_fraction_interval_at_zero_and_all_hits():
+    # 0 or 400 hits of 400 still leave the rate uncertain: the Wilson bounds
+    ball = BallBody(np.zeros(2), 1.0)
+    far = mc_overlap_fraction(ball, Ball(np.array([5.0, 0.0]), 1.0), 400, RngStream(4, 1))
+    assert far.ci_low == 0.0 < far.ci_high < 0.01
+    inside = mc_overlap_fraction(ball, Ball(np.zeros(2), 1.0), 400, RngStream(4, 0))
+    assert 0.99 < inside.ci_low < inside.ci_high == 1.0
+
+
 def test_volume_estimate_validation():
     with pytest.raises(ValueError):
         VolumeEstimate(mean=1.0, ci_low=1.2, ci_high=1.4, samples=100)

@@ -206,6 +206,7 @@ def witness_cert_v1(witness_cert):
     family = witness.witness_family(body_from_json_dict(manifest["base_body"]),
                                     cert["r"], manifest["eps"])
     manifest["net"]["elements"] = family.net.to_json_dict()["elements"]
+    manifest["member_rule"] = "member = g(thicken(base_body, eps)) for g in net.elements"
     cert["schema_version"] = 1
     return cert
 
@@ -241,6 +242,11 @@ _TAMPERED = {
     "reordered": {"family-regenerated", "membership-counts"},
     "threshold": {"threshold-recomputed"},
     "r": {"threshold-recomputed", "family-regenerated"},
+    # the stated rule, method and verdict must be the schema's and the
+    # recomputed ones; a verdict of 1 equals True but is not a boolean
+    "member-rule": {"family-regenerated"},
+    "method": {"verdict-matches"},
+    "verdict-one": {"verdict-matches"},
 }
 # tamperings that edit the element list of a schema-1 certificate
 _LISTED = {"thinned", "reordered"}
@@ -270,6 +276,12 @@ def test_witness_verify_cert_rejects_tampering(witness_cert, witness_cert_v1, tm
         cert["per_member_counts"] = cert["per_member_counts"][::-1]
     elif corrupt == "threshold":
         cert["threshold"] = 5.0
+    elif corrupt == "member-rule":
+        cert["family_manifest"]["member_rule"] = witness_cert_v1["family_manifest"]["member_rule"]
+    elif corrupt == "method":
+        cert["non_coverage_method"] = "count-sum"
+    elif corrupt == "verdict-one":
+        cert["verdict"] = 1
     else:
         cert["r"] = 0.3
     rc, doc = _verify(cert, tmp_path, f"bad_{corrupt}")
@@ -338,6 +350,10 @@ def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
         elements[-1]["translation"] = elements[-1]["translation"] + [0.0]
     elif corrupt == "n-outside-domain":
         cert["n"] = 4
+    elif corrupt == "schema-version":
+        cert["schema_version"] = 3
+    elif corrupt == "kind":
+        cert["kind"] = "witness-verification"
     else:
         raise ValueError(corrupt)
     path = tmp_path / f"{corrupt}.json"
@@ -348,7 +364,9 @@ def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
 _MALFORMED = {"missing-key": "missing key 'diam_X'",
               "non-orthogonal": "is not orthogonal",
               "translation-length": "must share one shape",
-              "n-outside-domain": "outside the witness domain"}
+              "n-outside-domain": "outside the witness domain",
+              "schema-version": "schema_version 3 is not one of 1, 2",
+              "kind": "'witness-verification' is not a witness certificate"}
 
 
 @pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
@@ -391,13 +409,17 @@ def _field_paths(doc, path=()):
 
 
 _DELETE = object()
+# stated fields the verifier checks beyond the family, counts and diameter
+_CHECKED_FIELDS = {("schema_version",), ("kind",), ("family_manifest", "member_rule"),
+                   ("non_coverage_method",), ("verdict",)}
 
 
 def test_witness_verify_cert_fuzz(tmp_path, capsys):
     # every field of a valid certificate deleted or replaced by a value of the
     # wrong type or size, the file cut short, or a top-level list: the
-    # verifier answers 0, 1 or 2 (one error line), never with a traceback. A
-    # small family (1,425 members) keeps the 700-odd runs quick.
+    # verifier answers 0, 1 or 2 (one error line), never with a traceback,
+    # and never 0 once a field it states it checks is changed. A small family
+    # (1,425 members) keeps the 700-odd runs quick.
     src = tmp_path / "cert.json"
     rc, cert = run(["witness", "--seed", "1", "--samples", "500", "--ball-radius", "0.4",
                     "--eps", "0.1"], src)
@@ -415,18 +437,20 @@ def test_witness_verify_cert_fuzz(tmp_path, capsys):
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = value
-            docs.append((f"{path} -> {value!r}", json.dumps(doc)))
+            docs.append((path, f"{path} -> {value!r}", json.dumps(doc)))
     text = src.read_text()
-    docs += [(f"cut at {cut}", text[:cut]) for cut in (0, 1, 100, len(text) // 2, len(text) - 2)]
-    docs.append(("top-level list", json.dumps([cert])))
+    docs += [((), f"cut at {cut}", text[:cut])
+             for cut in (0, 1, 100, len(text) // 2, len(text) - 2)]
+    docs.append(((), "top-level list", json.dumps([cert])))
 
     mutated = tmp_path / "mutated.json"
     capsys.readouterr()
     codes = {}
-    for name, body in docs:
+    for path, name, body in docs:
         mutated.write_text(body)
         rc = main(["witness", "--verify-cert", str(mutated), "--out", str(tmp_path / "r.json")])
         assert rc in (0, 1, 2), name
+        assert rc != 0 or path not in _CHECKED_FIELDS, name
         if rc == 2:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
@@ -471,6 +495,17 @@ def test_witness_bad_body_file_exits_2(tmp_path, capsys, doc, message):
     capsys.readouterr()
     assert main(["witness", "--seed", "1", "--body", str(body)]) == 2
     assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n", ["4", "0"])
+def test_witness_outside_domain_exits_2(monkeypatch, capsys, n):
+    def never(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(witness, "build_cover_family", never)
+    capsys.readouterr()
+    assert main(["witness", "--seed", "1", "--n", n]) == 2
+    assert f"n = {n} is outside the witness domain n in {{2, 3}}" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -264,7 +264,7 @@ def test_cover_family_segment_matches_generic(monkeypatch, budget):
     from covercert.cli import segment_body
 
     body = segment_body()
-    net = build_cover_family(body, 1.0, Ball(np.zeros(2), 0.4), 0.4, rng=RngStream(5, 0))
+    net = build_cover_family(body, 1.0, Ball(np.zeros(2), 0.4), 0.4)
     family = CoverFamily(body, 0.4, net)
     assert family.centers is None and net.certificate["rotation_count"] > 1
     if budget is not None:

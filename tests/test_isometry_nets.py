@@ -1,5 +1,5 @@
 """Isometry-net tests: operator-distance formulas against brute SVD, grid
-and greedy net coverage, translation grids, and the product cover family
+net coverage (n <= 3), translation grids, and the product cover family
 with its fault-injection audit."""
 
 import json
@@ -92,20 +92,6 @@ def test_min_distance_trace_formula_matches_svd():
         assert np.allclose(got, want, atol=1e-9)
 
 
-def test_min_distance_high_dim_prefilter_matches_svd():
-    gen = np.random.default_rng(22)
-    probes = haar_orthogonal(4, gen, 30)
-    net = haar_orthogonal(4, gen, 20)
-    got = min_distance_to_net(probes, net)
-    want = np.array([
-        min(np.linalg.svd(p - e, compute_uv=False)[0]
-            if np.linalg.det(p) * np.linalg.det(e) > 0 else 2.0
-            for e in net)
-        for p in probes
-    ])
-    assert np.allclose(got, want, atol=1e-9)
-
-
 def test_min_distance_opposite_class_is_two():
     reflector = np.diag([1.0, -1.0])
     d = min_distance_to_net(np.eye(2)[None], reflector[None])
@@ -175,23 +161,15 @@ def test_net_n3_grid_coverage():
     assert rep["pass"], rep
 
 
-def test_net_n4_greedy_randomized():
-    # the certificate is probabilistic: 2000 consecutive covered probes at
-    # construction keep the residual uncovered mass below fresh-audit reach
-    net = build_orthogonal_net(4, 1.3, rng=RngStream(4, 0), trials=2000)
-    assert net.certificate["kind"] == "probabilistic"
-    assert len(net) >= 2
-    rep = audit_orthogonal_net(net, 500, RngStream(104, 0))
-    assert rep["pass"], rep
-
-
 def test_net_validation():
     with pytest.raises(ValueError):
         build_orthogonal_net(7, 0.5)
     with pytest.raises(ValueError):
         build_orthogonal_net(2, 0.0)
     with pytest.raises(ValueError):
-        build_orthogonal_net(5, 1.0)  # rng required for n >= 4
+        build_orthogonal_net(4, 1.0)  # no net beyond n = 3
+    with pytest.raises(ValueError):
+        min_distance_to_net(np.eye(4)[None], np.eye(4)[None])
 
 
 def test_net_json_round_trip():
@@ -314,7 +292,7 @@ def segment_2d():
 def test_cover_family_ball_fast_path():
     body = BallBody(np.zeros(2), 0.5)
     window = Ball(np.zeros(2), 1.0)
-    net = build_cover_family(body, 1.0, window, 0.2, rng=RngStream(7, 0))
+    net = build_cover_family(body, 1.0, window, 0.2)
     cert = net.certificate
     assert cert["rotation_count"] == 1
     assert cert["rotation_certificate"]["kind"] == "symmetry"
@@ -322,8 +300,7 @@ def test_cover_family_ball_fast_path():
 
 
 def test_cover_family_needs_rotations_for_segments():
-    net = build_cover_family(segment_2d(), 1.0, Ball(np.zeros(2), 1.0), 0.2,
-                             rng=RngStream(8, 0))
+    net = build_cover_family(segment_2d(), 1.0, Ball(np.zeros(2), 1.0), 0.2)
     assert net.certificate["rotation_count"] > 1
     # actual size within the declared log bound
     assert math.log(len(net)) <= net.certificate["size_bound_log"] + 1e-9
@@ -333,21 +310,39 @@ def test_cover_family_validation():
     body = BallBody(np.zeros(2), 0.5)
     window = Ball(np.zeros(2), 1.0)
     with pytest.raises(ValueError):
-        build_cover_family(body, 1.0, window, 0.0, rng=RngStream(0, 0))
+        build_cover_family(body, 1.0, window, 0.0)
     with pytest.raises(ValueError):
-        build_cover_family(body, 0.0, window, 0.1, rng=RngStream(0, 0))
+        build_cover_family(body, 0.0, window, 0.1)
     with pytest.raises(ValueError):
-        build_cover_family(body, 1.0, Ball(np.zeros(3), 1.0), 0.1,
-                           rng=RngStream(0, 0))
+        build_cover_family(body, 1.0, Ball(np.zeros(3), 1.0), 0.1)
     shifted = BallBody(np.array([9.0, 0.0]), 0.5)  # origin not inside
     with pytest.raises(ValueError):
-        build_cover_family(shifted, 1.0, window, 0.1, rng=RngStream(0, 0))
+        build_cover_family(shifted, 1.0, window, 0.1)
+
+
+def test_cover_family_beyond_net_dims(monkeypatch):
+    import covercert.isometry_nets as isometry_nets
+
+    def never(*args, **kwargs):
+        raise AssertionError("a translation grid was built")
+
+    window = Ball(np.zeros(4), 0.3)
+    # a 4-d body that needs rotations has no net: refused before building
+    monkeypatch.setattr(isometry_nets, "build_translation_cover", never)
+    with pytest.raises(ValueError, match="dimensions 1..3"):
+        build_cover_family(BallBody(np.array([0.1, 0.0, 0.0, 0.0]), 0.3), 0.8, window, 0.3)
+    monkeypatch.undo()
+    # an origin-centred ball needs none, in any dimension
+    net = build_cover_family(BallBody(np.zeros(4), 0.3), 0.6, window, 0.3)
+    assert net.certificate["rotation_count"] == 1
+    assert net.certificate["rotation_certificate"]["kind"] == "symmetry"
+    assert len(net) == net.certificate["translation_count"] > 1
 
 
 def test_cover_family_audit_passes_segment():
     body = segment_2d()
     window = Ball(np.zeros(2), 1.0)
-    net = build_cover_family(body, 1.0, window, 0.2, rng=RngStream(9, 0))
+    net = build_cover_family(body, 1.0, window, 0.2)
     rep = audit_cover_family(net, body, window, 0.2, trials=60,
                              rng=RngStream(10, 0))
     assert rep["pass"], rep["failure_examples"][:2]
@@ -358,7 +353,7 @@ def test_cover_family_audit_detects_missing_rotations():
 
     body = segment_2d()
     window = Ball(np.zeros(2), 1.0)
-    net = build_cover_family(body, 1.0, window, 0.2, rng=RngStream(11, 0))
+    net = build_cover_family(body, 1.0, window, 0.2)
     broken = strip_rotations(net)
     assert len(broken) < len(net)
     assert broken.certificate["fault"] == "rotation net removed"
@@ -374,7 +369,7 @@ def test_cover_family_direct_placement_guarantee():
     body = BallBody(np.zeros(2), 0.5)
     eps = 0.2
     window = Ball(np.zeros(2), 1.0)
-    net = build_cover_family(body, 1.0, window, eps, rng=RngStream(13, 0))
+    net = build_cover_family(body, 1.0, window, eps)
     fat = thicken(body, eps)
     gen = np.random.default_rng(14)
     boundary = np.stack([np.cos(np.linspace(0, 2 * math.pi, 24, endpoint=False)),
