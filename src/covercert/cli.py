@@ -58,9 +58,10 @@ def _json_default(x):
 
 def render_json(obj: dict) -> str:
     """Canonical JSON: sorted keys, compact separators, one trailing
-    newline — the byte-identical replay contract."""
+    newline — the byte-identical replay contract. A NaN or infinity is a
+    ValueError (exit 2): JSON has no token for it."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_json_default) + "\n"
+                      default=_json_default, allow_nan=False) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -96,6 +97,10 @@ def cmd_bounds(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("either --n or --sweep is required")
+    for name in ("lam", "r", "alpha"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite")
     n = args.n
     config = run_config("bounds", None, {"n": n, "lam": args.lam,
                                          "r": args.r, "alpha": args.alpha})
@@ -135,6 +140,8 @@ def cmd_jung_check(args) -> int:
         raise ValueError(f"--samples is at most {RngStream.CHILD_LIMIT} (one substream per cloud)")
     if args.cloud_size < 2:
         raise ValueError("clouds need at least two points")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("--tol must be finite and positive")
     rng = RngStream(args.seed, 0)
     r_n = jung_radius(n)
     solver_tol = min(1e-8, args.tol / 10.0)

@@ -26,6 +26,7 @@ Vector = np.ndarray
 # default tolerances: geometric predicates 1e-12, solvers 1e-6
 PREDICATE_TOL = 1e-12
 SOLVER_TOL = 1e-6
+_AFFINE_DEPENDENCE = 1e-10  # min_enclosing_ball's relative pivot for affine dependence
 
 
 def as_vector(x) -> Vector:
@@ -207,97 +208,132 @@ def diameter(ps: PointSet) -> float:
     return float(math.sqrt(max(0.0, float(sq_distances(ps.points, ps.points).max()))))
 
 
+def _orthogonalize(e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, r) with x = r @ e + v, v orthogonal to the rows of e (Gram-Schmidt twice)."""
+    r = e @ x
+    v = x - r @ e
+    r2 = e @ v
+    return v - r2 @ e, r + r2
+
+
+def _set_rows(e: np.ndarray, t: np.ndarray, h: np.ndarray, start: int) -> None:
+    """Extend the orthonormal basis e[:start] = t[:start, :start] @ h[:start]
+    of independent rows h to e[:len(h)] = t[:len(h), :len(h)] @ h."""
+    for i in range(start, len(h)):
+        v, r = _orthogonalize(e[:i], h[i])
+        d = math.sqrt(float(v @ v))
+        e[i] = v / d
+        t[i] = 0.0
+        t[i, :i] = -(r @ t[:i, :i]) / d
+        t[i, i] = 1.0 / d
+
+
 def min_enclosing_ball(ps: PointSet, tol: float = SOLVER_TOL,
                        max_iterations: int = 100_000) -> Ball:
     """Smallest enclosing ball up to a (1+tol) radius factor.
 
-    Frank-Wolfe ascent with away steps on the dual
+    Primal active-set ascent (after Fischer, Gaertner and Kutz, ESA 2003) on
+    the dual
 
-        maximize  sum_i u_i |p_i|^2 - |sum_i u_i p_i|^2   over the simplex,
+        maximize  f(u) = sum_i u_i |p_i|^2 - |sum_i u_i p_i|^2   over the simplex,
 
-    whose value never exceeds the squared optimal radius, so sqrt of the
-    running value certifies the ball centered at c(u) = sum_i u_i p_i once
-    the farthest input point sits within (1+tol) of it. Line search on the
-    quadratic is exact, so the ascent converges linearly in practice. The
-    returned radius is the exact maximum distance from the final center,
-    hence containment of the inputs is exact regardless of tol.
+    whose value never exceeds the squared optimal radius, so sqrt f(u)
+    certifies the ball centered at c(u) = sum_i u_i p_i once the farthest
+    input point sits within (1+tol) of it. The weights live on a support S
+    of at most n + 1 affinely independent points, whose lifted points
+    h_i = (p_i, 1) are linearly independent. An orthonormal basis
+    e = t @ h_S of their span gives the inverse t't of their Gram matrix G
+    from matrix-vector products alone. Each pivot raises f or keeps it:
+
+    * S is stepped toward its barycentric circumcentre lam, the maximizer
+      of the concave f on the hyperplane sum_S u = 1. Where a weight of lam
+      is negative, a ratio test stops at the first weight that reaches 0
+      and drops that point; f is concave on the segment and rises toward
+      its maximizer at lam.
+    * At the circumcentre every support point has the same gradient
+      grad_i = |p_i - c|^2 - |c|^2 = K, and the farthest point j has
+      grad_j > K. If j lies outside aff(S), it joins S with weight 0: on
+      the larger hyperplane f rises in j's direction, so j's weight in the
+      new lam is positive.
+    * If j lies in aff(S), that is, the squared part of h_j orthogonal to
+      e (the Cholesky pivot of the grown G) is at most _AFFINE_DEPENDENCE
+      of |h_j|^2, the affine dependency mu with mu_j = 1, sum mu = 0 and
+      sum mu_i p_i = 0 leaves the centre fixed and raises f linearly, by
+      mu . grad = grad_j - K > 0 per unit step. The step ends when a
+      weight reaches 0; that point leaves S and j joins it.
+
+    The inputs are centred and scaled to unit spread first, which leaves
+    the weights unchanged. max_iterations caps the pivots. The returned
+    radius is the exact maximum distance from the final center, hence
+    containment of the inputs is exact regardless of tol.
     """
     if len(ps) == 0:
         raise ValueError("minimum enclosing ball of an empty set is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
     pts = ps.points
-    if len(ps) == 1:
-        return Ball(pts[0].copy(), 0.0)
-
-    # The dual value is translation invariant; centroid-shifted coordinates
-    # keep |q_i| = O(spread) so the value does not cancel catastrophically.
     centroid = pts.mean(axis=0)
     q = pts - centroid
     sq = np.einsum("ij,ij->i", q, q)
-    # two-point start: farthest from the centroid, then farthest from that
-    i0 = int(np.argmax(sq))
-    rel = q - q[i0]
-    i1 = int(np.argmax(np.einsum("ij,ij->i", rel, rel)))
-    u = np.zeros(len(pts))
-    u[i0] += 0.5
-    u[i1] += 0.5
+    if not sq.any():
+        return Ball(pts[0].copy(), 0.0)
 
-    center = u @ q
+    # The weights are translation and scale invariant; centred, unit-spread
+    # coordinates keep f from cancelling and the lifted points well scaled.
+    spread = math.sqrt(float(sq.max()))
+    x = q / spread
+    sx = sq / (spread * spread)
+    h = np.column_stack([x, np.ones(len(x))])
+    support = [int(np.argmax(sx))]
+    u = np.ones(1)
+    e, t = np.zeros((2, ps.dim + 1, ps.dim + 1))  # e[:k] = t[:k, :k] @ h[support]
+    _set_rows(e, t, h[support], 0)
     certified = False
     for _ in range(max_iterations):
-        cc = float(center @ center)
-        grad = sq - 2.0 * (q @ center)  # grad_i = |q_i - c|^2 - |c|^2
-        radius = math.sqrt(max(float(grad.max()) + cc, 0.0))
-        if radius <= PREDICATE_TOL:
-            certified = True
-            break
-        lower = math.sqrt(max(float(u @ sq) - cc, 0.0))
-        if radius <= (1.0 + tol) * lower:
-            certified = True
-            break
-
-        mean_grad = float(grad @ u)
-        j = int(np.argmax(grad))
-        gain_toward = float(grad[j]) - mean_grad
-        support = np.flatnonzero(u > 0.0)
-        a = int(support[np.argmin(grad[support])])
-        gain_away = mean_grad - float(grad[a])
-        if gain_toward <= 0.0 and gain_away <= 0.0:
-            break  # stationary to rounding; certification re-checked below
-        toward = gain_toward >= gain_away
-        if toward:
-            step = q[j] - center
-            gain, gamma_max = gain_toward, 1.0
+        k = len(support)
+        tk = t[:k, :k]
+        # lam = G^-1 (sx_S - kappa) / 2, G^-1 = tk' tk, kappa set by sum lam = 1
+        a, b = tk.T @ (tk @ sx[support]), tk.T @ tk.sum(axis=1)
+        lam = 0.5 * (a - (a.sum() - 2.0) / b.sum() * b)
+        blocking = np.flatnonzero(lam < 0.0)
+        if blocking.size:
+            ratios = u[blocking] / (u[blocking] - lam[blocking])
+            drop = int(blocking[np.argmin(ratios)])
+            u = np.maximum(u + ratios.min() * (lam - u), 0.0)
         else:
-            step = center - q[a]
-            ua = float(u[a])
-            gain, gamma_max = gain_away, (ua / (1.0 - ua) if ua < 1.0 else 0.0)
-        if gamma_max <= 0.0:
-            break
-        curv = 2.0 * float(step @ step)
-        gamma = gamma_max if curv <= 0.0 else min(gamma_max, gain / curv)
-        if toward:
-            u *= 1.0 - gamma
-            u[j] += gamma
-        else:
-            u *= 1.0 + gamma
-            u[a] = 0.0 if gamma >= gamma_max else max(float(u[a]) - gamma, 0.0)
-        u /= u.sum()
-        center = u @ q
+            u = lam / lam.sum()  # on the simplex, so sqrt f(u) is a lower bound
+            center = u @ x[support]
+            cc = float(center @ center)
+            grad = sx - 2.0 * (x @ center)
+            j = int(np.argmax(grad))
+            radius = math.sqrt(max(float(grad[j]) + cc, 0.0))
+            lower = math.sqrt(max(float(u @ sx[support]) - cc, 0.0))
+            certified = radius <= (1.0 + tol) * lower
+            if certified or j in support:
+                break  # j in support: stalled by rounding
+            v, r = _orthogonalize(e[:k], h[j])
+            if float(v @ v) > _AFFINE_DEPENDENCE * float(h[j] @ h[j]):
+                support.append(j)
+                u = np.append(u, 0.0)
+                _set_rows(e, t, h[support], k)
+                continue
+            # h_j = w @ h_S: step along mu = (-w, 1) until a weight of S is 0
+            w = tk.T @ r
+            shrinking = np.flatnonzero(w > 0.0)
+            ratios = u[shrinking] / w[shrinking]
+            drop = int(shrinking[np.argmin(ratios)])
+            u = np.append(np.maximum(u - ratios.min() * w, 0.0), ratios.min())
+            support.append(j)
+        # drop support[drop]; the basis rows before it stay valid
+        u = np.delete(u, drop)
+        del support[drop]
+        _set_rows(e, t, h[support], drop)
 
     if not certified:
-        cc = float(center @ center)
-        radius = math.sqrt(max(float(np.max(sq - 2.0 * (q @ center))) + cc, 0.0))
-        lower = math.sqrt(max(float(u @ sq) - cc, 0.0))
-        certified = radius <= (1.0 + tol) * lower
-    if not certified:
-        warnings.warn(
-            "min_enclosing_ball stopped at the iteration cap without a "
-            "certified (1+tol) radius; returning the best enclosing ball found",
-            RuntimeWarning,
-        )
-    center = centroid + center
+        warnings.warn("min_enclosing_ball stopped at the iteration cap without a "
+                      "certified (1+tol) radius; returning the best enclosing ball "
+                      "found", RuntimeWarning)
+    center = centroid + spread * (u @ x[support])
     radius = float(np.linalg.norm(pts - center, axis=1).max())
     return Ball(center, radius)
 

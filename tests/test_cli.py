@@ -93,6 +93,20 @@ def test_bounds_with_r_uses_chosen_alpha(tmp_path):
     assert "choose_alpha" not in doc
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--lam", "inf"),
+                                         ("--r", "nan")])
+def test_bounds_non_finite_parameter_exits_2(capsys, flag, value):
+    capsys.readouterr()
+    assert main(["bounds", "--n", "3", flag, value]) == 2
+    assert f"{flag} must be finite" in _one_line_error(capsys)
+
+
+def test_render_json_refuses_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            render_json({"x": bad})
+
+
 def test_bounds_error_paths():
     assert main(["bounds"]) == 2
     assert main(["bounds", "--sweep", "10", "2"]) == 2
@@ -144,6 +158,17 @@ def test_jung_check_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
     capsys.readouterr()
     assert main(["jung-check", "--n", "3", "--seed", "1", "--samples", samples]) == 2
     assert "--samples must be positive" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_jung_check_tol_must_be_finite_and_positive(monkeypatch, capsys, tol):
+    def no_clouds(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    monkeypatch.setattr(cli, "sample_uniform_ball", no_clouds)
+    capsys.readouterr()
+    assert main(["jung-check", "--n", "3", "--seed", "1", "--tol", tol]) == 2
+    assert "--tol must be finite and positive" in _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,86 @@ def test_meb_degenerate_inputs():
         min_enclosing_ball(PointSet(1, np.array([[0.0], [1.0]])), tol=0.0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       on_grid=st.booleans())
+def test_meb_matches_oracle_property(n, m, seed, on_grid):
+    # m > n + 1 makes the support fill up, so the affine-dependency pivot
+    # runs; grid points add ties, repeats and cospherical subsets
+    import warnings
+
+    pts = np.random.default_rng(seed).normal(size=(m, n))
+    if on_grid:
+        pts = np.round(2.0 * pts) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ball = min_enclosing_ball(PointSet(n, pts), tol=1e-10)
+    assert ball.radius == pytest.approx(_brute_meb(pts), abs=1e-9)
+    assert np.all(ball.contains_points(pts, tol=0.0))
+
+
+def _cube(n: int) -> np.ndarray:
+    return np.array(list(itertools.product([-0.5, 0.5], repeat=n)))
+
+
+_SIMPLEX3 = regular_simplex(3).points
+
+
+@pytest.mark.parametrize("pts, radius", [
+    (np.array([[math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0)]
+               for k in range(8)]), 1.0),
+    (_cube(3), math.sqrt(3.0) / 2.0),
+    (np.vstack([np.eye(6), -np.eye(6)]), 1.0),
+    (_cube(6), math.sqrt(6.0) / 2.0),
+    (np.vstack([_SIMPLEX3, _SIMPLEX3, _SIMPLEX3.mean(axis=0)]), jung_radius(3)),
+    (_cube(3) + 1e6, math.sqrt(3.0) / 2.0),
+], ids=["octagon", "3-cube", "cross-polytope-6", "6-cube", "simplex-duplicated",
+        "3-cube-offset-1e6"])
+def test_meb_degenerate_cospherical(pts, radius):
+    ball = min_enclosing_ball(PointSet.from_array(pts), tol=1e-10)
+    assert abs(ball.radius - radius) <= 1e-9
+    assert np.allclose(ball.center, pts.mean(axis=0), rtol=0.0, atol=1e-9)
+
+
+def _dual_lower_bound(pts: np.ndarray, ball) -> float:
+    """sqrt(sum u_i |p_i|^2 - |sum u_i p_i|^2) for the barycentric weights
+    u >= 0 of the ball's center in its farthest points, recomputed here
+    from the returned ball alone."""
+    dist = np.linalg.norm(pts - ball.center, axis=1)
+    far = pts[dist >= ball.radius * (1.0 - 1e-9)]
+    lhs = np.vstack([far.T, np.ones(len(far))])
+    u = np.linalg.lstsq(lhs, np.append(ball.center, 1.0), rcond=None)[0]
+    assert np.all(u >= -1e-12)
+    u = np.maximum(u, 0.0) / np.maximum(u, 0.0).sum()
+    c = u @ far
+    return math.sqrt(float(u @ np.einsum("ij,ij->i", far, far) - c @ c))
+
+
+def test_meb_certificate_on_jung_inputs():
+    # the inputs of the solver-audits benchmark op with seed 1000
+    import warnings
+
+    tol = 1e-8
+    rng = RngStream(1000, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for trial in range(300):
+            pts = sample_uniform_ball(6, 1.0, 16, rng.child(trial)).points
+            pts = pts / diameter(PointSet(6, pts))
+            ball = min_enclosing_ball(PointSet(6, pts), tol=tol)
+            assert np.all(ball.contains_points(pts, tol=0.0))
+            assert ball.radius <= (1.0 + tol) * _dual_lower_bound(pts, ball)
+
+
+def test_meb_iteration_cap_warns_and_encloses():
+    # bench/worker.py counts this warning prefix as geom_core.meb_uncertified
+    pts = np.random.default_rng(4).normal(size=(16, 6))
+    with pytest.warns(RuntimeWarning,
+                      match=r"^min_enclosing_ball stopped at the iteration cap"):
+        ball = min_enclosing_ball(PointSet(6, pts), tol=1e-8, max_iterations=1)
+    assert np.all(ball.contains_points(pts, tol=0.0))
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
