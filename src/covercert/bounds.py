@@ -28,6 +28,7 @@ from .geom_core import (
 )
 
 _LOG_FLOAT_MAX = 709.0
+SWEEP_MAX_COMPONENTS = 6  # most components of U in a verify_sweep_inequality instance
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +108,7 @@ def sweep_set_1d(U: IntervalUnion, h1: float, h2: float) -> IntervalUnion:
     return IntervalUnion.from_pairs(pairs)
 
 
-def verify_sweep_inequality(trials: int, rng: RngStream,
-                            max_components: int = 6) -> dict:
+def verify_sweep_inequality(trials: int, rng: RngStream) -> dict:
     """Randomized exact check of Vol(T minus U) <= h1/(h2-h1) * Vol(U).
 
     Instances use dyadic endpoints (multiples of 1/1024) so every length,
@@ -120,7 +120,7 @@ def verify_sweep_inequality(trials: int, rng: RngStream,
     examples: list[dict] = []
     worst = -math.inf
     for _ in range(int(trials)):
-        parts = int(gen.integers(1, max_components + 1))
+        parts = int(gen.integers(1, SWEEP_MAX_COMPONENTS + 1))
         cuts = np.sort(gen.choice(2048, size=2 * parts, replace=False))
         U = IntervalUnion.from_pairs(
             (cuts[2 * i] / 1024.0, cuts[2 * i + 1] / 1024.0) for i in range(parts)
@@ -230,26 +230,34 @@ def _cap_directions(gen: np.random.Generator, axis: np.ndarray,
     return local @ _householder_to(axis).T
 
 
-def _cone_sweep(cone: ConeSpec, ball_radius: float, t_lo: float, t_hi: float,
+def _cone_constants_for(n: int, cone: ConeSpec) -> ConeConstants:
+    if n not in (2, 3):
+        raise ValueError("verification is desk-scale: n in {2, 3}")
+    if cone.dim != n:
+        raise ValueError("cone dimension does not match n")
+    return cone_constants(cone.angle, cone.height)
+
+
+def _cone_sweep(cone: ConeSpec, const: ConeConstants, eps: float, window_eps: float,
                 probes: int, rng: RngStream, t_points: int) -> dict:
+    """x + t rho for x in apex + eps B_n, rho within alpha/2 of the axis, t
+    on a grid over [c1 window_eps, c1 window_eps + c2]."""
     gen = rng.generator()
     rho = _cap_directions(gen, cone.axis, cone.angle / 2.0, int(probes))
-    x = cone.apex + uniform_ball_points(gen, cone.dim, ball_radius, int(probes))
-    t = np.linspace(t_lo, t_hi, int(t_points))
+    x = cone.apex + uniform_ball_points(gen, cone.dim, eps, int(probes))
+    t_lo = const.c1 * window_eps
+    t = np.linspace(t_lo, t_lo + const.c2, int(t_points))
     pts = x[:, None, :] + t[None, :, None] * rho[:, None, :]
     flat = pts.reshape(-1, cone.dim)
     inside = cone.contains_many(flat, tol=PREDICATE_TOL)
     bad = np.flatnonzero(~inside)
     examples = [{"point": [float(v) for v in flat[idx]],
                  "t": float(t[int(idx) % int(t_points)])} for idx in bad[:5]]
-    return {
-        "probes": int(probes),
-        "t_points": int(t_points),
-        "evaluations": int(flat.shape[0]),
-        "violations": int(bad.size),
-        "pass": bad.size == 0,
-        "examples": examples,
-    }
+    return {"probes": int(probes), "t_points": int(t_points),
+            "evaluations": int(flat.shape[0]), "violations": int(bad.size),
+            "pass": bad.size == 0, "examples": examples,
+            "n": cone.dim, "alpha": cone.angle, "ell": cone.height,
+            "eps": eps, "eps0": const.eps0, "c1": const.c1, "c2": const.c2}
 
 
 def verify_cone_inclusion(n: int, cone: ConeSpec, eps: float, probes: int,
@@ -262,19 +270,10 @@ def verify_cone_inclusion(n: int, cone: ConeSpec, eps: float, probes: int,
     the boundary at the sharp corner (t = c1 eps with rho at the cap edge),
     and genuine violations (see cone_negative_control) are macroscopic.
     """
-    if n not in (2, 3):
-        raise ValueError("verification is desk-scale: n in {2, 3}")
-    if cone.dim != n:
-        raise ValueError("cone dimension does not match n")
-    const = cone_constants(cone.angle, cone.height)
+    const = _cone_constants_for(n, cone)
     if not 0.0 < eps < const.eps0:
         raise ValueError(f"eps must lie in (0, eps0) = (0, {const.eps0:.6g})")
-    report = _cone_sweep(cone, eps, const.c1 * eps, const.c1 * eps + const.c2,
-                         probes, rng, t_points)
-    report.update({"n": n, "alpha": cone.angle, "ell": cone.height,
-                   "eps": eps, "eps0": const.eps0,
-                   "c1": const.c1, "c2": const.c2})
-    return report
+    return _cone_sweep(cone, const, eps, eps, probes, rng, t_points)
 
 
 def cone_negative_control(n: int, cone: ConeSpec, probes: int,
@@ -288,21 +287,12 @@ def cone_negative_control(n: int, cone: ConeSpec, probes: int,
     with the perturbation; freezing the window at eps0 while perturbing by
     1.5 eps0 breaks that accounting, and violations appear near t = c1 eps0.
     """
-    if n not in (2, 3):
-        raise ValueError("verification is desk-scale: n in {2, 3}")
-    if cone.dim != n:
-        raise ValueError("cone dimension does not match n")
+    const = _cone_constants_for(n, cone)
     if eps_factor <= 0:
         raise ValueError("eps_factor must be positive")
-    const = cone_constants(cone.angle, cone.height)
-    report = _cone_sweep(cone, eps_factor * const.eps0, const.c1 * const.eps0,
-                         const.c1 * const.eps0 + const.c2, probes, rng,
+    report = _cone_sweep(cone, const, eps_factor * const.eps0, const.eps0, probes, rng,
                          t_points)
-    report.update({"n": n, "alpha": cone.angle, "ell": cone.height,
-                   "eps": eps_factor * const.eps0, "eps0": const.eps0,
-                   "c1": const.c1, "c2": const.c2,
-                   "eps_factor": eps_factor,
-                   "expected_violations": eps_factor > 1.0})
+    report.update({"eps_factor": eps_factor, "expected_violations": eps_factor > 1.0})
     return report
 
 

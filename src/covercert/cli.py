@@ -1,6 +1,6 @@
-"""Command-line front end: reproducible bound sweeps, Jung-radius spot
-checks, invariant audit suites, and the non-cover witness search and
-certificate verifier of covercert.witness.
+"""Command-line front end: reproducible bound sweeps, the Jung-radius spot
+check and invariant audit suites of covercert.audits, and the non-cover
+witness search and certificate verifier of covercert.witness.
 
 Every randomized command takes a mandatory --seed and is a deterministic
 function of (arguments, seed); rerunning reproduces output files byte for
@@ -23,21 +23,10 @@ import sys
 import numpy as np
 
 from . import bounds as _bounds
-from .bodies import BallBody, HalfspaceIntersectionBody, body_from_json_dict
-from .coclique import edge_measure_audit
-from .geom_core import (
-    Ball,
-    PointSet,
-    RngStream,
-    cap_measure_bounds,
-    cap_measure_exact,
-    diameter,
-    jung_radius,
-    min_enclosing_ball,
-    regular_simplex,
-    sample_uniform_ball,
-)
-from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
+from .audits import SUITES, jung_check, run_suite
+from .audits import strip_rotations  # noqa: F401  bench/tracer.py times it as cli.strip_rotations
+from .bodies import BallBody, body_from_json_dict
+from .geom_core import RngStream
 from .witness import check_witness_dim, default_alpha, search_witness, verify_witness_certificate
 
 SCHEMA_VERSION = 1  # of bounds, jung-check and audit reports
@@ -142,36 +131,11 @@ def cmd_jung_check(args) -> int:
         raise ValueError("clouds need at least two points")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError("--tol must be finite and positive")
-    rng = RngStream(args.seed, 0)
-    r_n = jung_radius(n)
-    solver_tol = min(1e-8, args.tol / 10.0)
-
-    simplex = regular_simplex(n)
-    simplex_ball = min_enclosing_ball(simplex, tol=solver_tol)
-    simplex_ok = abs(simplex_ball.radius - r_n) <= args.tol
-
-    max_radius = 0.0
-    for trial in range(args.samples):
-        pts = sample_uniform_ball(n, 1.0, args.cloud_size, rng.child(trial)).points
-        d = diameter(PointSet(n, pts))
-        if d <= 0.0:
-            continue  # coincident cloud; nothing to normalize
-        ball = min_enclosing_ball(PointSet(n, pts / d), tol=solver_tol)
-        max_radius = max(max_radius, ball.radius)
-    clouds_ok = max_radius <= r_n + args.tol
-
     config = run_config("jung-check", args.seed,
                         {"n": n, "samples": args.samples,
                          "cloud_size": args.cloud_size, "tol": args.tol})
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config,
-        "r_n": r_n,
-        "simplex": {"radius": simplex_ball.radius, "ok": simplex_ok},
-        "clouds": {"trials": args.samples, "max_radius": max_radius,
-                   "ok": clouds_ok},
-        "pass": simplex_ok and clouds_ok,
-    }
+    report = {"schema_version": SCHEMA_VERSION, "config": config,
+              **jung_check(n, RngStream(args.seed, 0), args.samples, args.cloud_size, args.tol)}
     _emit(render_json(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -228,140 +192,22 @@ def cmd_witness(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# audit suites
-
-
-def _suite_caps() -> dict:
-    failures = []
-    for n in (2, 3, 5, 8, 13, 21, 34, 55, 89):
-        for alpha in np.linspace(0.1, math.pi / 2.0 - 0.1, 15):
-            alpha = float(alpha)
-            m = cap_measure_exact(n, alpha)
-            lo, hi = cap_measure_bounds(n, alpha)
-            if not lo < m < hi:
-                failures.append({"n": n, "alpha": alpha, "lower": lo,
-                                 "exact": m, "upper": hi})
-            sym = cap_measure_exact(n, alpha) + cap_measure_exact(n, math.pi - alpha)
-            if abs(sym - 1.0) > 1e-12:
-                failures.append({"n": n, "alpha": alpha, "symmetry": sym})
-    return {"suite": "caps", "failures": failures, "pass": not failures}
-
-
-_CONE_GRID = [(math.pi / 6.0, 0.5), (math.pi / 6.0, 1.5),
-              (math.pi / 3.0, 0.5), (math.pi / 3.0, 1.5),
-              (1.3, 0.5), (1.3, 1.5)]
-
-
-def _cone_spec(n: int, alpha: float, ell: float) -> _bounds.ConeSpec:
-    axis = np.zeros(n)
-    axis[-1] = 1.0
-    return _bounds.ConeSpec(np.zeros(n), axis, alpha, ell)
-
-
-def _suite_cone(rng: RngStream, probes: int, expect_fail: bool) -> dict:
-    reports = []
-    failures = []
-    cell = 0
-    for n in (2, 3):
-        for alpha, ell in _CONE_GRID:
-            cone = _cone_spec(n, alpha, ell)
-            sub = rng.child(cell)
-            cell += 1
-            if expect_fail:
-                rep = _bounds.cone_negative_control(n, cone, probes, sub)
-                ok = rep["violations"] >= 1
-            else:
-                const = _bounds.cone_constants(alpha, ell)
-                rep = _bounds.verify_cone_inclusion(n, cone, 0.5 * const.eps0,
-                                                    probes, sub)
-                ok = rep["pass"]
-            reports.append(rep)
-            if not ok:
-                failures.append({"n": n, "alpha": alpha, "ell": ell,
-                                 "violations": rep["violations"]})
-    return {"suite": "cone", "fault_injection": expect_fail,
-            "reports": reports, "failures": failures, "pass": not failures}
-
-
-def _suite_sweep(rng: RngStream, trials: int) -> dict:
-    rep = _bounds.verify_sweep_inequality(trials, rng.child(0))
-    return {"suite": "sweep", "report": rep, "failures": rep["examples"],
-            "pass": rep["pass"]}
-
-
-def _suite_edges(rng: RngStream, trials: int) -> dict:
-    reports = []
-    failures = []
-    idx = 0
-    for n in (2, 3, 5):
-        for alpha in (1.0, 1.3):
-            rep = edge_measure_audit(n, alpha, trials, rng.child(idx), anchors=8)
-            idx += 1
-            reports.append(rep)
-            if not rep["pass"]:
-                failures.append({"n": n, "alpha": alpha})
-    return {"suite": "edges", "reports": reports, "failures": failures,
-            "pass": not failures}
-
-
-def segment_body() -> HalfspaceIntersectionBody:
-    """Unit segment on the x-axis as a degenerate halfspace intersection."""
-    normals = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    offsets = [0.5, 0.5, 0.0, 0.0]
-    return HalfspaceIntersectionBody(normals, offsets, Ball(np.zeros(2), 0.5))
-
-
-def strip_rotations(net: IsometryNet) -> IsometryNet:
-    """Fault injection for cover audits: drop every element whose matrix is
-    not the identity, destroying rotational coverage."""
-    keep = np.isclose(net.matrices, np.eye(net.dim), atol=1e-12).all(axis=(1, 2))
-    cert = dict(net.certificate)
-    cert["fault"] = "rotation net removed"
-    return IsometryNet(net.dim, net.delta, net.matrices[keep], net.translations[keep], cert)
-
-
-def _suite_cover(rng: RngStream, trials: int, expect_fail: bool) -> dict:
-    body = segment_body()
-    eps = 0.2
-    window = Ball(np.zeros(2), 1.0)
-    net = build_cover_family(body, 1.0, window, eps)
-    if expect_fail:
-        net = strip_rotations(net)
-    rep = audit_cover_family(net, body, window, eps, trials, rng.child(2))
-    ok = (rep["failures"] > 0) if expect_fail else rep["pass"]
-    return {"suite": "cover", "fault_injection": expect_fail,
-            "net_size": len(net), "report": rep,
-            "failures": rep["failure_examples"] if not ok else [],
-            "pass": ok}
-
-
-_SUITE_SAMPLES = {"cone": 2000, "sweep": 1000, "edges": 20000, "cover": 200}
+# audit
 
 
 def cmd_audit(args) -> int:
-    rng = RngStream(args.seed, 0)
-    suite = args.suite
-    if args.expect_fail and suite not in ("cone", "cover"):
-        raise ValueError(f"suite {suite!r} has no fault-injection mode")
+    suite = SUITES[args.suite]
+    if args.expect_fail and not suite.fault:
+        raise ValueError(f"suite {args.suite!r} has no fault-injection mode")
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be positive")
-    samples = _SUITE_SAMPLES.get(suite) if args.samples is None else args.samples
-    if suite == "caps":
-        result = _suite_caps()
-    elif suite == "cone":
-        result = _suite_cone(rng, samples, args.expect_fail)
-    elif suite == "sweep":
-        result = _suite_sweep(rng, samples)
-    elif suite == "edges":
-        result = _suite_edges(rng, samples)
-    else:
-        result = _suite_cover(rng, samples, args.expect_fail)
+    if args.samples is not None and suite.samples is None:
+        raise ValueError(f"suite {args.suite!r} takes no --samples")
+    result = run_suite(args.suite, RngStream(args.seed, 0), args.samples, args.expect_fail)
     config = run_config("audit", args.seed,
-                        {"suite": suite, "samples": args.samples,
+                        {"suite": args.suite, "samples": args.samples,
                          "expect_fail": args.expect_fail})
-    out = {"schema_version": SCHEMA_VERSION, "config": config}
-    out.update(result)
-    _emit(render_json(out), args.out)
+    _emit(render_json({"schema_version": SCHEMA_VERSION, "config": config, **result}), args.out)
     return 0 if result["pass"] else 1
 
 
@@ -421,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a named invariant suite")
     p.add_argument("--suite", required=True,
-                   choices=["caps", "cone", "sweep", "edges", "cover"])
+                   choices=list(SUITES))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--expect-fail", action="store_true",

@@ -12,7 +12,6 @@ independent substreams and the first success by attempt index is returned.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,13 +72,6 @@ class CocliqueParams:
             raise ValueError("max_retries must be positive")
         self.M = int(self.M)
         self.k = int(self.k)
-        if self.k > 1.0 / (2.0 * self.p):
-            # domain violation of the count threshold; reported, not fatal
-            warnings.warn(
-                f"k={self.k} exceeds 1/(2p)={1.0 / (2.0 * self.p):.4g}; "
-                "the count threshold M/(2k) loses its guarantee",
-                UserWarning,
-            )
 
     @property
     def count_threshold(self) -> int:

@@ -356,6 +356,19 @@ def regular_simplex(n: int) -> PointSet:
     return PointSet(n, v @ h.T)
 
 
+def _gaussian_rows(gen: np.random.Generator, count: int, n: int):
+    """count standard Gaussian rows in R^n and their norms. Zero-norm draws
+    have probability zero; an exact float zero becomes e1 with norm 1."""
+    g = gen.standard_normal((count, n))
+    norms = np.linalg.norm(g, axis=1)
+    bad = norms < 1e-300
+    if np.any(bad):
+        g[bad] = 0.0
+        g[bad, 0] = 1.0
+        norms[bad] = 1.0
+    return g, norms
+
+
 def sample_uniform_sphere(n: int, rng: RngStream, count: int | None = None):
     """Uniform unit vector(s) on the sphere in R^n via normalized Gaussians.
 
@@ -367,14 +380,7 @@ def sample_uniform_sphere(n: int, rng: RngStream, count: int | None = None):
     m = 1 if count is None else int(count)
     if m < 0:
         raise ValueError("count must be nonnegative")
-    g = gen.standard_normal((m, int(n)))
-    norms = np.linalg.norm(g, axis=1)
-    # zero-norm draws have probability zero; guard for exact float zeros
-    bad = norms < 1e-300
-    if np.any(bad):
-        g[bad] = 0.0
-        g[bad, 0] = 1.0
-        norms[bad] = 1.0
+    g, norms = _gaussian_rows(gen, m, int(n))
     u = g / norms[:, None]
     if count is None:
         return u[0]
@@ -387,13 +393,7 @@ def uniform_ball_points(gen: np.random.Generator, n: int, radius: float,
     the U^(1/n) radial law."""
     if count == 0:
         return np.empty((0, n))
-    g = gen.standard_normal((count, n))
-    norms = np.linalg.norm(g, axis=1)
-    bad = norms < 1e-300
-    if np.any(bad):
-        g[bad] = 0.0
-        g[bad, 0] = 1.0
-        norms[bad] = 1.0
+    g, norms = _gaussian_rows(gen, count, n)
     radial = radius * gen.random(count) ** (1.0 / n)
     return g * (radial / norms)[:, None]
 

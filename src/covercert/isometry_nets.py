@@ -22,6 +22,9 @@ ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-8
 COVER_SLACK = 1e-9  # float slack when comparing distances against delta
 MAX_NET_DIM = 3  # nets are deterministic, certified grids up to here
+AUDIT_PROBES = 16  # probe points of the body per audit_cover_family trial
+AUDIT_SHORTLIST = 32  # nearest family members tested first in each trial
+_NET_DISTANCE_CHUNK = 2048  # probe matrices per block in min_distance_to_net
 
 
 def _check_isometries(matrices, translations=None, name: str = "isometry matrix"):
@@ -172,8 +175,7 @@ def _rot_y(theta: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray,
-                        chunk: int = 2048) -> np.ndarray:
+def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray) -> np.ndarray:
     """Operator-norm distance from each matrix to the nearest net element,
     for n <= MAX_NET_DIM, by the exact trace formula.
 
@@ -195,8 +197,8 @@ def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray,
         if rows.size == 0 or cols.size == 0:
             continue
         fe = flat_e[cols]
-        for start in range(0, rows.size, chunk):
-            idx = rows[start:start + chunk]
+        for start in range(0, rows.size, _NET_DISTANCE_CHUNK):
+            idx = rows[start:start + _NET_DISTANCE_CHUNK]
             # |A - E|_op = sqrt(n - <A, E>) for proper/improper pairs, with
             # <A, E> the Frobenius inner product (n = 1: equal, so 0)
             best = (mats[idx].reshape(len(idx), n * n) @ fe.T).max(axis=1)
@@ -401,9 +403,7 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
 
 
 def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
-                       trials: int, rng: RngStream,
-                       probes_per_trial: int = 16,
-                       candidates: int = 32) -> dict:
+                       trials: int, rng: RngStream) -> dict:
     """Randomized check of the covering guarantee: sample placements
     (A, v), probe points of A K + v, and require some g in T whose
     eps-thickening of K contains every probe.
@@ -423,7 +423,7 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     net_trans = t_net.translations
     failures = 0
     failure_examples = []
-    base_probes = _bodies.probe_points(k_body, probes_per_trial, rng.child(0))
+    base_probes = _bodies.probe_points(k_body, AUDIT_PROBES, rng.child(0))
     for trial in range(trials):
         a = haar_orthogonal(k_body.dim, gen)
         # uniform translation in the window
@@ -438,7 +438,7 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
             np.linalg.norm(net_trans - v, axis=1)
         order = np.argsort(proxy)
         found = any(family.contains(placed, part).all(axis=1).any()
-                    for part in (order[:candidates], order[candidates:]) if part.size)
+                    for part in (order[:AUDIT_SHORTLIST], order[AUDIT_SHORTLIST:]) if part.size)
         if not found:
             failures += 1
             if len(failure_examples) < 5:

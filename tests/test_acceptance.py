@@ -30,7 +30,8 @@ from covercert.bounds import (
     verify_cone_inclusion,
     verify_sweep_inequality,
 )
-from covercert.cli import main, segment_body, strip_rotations, verify_witness_certificate
+from covercert.audits import segment_body, strip_rotations
+from covercert.cli import main, verify_witness_certificate
 from covercert.coclique import (
     CocliqueParams,
     MeasurableGraphSpec,

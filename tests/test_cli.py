@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import covercert
+import covercert.audits as audits
 import covercert.cli as cli
 import covercert.isometry_nets as isometry_nets
 import covercert.witness as witness
@@ -142,7 +143,7 @@ def test_jung_check_samples_limit(monkeypatch, capsys):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(cli, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
     assert main(["jung-check", "--n", "3", "--seed", "0", "--samples", "65537"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --samples is at most 65536 ") and err.count("\n") == 1
@@ -154,7 +155,7 @@ def test_jung_check_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(cli, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
     capsys.readouterr()
     assert main(["jung-check", "--n", "3", "--seed", "1", "--samples", samples]) == 2
     assert "--samples must be positive" in _one_line_error(capsys)
@@ -165,7 +166,7 @@ def test_jung_check_tol_must_be_finite_and_positive(monkeypatch, capsys, tol):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(cli, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
     capsys.readouterr()
     assert main(["jung-check", "--n", "3", "--seed", "1", "--tol", tol]) == 2
     assert "--tol must be finite and positive" in _one_line_error(capsys)
@@ -578,8 +579,9 @@ def test_audit_expect_fail_controls(tmp_path, suite, samples):
 def test_audit_nonpositive_samples_exits_2(monkeypatch, capsys, suite, samples):
     # --samples 0 used to fall back to the suite's default count while the
     # report echoed 0
-    for name in ("_suite_caps", "_suite_cone", "_suite_sweep", "_suite_edges", "_suite_cover"):
-        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a suite ran"))
+    for name, entry in audits.SUITES.items():
+        monkeypatch.setitem(audits.SUITES, name,
+                            entry._replace(run=lambda *args: pytest.fail("a suite ran")))
     capsys.readouterr()
     assert main(["audit", "--suite", suite, "--seed", "1", "--samples", samples]) == 2
     assert "--samples must be positive" in _one_line_error(capsys)
@@ -588,15 +590,52 @@ def test_audit_nonpositive_samples_exits_2(monkeypatch, capsys, suite, samples):
 def test_audit_default_samples_echo(monkeypatch, tmp_path):
     # without --samples each suite runs its default count; the echo says None
     seen = {}
-    for suite in ("cone", "sweep", "edges", "cover"):
-        def record(rng, samples, *rest, suite=suite):
+    for suite, entry in audits.SUITES.items():
+        def record(rng, samples, expect_fail, suite=suite):
             seen[suite] = samples
-            return {"pass": True}
+            return {"failures": []}
 
-        monkeypatch.setattr(cli, f"_suite_{suite}", record)
+        monkeypatch.setitem(audits.SUITES, suite, entry._replace(run=record))
         rc, doc = run(["audit", "--suite", suite, "--seed", "1"], tmp_path / f"{suite}.json")
         assert rc == 0 and doc["config"]["params"]["samples"] is None
-    assert seen == {"cone": 2000, "sweep": 1000, "edges": 20000, "cover": 200}
+    assert seen == {name: entry.samples for name, entry in audits.SUITES.items()}
+
+
+def test_audit_cli_follows_suite_table(monkeypatch, tmp_path):
+    # the parser's choices, the fault-injection check and the echoed
+    # default count all come from audits.SUITES
+    audit_parser = cli._build_parser()._subparsers._group_actions[0].choices["audit"]
+    suite_action = next(a for a in audit_parser._actions if a.dest == "suite")
+    assert suite_action.choices == list(audits.SUITES)
+    for suite, entry in audits.SUITES.items():
+        seen = []
+
+        def record(rng, samples, expect_fail):
+            seen.append((samples, expect_fail))
+            return {"failures": []}
+
+        monkeypatch.setitem(audits.SUITES, suite, entry._replace(run=record))
+        argv = ["audit", "--suite", suite, "--seed", "1", "--expect-fail"]
+        if entry.fault:
+            rc, doc = run(argv, tmp_path / f"{suite}-fault.json")
+            assert rc == 0 and doc["fault_injection"] and doc["pass"]
+            assert seen[-1] == (entry.samples, True)
+        else:
+            assert main(argv) == 2
+        rc, doc = run(["audit", "--suite", suite, "--seed", "1"], tmp_path / f"{suite}.json")
+        assert rc == 0 and doc["suite"] == suite
+        assert seen[-1] == (entry.samples, False)
+
+
+def test_audit_caps_rejects_samples(monkeypatch, capsys):
+    # caps has no sample count: --samples used to be ignored but echoed
+    entry = audits.SUITES["caps"]
+    assert entry.samples is None
+    monkeypatch.setitem(audits.SUITES, "caps",
+                        entry._replace(run=lambda *args: pytest.fail("a suite ran")))
+    capsys.readouterr()
+    assert main(["audit", "--suite", "caps", "--seed", "1", "--samples", "5"]) == 2
+    assert _one_line_error(capsys) == "error: suite 'caps' takes no --samples\n"
 
 
 def test_audit_expect_fail_rejected_elsewhere():

@@ -176,8 +176,10 @@ def test_params_validation_and_threshold():
 
 
 def test_params_warn_when_k_breaks_threshold_domain():
-    with pytest.warns(UserWarning, match="exceeds"):
-        CocliqueParams(M=50, k=2, p=0.4)
+    # k > 1/(2p) is reported by check_hypotheses, not by the constructor
+    params = CocliqueParams(M=50, k=2, p=0.4)
+    r = check_hypotheses(params, 10, [0.05], 0.001)
+    assert not next(c for c in r["conditions"] if c["name"] == "parameter-domain")["ok"]
 
 
 def test_check_hypotheses_pass_case():
@@ -201,8 +203,7 @@ def test_check_hypotheses_failures_reported_not_raised():
     assert not next(c for c in r["conditions"] if c["name"] == "family-size")["ok"]
     r = check_hypotheses(params, 10, [0.05], 0.2)
     assert not next(c for c in r["conditions"] if c["name"] == "edge-measure")["ok"]
-    with pytest.warns(UserWarning):
-        bad = CocliqueParams(M=50, k=2, p=0.4)
+    bad = CocliqueParams(M=50, k=2, p=0.4)
     r = check_hypotheses(bad, 10, [0.05], 0.001)
     assert not next(c for c in r["conditions"] if c["name"] == "parameter-domain")["ok"]
 
@@ -261,7 +262,7 @@ def test_family_counts_chunked(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 7 * 40 + 3], ids=["whole", "chunked"])
 def test_cover_family_segment_matches_generic(monkeypatch, budget):
-    from covercert.cli import segment_body
+    from covercert.audits import segment_body
 
     body = segment_body()
     net = build_cover_family(body, 1.0, Ball(np.zeros(2), 0.4), 0.4)

@@ -284,7 +284,7 @@ def test_cover_family_max_size_refuses_before_building(monkeypatch):
 
 
 def segment_2d():
-    from covercert.cli import segment_body
+    from covercert.audits import segment_body
 
     return segment_body()
 
@@ -349,7 +349,7 @@ def test_cover_family_audit_passes_segment():
 
 
 def test_cover_family_audit_detects_missing_rotations():
-    from covercert.cli import strip_rotations
+    from covercert.audits import strip_rotations
 
     body = segment_2d()
     window = Ball(np.zeros(2), 1.0)
