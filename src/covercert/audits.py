@@ -16,8 +16,8 @@ import numpy as np
 from . import bounds as _bounds
 from .bodies import HalfspaceIntersectionBody
 from .coclique import edge_measure_audit
-from .geom_core import (Ball, PointSet, RngStream, cap_measure_bounds, cap_measure_exact, diameter,
-                        jung_radius, min_enclosing_ball, regular_simplex, sample_uniform_ball)
+from .geom_core import (Ball, RngStream, cap_measure_bounds, cap_measure_exact, diameter, jung_radius,
+                        min_enclosing_ball, regular_simplex, sample_uniform_ball)
 from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
 
 
@@ -31,11 +31,11 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
 
     max_radius = 0.0
     for trial in range(clouds):
-        pts = sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial)).points
-        d = diameter(PointSet(n, pts))
+        pts = sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial))
+        d = diameter(pts)
         if d <= 0.0:
             continue  # coincident cloud; nothing to normalize
-        ball = min_enclosing_ball(PointSet(n, pts / d), tol=solver_tol)
+        ball = min_enclosing_ball(pts / d, tol=solver_tol)
         max_radius = max(max_radius, ball.radius)
     clouds_ok = max_radius <= r_n + tol
     return {"r_n": r_n, "simplex": {"radius": simplex_radius, "ok": simplex_ok},

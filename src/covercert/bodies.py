@@ -20,7 +20,6 @@ import numpy as np
 from .geom_core import (
     PREDICATE_TOL,
     Ball,
-    PointSet,
     RngStream,
     as_points,
     as_vector,
@@ -299,7 +298,7 @@ class UnionBody(Body):
             raise ValueError("all parts must share one dimension")
         self.parts = list(parts)
         self.dim = parts[0].dim
-        centers = PointSet.from_array(np.array([p.bound.center for p in parts]))
+        centers = np.array([p.bound.center for p in parts])
         hub = min_enclosing_ball(centers).center if len(parts) > 1 else parts[0].bound.center
         radius = max(
             float(np.linalg.norm(hub - p.bound.center)) + p.bound.radius for p in parts
@@ -532,7 +531,7 @@ def mc_volume(b: Body, samples: int, rng: RngStream) -> VolumeEstimate:
     if b.exact_volume is not None and reduce_to_ball(b) is not None:
         v = b.exact_volume
         return VolumeEstimate(mean=v, ci_low=v, ci_high=v, samples=samples)
-    pts = sample_uniform_ball(b.dim, b.bound.radius, samples, rng).points + b.bound.center
+    pts = sample_uniform_ball(b.dim, b.bound.radius, samples, rng) + b.bound.center
     hits = int(np.count_nonzero(b.contains_many(pts)))
     vol_bound = math.exp(ball_volume_log(b.dim, b.bound.radius))
     lo, hi = _wilson_interval(hits, samples)
@@ -553,7 +552,7 @@ def mc_overlap_fraction(b: Body, window: Ball, samples: int, rng: RngStream) -> 
         raise ValueError("degenerate window (radius 0)")
     if window.dim != b.dim:
         raise ValueError("window dimension mismatch")
-    pts = sample_uniform_ball(b.dim, window.radius, samples, rng).points + window.center
+    pts = sample_uniform_ball(b.dim, window.radius, samples, rng) + window.center
     hits = int(np.count_nonzero(b.contains_many(pts)))
     lo, hi = _wilson_interval(hits, samples)
     return VolumeEstimate(mean=hits / samples, ci_low=lo, ci_high=hi, samples=samples)
@@ -562,7 +561,7 @@ def mc_overlap_fraction(b: Body, window: Ball, samples: int, rng: RngStream) -> 
 def probe_points(b: Body, count: int, rng: RngStream) -> np.ndarray:
     """Points of the body obtained by projecting bounding-ball samples onto
     it; includes extremal points with high probability for convex bodies."""
-    raw = sample_uniform_ball(b.dim, b.bound.radius, count, rng).points + b.bound.center
+    raw = sample_uniform_ball(b.dim, b.bound.radius, count, rng) + b.bound.center
     return b.project(raw)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .geom_core import (
     PREDICATE_TOL,
     RngStream,
+    as_dim,
     as_points,
     as_vector,
     ball_volume_log,
@@ -313,9 +314,7 @@ def thickening_budget(n: int) -> ThickeningBudget:
     log_eps is exact for every n; the linear eps underflows to 0.0 past
     n around 470 and is informational only there.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
+    n = as_dim(n, 1)
     log_eps = -math.log(55.0) - n * math.log(5.0)
     if n <= 300:
         eps = 1.0 / (55.0 * 5.0 ** n)
@@ -386,9 +385,7 @@ _VOLUME_CONVENTION = "Vol(B_n) = pi^(n/2) / Gamma(n/2 + 1), in log space"
 def theorem_lower_bound(n: int) -> float:
     """log of exp(-sqrt(1.25 n ln n)) * Vol(r_n B_n): the volume floor with
     the o(1) term of the 5/4 exponent set to zero."""
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = as_dim(n, 2)
     return -math.sqrt(1.25 * n * math.log(n)) + ball_volume_log(n, jung_radius(n))
 
 
@@ -400,9 +397,7 @@ def main_inequality(n: int, r: float, alpha: float) -> BoundReport:
     power term; substituting the upper bound can only lower the implied
     floor on p (the conservative direction), and both floors are reported.
     """
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = as_dim(n, 2)
     r_n = jung_radius(n)
     if not 0.0 < r < r_n:
         raise ValueError(f"r must lie in (0, r_n) = (0, {r_n:.6g})")
@@ -451,11 +446,9 @@ def choose_alpha(n: int, lam: float) -> BoundReport:
     exponent -sqrt((lam/2) n ln n), and whether lam clears the 5/2
     threshold the full argument requires.
     """
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
+    n = as_dim(n, 2)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = int(n)
     log_n = math.log(n)
     shift = lam * log_n / n
     if shift >= 1.0:
@@ -511,9 +504,7 @@ def proof_pipeline_budget(n: int) -> BoundReport:
     volume v_n = Vol((1 - 1/sqrt 2) B_n), the diameter bound 2(1 + v_n)/v_n
     against n^(n/2) - 1, the thickening eps, and the two family-size
     expressions with their inequality margin."""
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = as_dim(n, 2)
     log_v, diam_lhs_log, diam_rhs_log = _diam_check_logs(n)
     v_lin = math.exp(log_v)
     log_diam = math.log(2.0) + math.log1p(v_lin) - log_v
@@ -563,9 +554,7 @@ def borsuk_piece_bound(n: int) -> float:
     """log of theorem_lower_bound(n) / Vol(B_n / 2): the piece count a
     partition into diameter-1 parts must have, since the isodiametric
     inequality caps each part's volume at Vol(B_n / 2)."""
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    n = int(n)
+    n = as_dim(n, 2)
     return theorem_lower_bound(n) - ball_volume_log(n, 0.5)
 
 

@@ -18,27 +18,19 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .geom_core import PointSet, RngStream, cap_measure_exact, sq_distances, uniform_ball_points
+from .geom_core import RngStream, as_dim, cap_measure_exact, sq_distances, uniform_ball_points
 
 
 @dataclass
 class MeasurableGraphSpec:
     """Sampling law, symmetric irreflexive edge predicate, and a finite
-    family: a list of membership oracles (objects exposing contains_many,
-    labelled Y0, Y1, ... by default) or a bodies.CoverFamily."""
+    family: a list of membership oracles (objects exposing contains_many)
+    or a bodies.CoverFamily."""
 
     dim: int
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     edge_matrix: Callable[[np.ndarray], np.ndarray]
     family: list
-    labels: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.labels and isinstance(self.family, list):
-            self.labels = [f"Y{i}" for i in range(len(self.family))]
-        if self.labels and len(self.labels) != len(self.family):
-            raise ValueError("one label per family member required")
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         pts = np.asarray(self.sampler(gen, count), dtype=float)
@@ -47,11 +39,6 @@ class MeasurableGraphSpec:
         if pts.shape != (count, self.dim):
             raise ValueError("sampler returned wrong shape")
         return pts
-
-    def edge(self, x, y) -> bool:
-        pair = np.vstack([np.atleast_1d(x), np.atleast_1d(y)]).astype(float)
-        m = self.edge_matrix(pair)
-        return bool(m[0, 1])
 
 
 @dataclass
@@ -85,23 +72,12 @@ class CocliqueParams:
 @dataclass
 class CocliqueResult:
     success: bool
-    X: PointSet
+    X: np.ndarray  # the (m, n) survivors of the accepted or last attempt
     retries_used: int
     edges_found_per_attempt: list[int]
     per_Y_counts: list[int]
     rule: str
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "X": self.X.to_json_dict(),
-            "retries_used": self.retries_used,
-            "edges_found_per_attempt": self.edges_found_per_attempt,
-            "per_Y_counts": self.per_Y_counts,
-            "rule": self.rule,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def chernoff_bound_log(M: int, k: int, p: float) -> float:
@@ -264,7 +240,7 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
         if ok:
             return CocliqueResult(
                 success=True,
-                X=PointSet(spec.dim, x),
+                X=x,
                 retries_used=attempt,
                 edges_found_per_attempt=edges_per_attempt,
                 per_Y_counts=[int(c) for c in counts],
@@ -275,7 +251,7 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
 
     return CocliqueResult(
         success=False,
-        X=PointSet(spec.dim, last_x),
+        X=last_x,
         retries_used=params.max_retries,
         edges_found_per_attempt=edges_per_attempt,
         per_Y_counts=[int(c) for c in last_counts],
@@ -292,17 +268,14 @@ def edge_threshold(r: float, alpha: float) -> float:
 
 
 def geometric_spec(n: int, r: float, alpha: float, family,
-                   labels: list[str] | None = None,
                    unit_diameter: bool = False) -> MeasurableGraphSpec:
     """Uniform sampling on r B_n with far-pair edges:
     edge(x, y) iff |x - y| >= 2 r cos(alpha/2)."""
-    if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = as_dim(n, 1)
     if r <= 0:
         raise ValueError("r must be positive")
     if not 0.0 < alpha < math.pi / 2.0:
         raise ValueError("alpha must lie in (0, pi/2)")
-    n = int(n)
     threshold = edge_threshold(r, alpha)
     if unit_diameter and threshold > 1.0 + 1e-12:
         raise ValueError(
@@ -323,8 +296,6 @@ def geometric_spec(n: int, r: float, alpha: float, family,
         sampler=sampler,
         edge_matrix=edge_matrix,
         family=family if hasattr(family, "counts") else list(family),
-        labels=list(labels) if labels is not None else [],
-        meta={"r": r, "alpha": alpha, "edge_threshold": threshold},
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -51,6 +51,13 @@ def as_points(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def as_dim(n, least: int) -> int:
+    """The dimension n as an int; n must be an integer >= least."""
+    if int(n) != n or n < least:
+        raise ValueError(f"n must be an integer >= {least}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed Euclidean ball."""
@@ -68,8 +75,8 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
-    def contains_points(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return in_balls(self.center[None, :], self.radius + tol, as_points(points, self.dim))[0]
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        return in_balls(self.center[None, :], self.radius, as_points(points, self.dim))[0]
 
     def to_json_dict(self) -> dict:
         return {"center": self.center.tolist(), "radius": self.radius}
@@ -77,36 +84,6 @@ class Ball:
     @staticmethod
     def from_json_dict(d: dict) -> "Ball":
         return Ball(np.asarray(d["center"], dtype=float), float(d["radius"]))
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Finite configuration of points sharing one ambient dimension."""
-
-    dim: int
-    points: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, self.dim)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @staticmethod
-    def from_array(points) -> "PointSet":
-        pts = as_points(points)
-        return PointSet(pts.shape[1], pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "points": self.points.tolist()}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "PointSet":
-        pts = np.asarray(d["points"], dtype=float).reshape(-1, int(d["dim"]))
-        return PointSet(int(d["dim"]), pts)
 
 
 @dataclass(frozen=True)
@@ -156,9 +133,7 @@ class RngStream:
 def jung_radius(n: int) -> float:
     """Circumradius sqrt(n / (2n + 2)) of the smallest ball containing
     every set of diameter 1 in R^n; increases to 1/sqrt(2)."""
-    if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
-    n = int(n)
+    n = as_dim(n, 1)
     return math.sqrt(n / (2.0 * n + 2.0))
 
 
@@ -199,13 +174,15 @@ def in_balls(centers: np.ndarray, radius: float, points: np.ndarray,
     return sq <= radius * radius + PREDICATE_TOL
 
 
-def diameter(ps: PointSet) -> float:
-    """Exact max pairwise distance by an O(m^2) scan; 0 for a singleton."""
-    if len(ps) == 0:
+def diameter(points: np.ndarray) -> float:
+    """Exact max pairwise distance of an (m, n) point array by an O(m^2)
+    scan; 0 for a singleton."""
+    pts = as_points(points)
+    if len(pts) == 0:
         raise ValueError("diameter of an empty point set is undefined")
-    if len(ps) == 1:
+    if len(pts) == 1:
         return 0.0
-    return float(math.sqrt(max(0.0, float(sq_distances(ps.points, ps.points).max()))))
+    return float(math.sqrt(max(0.0, float(sq_distances(pts, pts).max()))))
 
 
 def _orthogonalize(e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +205,10 @@ def _set_rows(e: np.ndarray, t: np.ndarray, h: np.ndarray, start: int) -> None:
         t[i, i] = 1.0 / d
 
 
-def min_enclosing_ball(ps: PointSet, tol: float = SOLVER_TOL,
+def min_enclosing_ball(points: np.ndarray, tol: float = SOLVER_TOL,
                        max_iterations: int = 100_000) -> Ball:
-    """Smallest enclosing ball up to a (1+tol) radius factor.
+    """Smallest enclosing ball of an (m, n) point array up to a (1+tol)
+    radius factor.
 
     Primal active-set ascent (after Fischer, Gaertner and Kutz, ESA 2003) on
     the dual
@@ -267,11 +245,11 @@ def min_enclosing_ball(ps: PointSet, tol: float = SOLVER_TOL,
     radius is the exact maximum distance from the final center, hence
     containment of the inputs is exact regardless of tol.
     """
-    if len(ps) == 0:
+    pts = as_points(points)
+    if len(pts) == 0:
         raise ValueError("minimum enclosing ball of an empty set is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pts = ps.points
     centroid = pts.mean(axis=0)
     q = pts - centroid
     sq = np.einsum("ij,ij->i", q, q)
@@ -286,7 +264,7 @@ def min_enclosing_ball(ps: PointSet, tol: float = SOLVER_TOL,
     h = np.column_stack([x, np.ones(len(x))])
     support = [int(np.argmax(sx))]
     u = np.ones(1)
-    e, t = np.zeros((2, ps.dim + 1, ps.dim + 1))  # e[:k] = t[:k, :k] @ h[support]
+    e, t = np.zeros((2, pts.shape[1] + 1, pts.shape[1] + 1))  # e[:k] = t[:k, :k] @ h[support]
     _set_rows(e, t, h[support], 0)
     certified = False
     for _ in range(max_iterations):
@@ -338,12 +316,10 @@ def min_enclosing_ball(ps: PointSet, tol: float = SOLVER_TOL,
     return Ball(center, radius)
 
 
-def regular_simplex(n: int) -> PointSet:
+def regular_simplex(n: int) -> np.ndarray:
     """Vertices of the unit-edge regular n-simplex, centered at the origin
-    of R^n (circumradius jung_radius(n))."""
-    if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
-    n = int(n)
+    of R^n (circumradius jung_radius(n)), as an (n + 1, n) array."""
+    n = as_dim(n, 1)
     # scaled standard basis of R^{n+1}: pairwise distances exactly 1
     v = np.eye(n + 1) / math.sqrt(2.0)
     v -= v.mean(axis=0)
@@ -353,7 +329,7 @@ def regular_simplex(n: int) -> PointSet:
         h[k - 1, :k] = 1.0
         h[k - 1, k] = -k
         h[k - 1] /= math.sqrt(k * (k + 1.0))
-    return PointSet(n, v @ h.T)
+    return v @ h.T
 
 
 def _gaussian_rows(gen: np.random.Generator, count: int, n: int):
@@ -369,22 +345,14 @@ def _gaussian_rows(gen: np.random.Generator, count: int, n: int):
     return g, norms
 
 
-def sample_uniform_sphere(n: int, rng: RngStream, count: int | None = None):
-    """Uniform unit vector(s) on the sphere in R^n via normalized Gaussians.
-
-    Returns a single Vector when count is None, else a PointSet.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
-    gen = rng.generator()
-    m = 1 if count is None else int(count)
-    if m < 0:
+def sample_uniform_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
+    """count uniform unit vectors on the sphere in R^n via normalized
+    Gaussians, as a (count, n) array."""
+    n = as_dim(n, 1)
+    if count < 0:
         raise ValueError("count must be nonnegative")
-    g, norms = _gaussian_rows(gen, m, int(n))
-    u = g / norms[:, None]
-    if count is None:
-        return u[0]
-    return PointSet(int(n), u)
+    g, norms = _gaussian_rows(rng.generator(), int(count), n)
+    return g / norms[:, None]
 
 
 def uniform_ball_points(gen: np.random.Generator, n: int, radius: float,
@@ -398,15 +366,15 @@ def uniform_ball_points(gen: np.random.Generator, n: int, radius: float,
     return g * (radial / norms)[:, None]
 
 
-def sample_uniform_ball(n: int, radius: float, count: int, rng: RngStream) -> PointSet:
-    """I.i.d. uniform points in radius * B_n; deterministic given rng."""
-    if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
+def sample_uniform_ball(n: int, radius: float, count: int, rng: RngStream) -> np.ndarray:
+    """count i.i.d. uniform points in radius * B_n, as a (count, n) array;
+    deterministic given rng."""
+    n = as_dim(n, 1)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return PointSet(int(n), uniform_ball_points(rng.generator(), int(n), radius, int(count)))
+    return uniform_ball_points(rng.generator(), n, radius, int(count))
 
 
 def ball_volume_log(n: int, radius: float = 1.0) -> float:
@@ -424,11 +392,9 @@ def cap_measure_exact(n: int, alpha: float) -> float:
     Uses the half regularized incomplete beta identity for alpha <= pi/2
     and the symmetry m(alpha) + m(pi - alpha) = 1 above.
     """
-    if int(n) != n or n < 2:
-        raise ValueError("sphere dimension parameter must satisfy n >= 2")
+    n = as_dim(n, 2)
     if not 0.0 < alpha < math.pi:
         raise ValueError("cap angle must lie in (0, pi)")
-    n = int(n)
     s2 = math.sin(alpha) ** 2
     half = 0.5 * float(betainc((n - 1) / 2.0, 0.5, s2))
     if alpha <= math.pi / 2.0:
@@ -441,11 +407,9 @@ def cap_measure_bounds(n: int, alpha: float) -> tuple[float, float]:
 
         sin^(n-1) a / sqrt(2 pi n)  <  m(a)  <  sin^(n-1) a / (sqrt(2 pi (n-1)) cos a)
     """
-    if int(n) != n or n < 2:
-        raise ValueError("sphere dimension parameter must satisfy n >= 2")
+    n = as_dim(n, 2)
     if not 0.0 < alpha < math.pi / 2.0:
         raise ValueError("sandwich bounds require alpha in (0, pi/2)")
-    n = int(n)
     s = math.sin(alpha) ** (n - 1)
     lower = s / math.sqrt(2.0 * math.pi * n)
     upper = s / (math.sqrt(2.0 * math.pi * (n - 1)) * math.cos(alpha))

@@ -146,18 +146,15 @@ class IsometryNet:
                            translations=trans, certificate=dict(d["certificate"]))
 
 
-def haar_orthogonal(n: int, gen: np.random.Generator, count: int | None = None):
-    """Haar-distributed orthogonal matrices: QR of a Gaussian matrix with the
-    R-diagonal sign correction; hits both determinant classes."""
-    m = 1 if count is None else int(count)
-    g = gen.standard_normal((m, n, n))
+def haar_orthogonal(n: int, gen: np.random.Generator, count: int) -> np.ndarray:
+    """count Haar-distributed orthogonal matrices, shape (count, n, n): QR
+    of Gaussian matrices with the R-diagonal sign correction; hits both
+    determinant classes."""
+    g = gen.standard_normal((count, n, n))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     signs = np.where(diag >= 0, 1.0, -1.0)
-    q = q * signs[:, None, :]
-    if count is None:
-        return q[0]
-    return q
+    return q * signs[:, None, :]
 
 
 def _rotation_2d(theta: float) -> np.ndarray:
@@ -425,12 +422,11 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     failure_examples = []
     base_probes = _bodies.probe_points(k_body, AUDIT_PROBES, rng.child(0))
     for trial in range(trials):
-        a = haar_orthogonal(k_body.dim, gen)
+        a = haar_orthogonal(k_body.dim, gen, 1)[0]
         # uniform translation in the window
         sub = rng.child(trial + 1)
         if v_ball.radius > 0:
-            v = sample_uniform_ball(k_body.dim, v_ball.radius, 1, sub).points[0] \
-                + v_ball.center
+            v = sample_uniform_ball(k_body.dim, v_ball.radius, 1, sub)[0] + v_ball.center
         else:
             v = v_ball.center.copy()
         placed = base_probes @ a.T + v

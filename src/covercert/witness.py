@@ -22,7 +22,7 @@ from .coclique import (
     family_counts,
     geometric_spec,
 )
-from .geom_core import PREDICATE_TOL, Ball, PointSet, RngStream, diameter, uniform_ball_points
+from .geom_core import PREDICATE_TOL, Ball, RngStream, as_points, diameter, uniform_ball_points
 from .isometry_nets import IsometryNet, build_cover_family
 
 SCHEMA_VERSION = 2  # of certificates and their verification reports
@@ -84,7 +84,7 @@ def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
         raise ValueError(f"k = {k} must lie in [1, {len(family)}], the family size")
     if len(points) == 0:
         return False, 0.0, "empty"
-    diam = diameter(PointSet(points.shape[1], points))
+    diam = diameter(points)
     if diam > threshold:
         return False, diam, "diameter"
     counts = np.asarray(counts)
@@ -108,7 +108,11 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
         raise ValueError("samples must be positive")
     n = base.dim
     rng = RngStream(seed, 0)
-    family = witness_family(base, r, eps)
+    # the parameter checks (M, k, p, retries, alpha, the unit-diameter edge
+    # threshold) all run before the family is built
+    params = CocliqueParams(M=M, k=k, p=p, max_retries=max_retries)
+    spec = geometric_spec(n, r, alpha, [], unit_diameter=True)
+    family = spec.family = witness_family(base, r, eps)
 
     # shared-sample estimate of the worst member measure on r B_n
     probe = uniform_ball_points(rng.child(2).generator(), n, r, samples)
@@ -122,7 +126,6 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
     ys = uniform_ball_points(pair_gen, n, r, samples)
     edge_hat = float(np.count_nonzero(
         np.linalg.norm(xs - ys, axis=1) >= threshold)) / samples
-    params = CocliqueParams(M=M, k=k, p=p, max_retries=max_retries)
     hypotheses = check_hypotheses(params, len(family), nu_hat, edge_hat)
     if not hypotheses["pass"]:
         warnings.warn("lemma hypotheses fail on measured estimates; "
@@ -130,10 +133,9 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
                       "verification", UserWarning)
 
     # randomized coclique search, accepting on the certificate's verdict
-    spec = geometric_spec(n, r, alpha, family, unit_diameter=True)
     result = build_coclique(spec, params, rng.child(4),
                             accept=lambda x, counts: verdict(x, counts, family, k, threshold)[0])
-    holds, diam_x, method = verdict(result.X.points, result.per_Y_counts, family, k, threshold)
+    holds, diam_x, method = verdict(result.X, result.per_Y_counts, family, k, threshold)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "witness-certificate",
@@ -149,7 +151,7 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
             "net": {"dim": n, "delta": family.net.delta, "certificate": family.net.certificate},
             "member_rule": MEMBER_RULES[SCHEMA_VERSION],
         },
-        "X": result.X.to_json_dict(),
+        "X": {"dim": n, "points": result.X.tolist()},
         "diam_X": diam_x,
         "per_member_counts": list(result.per_Y_counts),
         "verdict": holds,
@@ -170,6 +172,21 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
     }
 
 
+_JSON_KINDS = {int: ({int}, "integer"), float: ({int, float}, "number")}
+
+
+def _json_numbers(field: str, values: list, kind: type) -> list:
+    """`values` if it is a list of JSON integers (kind int) or of JSON
+    numbers (kind float: ints and floats). json.load reads true as a bool
+    and "2" as a str; where a number belongs, either makes the certificate
+    malformed instead of being read as 1 or 2."""
+    allowed, noun = _JSON_KINDS[kind]
+    if type(values) is not list or not set(map(type, values)) <= allowed:
+        raise ValueError(f"malformed certificate: {field} holds a value that is "
+                         f"not a JSON {noun}")
+    return values
+
+
 def verify_witness_certificate(cert: dict) -> dict:
     """Recheck a certificate from its JSON alone: regenerate the family from
     its base body, r and eps, compare the stated net record, member rule
@@ -182,33 +199,37 @@ def verify_witness_certificate(cert: dict) -> dict:
                          f"{', '.join(map(str, MEMBER_RULES))}")
     if cert["kind"] != "witness-certificate":
         raise ValueError(f"kind {cert['kind']!r} is not a witness certificate")
-    n, k = int(cert["n"]), int(cert["k"])
-    r, alpha = float(cert["r"]), float(cert["alpha"])
-    threshold = float(cert["threshold"])
-    X = PointSet.from_json_dict(cert["X"])
     manifest = cert["family_manifest"]
-    base = body_from_json_dict(manifest["base_body"])
-    eps = float(manifest["eps"])
     stated = manifest["net"]
+    n, k, net_dim, r, alpha, threshold, diam_stated, eps, delta = (
+        _json_numbers(name, [value], kind)[0] for name, value, kind in (
+            ("n", cert["n"], int), ("k", cert["k"], int), ("net.dim", stated["dim"], int),
+            ("r", cert["r"], float), ("alpha", cert["alpha"], float),
+            ("threshold", cert["threshold"], float), ("diam_X", cert["diam_X"], float),
+            ("eps", manifest["eps"], float), ("net.delta", stated["delta"], float)))
+    points = cert["X"]["points"]
+    _json_numbers("X.points", [x for point in points for x in point], float)
+    X = as_points(np.asarray(points, dtype=float).reshape(len(points), cert["X"]["dim"]))
+    base = body_from_json_dict(manifest["base_body"])
     listed = IsometryNet.from_json_dict(stated) if "elements" in stated else None
-    stored = np.asarray(cert["per_member_counts"], dtype=int)
+    stored = np.asarray(_json_numbers("per_member_counts", cert["per_member_counts"], int),
+                        dtype=int)
     check_witness_dim(n)
-    if X.dim != n or base.dim != n:
+    if X.shape[1] != n or base.dim != n:
         raise ValueError(f"X and the base body must have dimension n = {n}")
     family = witness_family(base, r, eps, max_size=len(stored))
     fresh = family.net
-    counts = family_counts(family, X.points)
-    holds, diam, method = verdict(X.points, counts, family, k, threshold)
+    counts = family_counts(family, X)
+    holds, diam, method = verdict(X, counts, family, k, threshold)
     checks = [
         {"name": "threshold-recomputed", "recomputed": edge_threshold(r, alpha),
          "ok": threshold == edge_threshold(r, alpha) and threshold <= 1.0 + PREDICATE_TOL},
         {"name": "family-regenerated", "ok": manifest["member_rule"] == MEMBER_RULES[version]
-         and int(stated["dim"]) == n
-         and float(stated["delta"]) == fresh.delta and stated["certificate"] == fresh.certificate
+         and net_dim == n and delta == fresh.delta and stated["certificate"] == fresh.certificate
          and (listed is None or (np.array_equal(listed.matrices, fresh.matrices)
                                  and np.array_equal(listed.translations, fresh.translations)))},
         {"name": "diameter-recomputed", "recomputed": diam,
-         "ok": abs(diam - float(cert["diam_X"])) <= 1e-12},
+         "ok": abs(diam - diam_stated) <= 1e-12},
         {"name": "diameter-threshold", "ok": diam <= threshold, "threshold": threshold}
         if len(X) > 0 else {"name": "diameter-threshold", "ok": False, "note": "empty witness"},
         {"name": "membership-counts",

@@ -43,7 +43,6 @@ from covercert.coclique import (
 )
 from covercert.geom_core import (
     Ball,
-    PointSet,
     RngStream,
     cap_measure_bounds,
     cap_measure_exact,
@@ -82,8 +81,8 @@ def test_01_cap_sandwich(capsys):
     mc_ok = True
     mc_detail = []
     for i, (n, alpha) in enumerate([(3, math.pi / 3.0), (10, 1.0)]):
-        dirs = sample_uniform_sphere(n, RngStream(101, i), count=10**6)
-        p_hat = float(np.mean(dirs.points[:, 0] >= math.cos(alpha)))
+        dirs = sample_uniform_sphere(n, RngStream(101, i), 10**6)
+        p_hat = float(np.mean(dirs[:, 0] >= math.cos(alpha)))
         m = cap_measure_exact(n, alpha)
         sigma = math.sqrt(m * (1.0 - m) / 10**6)
         mc_ok &= abs(p_hat - m) <= 3.0 * sigma
@@ -107,9 +106,9 @@ def test_02_jung_tightness(capsys):
     stream = RngStream(102, 0)
     worst = 0.0
     for trial in range(1000):
-        ps = sample_uniform_ball(6, 1.0, 16, stream.child(trial))
-        pts = ps.points / diameter(ps)
-        ball = min_enclosing_ball(PointSet.from_array(pts), tol=1e-8)
+        pts = sample_uniform_ball(6, 1.0, 16, stream.child(trial))
+        pts = pts / diameter(pts)
+        ball = min_enclosing_ball(pts, tol=1e-8)
         worst = max(worst, ball.radius)
     clouds_ok = worst <= r6 + 1e-6
     ok = simplex_ok and clouds_ok
@@ -242,10 +241,10 @@ def test_07_coclique_contract(capsys):
             continue
         successes += 1
         max_retries_used = max(max_retries_used, result.retries_used)
-        x = result.X.points[:, 0]
+        x = result.X[:, 0]
         coclique_ok = np.abs(x[:, None] - x[None, :]).max() <= 0.9 + 1e-12
         size_ok = len(x) >= params.M // 2
-        masks = [m.contains_many(result.X.points) for m in spec.family]
+        masks = [m.contains_many(result.X) for m in spec.family]
         counts_ok = all(int(m.sum()) < threshold for m in masks)
         # exhaustive non-coverage over all k-subsets of the family (k = 1)
         subsets_ok = all(

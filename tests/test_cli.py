@@ -6,6 +6,7 @@ tests can compare bytes directly.
 """
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -205,6 +206,10 @@ def test_witness_succeeds_and_replays(witness_cert, tmp_path):
     # verdict rule for k = 1: no single member holds every witness point
     assert cert["non_coverage_method"] == "per-member-counts"
     assert max(cert["per_member_counts"]) < len(cert["X"]["points"])
+    # The replay contract, pinned: a change meant to alter certificate bytes
+    # updates this hash and says why.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "9f27a57671dabcf556d74a3b935db6e63514f3736d4011bdafd8afd6e98a873f"
     replay = tmp_path / "replay.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -380,6 +385,29 @@ def _bad_cert(cert: dict, tmp_path, corrupt: str) -> Path:
         cert["schema_version"] = 3
     elif corrupt == "kind":
         cert["kind"] = "witness-verification"
+    elif corrupt == "count-fraction":
+        cert["per_member_counts"][0] += 0.9
+    elif corrupt == "count-string":
+        cert["per_member_counts"][0] = str(cert["per_member_counts"][0])
+    elif corrupt == "k-fraction":
+        cert["k"] = 1.7
+    elif corrupt == "k-bool":
+        cert["k"] = True
+    elif corrupt == "n-string":
+        cert["n"] = "2"
+    elif corrupt == "r-string":
+        cert["r"] = str(cert["r"])
+    elif corrupt == "eps-string":
+        cert["family_manifest"]["eps"] = str(cert["family_manifest"]["eps"])
+    elif corrupt == "delta-string":
+        net = cert["family_manifest"]["net"]
+        net["delta"] = str(net["delta"])
+    elif corrupt == "point-bool":
+        cert["X"]["points"][0][0] = True
+    elif corrupt == "point-length":
+        # the same coordinates, two points to a row: not points of R^n
+        points = cert["X"]["points"][:len(cert["X"]["points"]) // 2 * 2]
+        cert["X"]["points"] = [p + q for p, q in zip(points[::2], points[1::2])]
     else:
         raise ValueError(corrupt)
     path = tmp_path / f"{corrupt}.json"
@@ -392,7 +420,17 @@ _MALFORMED = {"missing-key": "missing key 'diam_X'",
               "translation-length": "must share one shape",
               "n-outside-domain": "outside the witness domain",
               "schema-version": "schema_version 3 is not one of 1, 2",
-              "kind": "'witness-verification' is not a witness certificate"}
+              "kind": "'witness-verification' is not a witness certificate",
+              "count-fraction": "per_member_counts holds a value that is not a JSON integer",
+              "count-string": "per_member_counts holds a value that is not a JSON integer",
+              "k-fraction": "malformed certificate: k holds a value that is not a JSON integer",
+              "k-bool": "malformed certificate: k holds a value that is not a JSON integer",
+              "n-string": "malformed certificate: n holds a value that is not a JSON integer",
+              "r-string": "malformed certificate: r holds a value that is not a JSON number",
+              "eps-string": "malformed certificate: eps holds a value that is not a JSON number",
+              "delta-string": "net.delta holds a value that is not a JSON number",
+              "point-bool": "X.points holds a value that is not a JSON number",
+              "point-length": "cannot reshape array"}
 
 
 @pytest.mark.parametrize("corrupt", sorted(_MALFORMED))
@@ -543,6 +581,24 @@ def test_witness_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
     capsys.readouterr()
     assert main(["witness", "--seed", "1", "--samples", samples]) == 2
     assert "samples must be positive" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "0.7"], "p must lie in (0, 1/2)"),
+    (["--k", "0"], "k must be a positive integer"),
+    (["--M", "0"], "M must be a positive integer"),
+    (["--max-retries", "0"], "max_retries must be positive"),
+    (["--alpha", "2.0"], "alpha must lie in (0, pi/2)"),
+    (["--r", "0.6", "--alpha", "0.1"], "a diameter-1 witness needs the edge threshold at or below 1"),
+])
+def test_witness_bad_parameters_exit_2_before_the_family(monkeypatch, capsys, flags, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(isometry_nets, "build_translation_cover", never)
+    capsys.readouterr()
+    assert main(["witness", "--seed", "1", *flags]) == 2
+    assert message in _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from covercert.coclique import (
     chernoff_bound,
     chernoff_bound_log,
     edge_measure_audit,
+    edge_threshold,
     exact_binomial_tail,
     family_counts,
     family_membership_matrix,
@@ -340,7 +341,7 @@ def test_benchmark_success_and_reverification():
     params = CocliqueParams(**BENCH_PARAMS)
     result = build_coclique(spec, params, RngStream(2026, 0))
     assert result.success
-    x = result.X.points
+    x = result.X
     assert len(x) >= params.M // 2
     # re-verify independently of the library's own counting
     vals = x[:, 0]
@@ -360,7 +361,7 @@ def test_benchmark_deterministic():
     a = build_coclique(spec, params, RngStream(7, 3))
     b = build_coclique(spec, params, RngStream(7, 3))
     assert a.success == b.success
-    assert np.array_equal(a.X.points, b.X.points)
+    assert np.array_equal(a.X, b.X)
     assert a.retries_used == b.retries_used
 
 
@@ -414,13 +415,7 @@ def test_edge_overflow_gate():
     assert len(result.X) == 0
 
 
-def test_spec_shape_validation_and_labels():
-    spec = benchmark_spec()
-    assert spec.labels == [f"Y{i}" for i in range(10)]
-    with pytest.raises(ValueError):
-        MeasurableGraphSpec(dim=1, sampler=lambda g, c: np.zeros((c, 1)),
-                            edge_matrix=lambda p: np.zeros((len(p), len(p)), bool),
-                            family=[Interval(0, 1)], labels=["a", "b"])
+def test_spec_shape_validation():
     bad = MeasurableGraphSpec(dim=2, sampler=lambda g, c: np.zeros((c, 1)),
                               edge_matrix=lambda p: np.zeros((len(p), len(p)), bool),
                               family=[])
@@ -429,9 +424,9 @@ def test_spec_shape_validation_and_labels():
 
 
 def test_spec_edge_scalar_consistency():
-    spec = benchmark_spec()
-    assert spec.edge(np.array([0.0]), np.array([0.95]))
-    assert not spec.edge(np.array([0.0]), np.array([0.85]))
+    mat = benchmark_spec().edge_matrix(np.array([[0.0], [0.95], [0.85]]))
+    assert mat[0, 1] and mat[1, 0]
+    assert not mat[0, 2] and not mat[2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +435,9 @@ def test_spec_edge_scalar_consistency():
 
 def test_geometric_spec_threshold():
     spec = geometric_spec(2, 1.0, math.pi / 3.0, [])
-    assert spec.meta["edge_threshold"] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert edge_threshold(1.0, math.pi / 3.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    pair = spec.edge_matrix(np.array([[0.0, 0.0], [1.7321, 0.0], [1.7320, 0.0]]))
+    assert pair[0, 1] and not pair[0, 2]
     pts = spec.sample(RngStream(3, 0).generator(), 200)
     assert np.linalg.norm(pts, axis=1).max() <= 1.0 + 1e-12
     mat = spec.edge_matrix(pts)
@@ -452,8 +449,8 @@ def test_geometric_spec_unit_diameter_gate():
     # 2 r cos(alpha/2) = 1 exactly at alpha = 2 arccos(1/(2r))
     r = 0.55
     alpha = 2.0 * math.acos(1.0 / (2.0 * r))
-    spec = geometric_spec(2, r, alpha, [], unit_diameter=True)
-    assert spec.meta["edge_threshold"] == pytest.approx(1.0, abs=1e-12)
+    geometric_spec(2, r, alpha, [], unit_diameter=True)
+    assert edge_threshold(r, alpha) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         geometric_spec(2, 0.8, 0.5, [], unit_diameter=True)
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from covercert.geom_core import (
     Ball,
-    PointSet,
     RngStream,
     SphericalCap,
     as_points,
@@ -90,9 +89,9 @@ def test_jung_radius_monotone_below_limit():
 
 
 def test_jung_radius_rejects_bad_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         jung_radius(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         jung_radius(2.5)
 
 
@@ -108,20 +107,20 @@ def test_diameter_matches_brute_force():
     gen = np.random.default_rng(5)
     for m, n in [(2, 1), (7, 2), (23, 3), (40, 5)]:
         pts = gen.normal(size=(m, n))
-        ps = PointSet(n, pts)
-        assert diameter(ps) == pytest.approx(_brute_diameter(pts), abs=1e-12)
+        assert diameter(pts) == pytest.approx(_brute_diameter(pts), abs=1e-12)
 
 
 def test_diameter_degenerate():
-    assert diameter(PointSet(3, np.zeros((1, 3)))) == 0.0
+    assert diameter(np.zeros((1, 3))) == 0.0
     with pytest.raises(ValueError):
-        diameter(PointSet(2, np.empty((0, 2))))
+        diameter(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        diameter(np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
 
 def test_regular_simplex_unit_edges_and_circumradius():
     for n in range(1, 11):
-        ps = regular_simplex(n)
-        pts = ps.points
+        pts = regular_simplex(n)
         assert pts.shape == (n + 1, n)
         for i, j in itertools.combinations(range(n + 1), 2):
             assert np.linalg.norm(pts[i] - pts[j]) == pytest.approx(1.0, abs=1e-12)
@@ -174,23 +173,22 @@ def test_meb_matches_subset_enumeration_oracle():
     for m, n in [(4, 2), (6, 2), (8, 3), (7, 4)]:
         for _ in range(6):
             pts = gen.normal(size=(m, n))
-            ball = min_enclosing_ball(PointSet(n, pts), tol=1e-10)
+            ball = min_enclosing_ball(pts, tol=1e-10)
             assert ball.radius == pytest.approx(_brute_meb(pts), abs=1e-7)
 
 
 def test_meb_exact_small_configurations():
     # two points: midpoint ball
-    ball = min_enclosing_ball(PointSet(2, np.array([[0.0, 0.0], [2.0, 0.0]])),
-                              tol=1e-10)
+    ball = min_enclosing_ball(np.array([[0.0, 0.0], [2.0, 0.0]]), tol=1e-10)
     assert ball.radius == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(ball.center, [1.0, 0.0], atol=1e-9)
     # equilateral triangle, side 1: circumradius 1/sqrt(3)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    ball = min_enclosing_ball(PointSet(2, tri), tol=1e-10)
+    ball = min_enclosing_ball(tri, tol=1e-10)
     assert ball.radius == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
     # obtuse triangle: the longest edge's midpoint ball already encloses
     obtuse = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 0.5]])
-    ball = min_enclosing_ball(PointSet(2, obtuse), tol=1e-10)
+    ball = min_enclosing_ball(obtuse, tol=1e-10)
     assert ball.radius == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(ball.center, [2.0, 0.0], atol=1e-8)
 
@@ -204,9 +202,9 @@ def test_meb_simplex_certified_tight():
 def test_meb_containment_is_exact():
     gen = np.random.default_rng(3)
     pts = gen.normal(size=(50, 4))
-    ball = min_enclosing_ball(PointSet(4, pts), tol=1e-6)
+    ball = min_enclosing_ball(pts, tol=1e-6)
     # the returned radius is the exact max distance, so no slack is needed
-    assert np.all(ball.contains_points(pts, tol=0.0))
+    assert np.all(ball.contains_points(pts))
 
 
 def test_meb_certifies_without_cap_warning():
@@ -217,28 +215,30 @@ def test_meb_certifies_without_cap_warning():
         warnings.simplefilter("error", RuntimeWarning)
         for _ in range(50):
             pts = gen.normal(size=(16, 6))
-            min_enclosing_ball(PointSet(6, pts), tol=1e-8)
+            min_enclosing_ball(pts, tol=1e-8)
 
 
 def test_meb_isometry_invariance():
     gen = np.random.default_rng(9)
     pts = gen.normal(size=(12, 3))
-    base = min_enclosing_ball(PointSet(3, pts), tol=1e-10)
+    base = min_enclosing_ball(pts, tol=1e-10)
     q, _ = np.linalg.qr(gen.normal(size=(3, 3)))
     shift = gen.normal(size=3)
-    moved = min_enclosing_ball(PointSet(3, pts @ q.T + shift), tol=1e-10)
+    moved = min_enclosing_ball(pts @ q.T + shift, tol=1e-10)
     assert moved.radius == pytest.approx(base.radius, abs=1e-9)
     assert np.allclose(moved.center, base.center @ q.T + shift, atol=1e-7)
 
 
 def test_meb_degenerate_inputs():
-    assert min_enclosing_ball(PointSet(2, np.array([[3.0, 4.0]]))).radius == 0.0
-    dup = min_enclosing_ball(PointSet(2, np.tile([1.0, 2.0], (5, 1))))
+    assert min_enclosing_ball(np.array([[3.0, 4.0]])).radius == 0.0
+    dup = min_enclosing_ball(np.tile([1.0, 2.0], (5, 1)))
     assert dup.radius <= 1e-12
     with pytest.raises(ValueError):
-        min_enclosing_ball(PointSet(2, np.empty((0, 2))))
+        min_enclosing_ball(np.empty((0, 2)))
     with pytest.raises(ValueError):
-        min_enclosing_ball(PointSet(1, np.array([[0.0], [1.0]])), tol=0.0)
+        min_enclosing_ball(np.array([[0.0], [1.0]]), tol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        min_enclosing_ball(np.array([[0.0], [np.inf]]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,16 +254,16 @@ def test_meb_matches_oracle_property(n, m, seed, on_grid):
         pts = np.round(2.0 * pts) / 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ball = min_enclosing_ball(PointSet(n, pts), tol=1e-10)
+        ball = min_enclosing_ball(pts, tol=1e-10)
     assert ball.radius == pytest.approx(_brute_meb(pts), abs=1e-9)
-    assert np.all(ball.contains_points(pts, tol=0.0))
+    assert np.all(ball.contains_points(pts))
 
 
 def _cube(n: int) -> np.ndarray:
     return np.array(list(itertools.product([-0.5, 0.5], repeat=n)))
 
 
-_SIMPLEX3 = regular_simplex(3).points
+_SIMPLEX3 = regular_simplex(3)
 
 
 @pytest.mark.parametrize("pts, radius", [
@@ -277,7 +277,7 @@ _SIMPLEX3 = regular_simplex(3).points
 ], ids=["octagon", "3-cube", "cross-polytope-6", "6-cube", "simplex-duplicated",
         "3-cube-offset-1e6"])
 def test_meb_degenerate_cospherical(pts, radius):
-    ball = min_enclosing_ball(PointSet.from_array(pts), tol=1e-10)
+    ball = min_enclosing_ball(pts, tol=1e-10)
     assert abs(ball.radius - radius) <= 1e-9
     assert np.allclose(ball.center, pts.mean(axis=0), rtol=0.0, atol=1e-9)
 
@@ -305,10 +305,10 @@ def test_meb_certificate_on_jung_inputs():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for trial in range(300):
-            pts = sample_uniform_ball(6, 1.0, 16, rng.child(trial)).points
-            pts = pts / diameter(PointSet(6, pts))
-            ball = min_enclosing_ball(PointSet(6, pts), tol=tol)
-            assert np.all(ball.contains_points(pts, tol=0.0))
+            pts = sample_uniform_ball(6, 1.0, 16, rng.child(trial))
+            pts = pts / diameter(pts)
+            ball = min_enclosing_ball(pts, tol=tol)
+            assert np.all(ball.contains_points(pts))
             assert ball.radius <= (1.0 + tol) * _dual_lower_bound(pts, ball)
 
 
@@ -317,8 +317,8 @@ def test_meb_iteration_cap_warns_and_encloses():
     pts = np.random.default_rng(4).normal(size=(16, 6))
     with pytest.warns(RuntimeWarning,
                       match=r"^min_enclosing_ball stopped at the iteration cap"):
-        ball = min_enclosing_ball(PointSet(6, pts), tol=1e-8, max_iterations=1)
-    assert np.all(ball.contains_points(pts, tol=0.0))
+        ball = min_enclosing_ball(pts, tol=1e-8, max_iterations=1)
+    assert np.all(ball.contains_points(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +326,19 @@ def test_meb_iteration_cap_warns_and_encloses():
 
 
 def test_sphere_sampler_unit_norms_and_determinism():
-    ps = sample_uniform_sphere(5, RngStream(42, 0), 500)
-    norms = np.linalg.norm(ps.points, axis=1)
+    pts = sample_uniform_sphere(5, RngStream(42, 0), 500)
+    norms = np.linalg.norm(pts, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     again = sample_uniform_sphere(5, RngStream(42, 0), 500)
-    assert np.array_equal(ps.points, again.points)
-    single = sample_uniform_sphere(5, RngStream(42, 0))
-    assert single.shape == (5,)
-    assert np.array_equal(single, ps.points[0])
+    assert np.array_equal(pts, again)
+    single = sample_uniform_sphere(5, RngStream(42, 0), 1)
+    assert single.shape == (1, 5)
+    assert np.array_equal(single, pts[:1])
 
 
 def test_sphere_sampler_archimedes_law():
     # on S^2 the first coordinate is uniform on [-1, 1]
-    ps = sample_uniform_sphere(3, RngStream(7, 0), 40000)
-    x = ps.points[:, 0]
+    x = sample_uniform_sphere(3, RngStream(7, 0), 40000)[:, 0]
     assert abs(x.mean()) < 4.0 / math.sqrt(3.0 * 40000)  # sd of U[-1,1] is 1/sqrt 3
     frac = np.count_nonzero(x <= 0.5) / 40000
     assert abs(frac - 0.75) < 4.0 * math.sqrt(0.75 * 0.25 / 40000)
@@ -347,8 +346,7 @@ def test_sphere_sampler_archimedes_law():
 
 def test_ball_sampler_radial_law():
     n, total = 3, 40000
-    ps = sample_uniform_ball(n, 2.0, total, RngStream(8, 0))
-    norms = np.linalg.norm(ps.points, axis=1)
+    norms = np.linalg.norm(sample_uniform_ball(n, 2.0, total, RngStream(8, 0)), axis=1)
     assert norms.max() <= 2.0 + 1e-12
     # P(|x| <= t R) = t^n
     for t in (0.5, 0.8):
@@ -395,7 +393,7 @@ def test_cap_measure_closed_forms():
 
 
 def test_cap_measure_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
         cap_measure_exact(1, 0.5)
     with pytest.raises(ValueError):
         cap_measure_exact(3, 0.0)
@@ -439,13 +437,6 @@ def test_ball_contains_points_and_json():
     assert back.radius == ball.radius and np.array_equal(back.center, ball.center)
     with pytest.raises(ValueError):
         Ball([0.0, 0.0], -1.0)
-
-
-def test_point_set_json_round_trip():
-    ps = PointSet(3, np.arange(12.0).reshape(4, 3))
-    back = PointSet.from_json_dict(ps.to_json_dict())
-    assert back.dim == 3
-    assert np.array_equal(back.points, ps.points)
 
 
 def test_spherical_cap_validation_and_membership():

@@ -45,7 +45,7 @@ def test_isometry_apply_inverse_compose():
     pts = gen.normal(size=(20, 3))
     assert np.allclose(g.apply(pts), pts)
     assert np.allclose(f.inverse().apply(f.apply(pts)), pts, atol=1e-12)
-    h = Isometry(haar_orthogonal(3, gen), gen.normal(size=3))
+    h = Isometry(haar_orthogonal(3, gen, 1)[0], gen.normal(size=3))
     assert np.allclose(h.compose(f).apply(pts), h.apply(f.apply(pts)), atol=1e-12)
 
 
@@ -101,10 +101,10 @@ def test_min_distance_opposite_class_is_two():
 def test_iso_surrogate_dominates_sup_distance():
     gen = np.random.default_rng(23)
     for _ in range(25):
-        f = Isometry(haar_orthogonal(3, gen), gen.normal(size=3))
-        g = Isometry(haar_orthogonal(3, gen), gen.normal(size=3))
+        f = Isometry(haar_orthogonal(3, gen, 1)[0], gen.normal(size=3))
+        g = Isometry(haar_orthogonal(3, gen, 1)[0], gen.normal(size=3))
         x = sample_uniform_ball(3, 1.0, 400, RngStream(int(gen.integers(1 << 30)), 0))
-        gap = np.linalg.norm(f.apply(x.points) - g.apply(x.points), axis=1)
+        gap = np.linalg.norm(f.apply(x) - g.apply(x), axis=1)
         assert gap.max() <= iso_distance_surrogate(f, g) + 1e-9
 
 
@@ -209,8 +209,7 @@ def test_translation_cover_radius():
     ball = Ball(np.array([0.5, -0.5]), 1.0)
     rho = 0.17
     centers = build_translation_cover(ball, rho)
-    probes = sample_uniform_ball(2, ball.radius, 500, RngStream(6, 0)).points \
-        + ball.center
+    probes = sample_uniform_ball(2, ball.radius, 500, RngStream(6, 0)) + ball.center
     d = np.sqrt(((probes[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
     assert d.min(axis=1).max() <= rho + 1e-9
 
@@ -376,8 +375,8 @@ def test_cover_family_direct_placement_guarantee():
                          np.sin(np.linspace(0, 2 * math.pi, 24, endpoint=False))],
                         axis=1) * 0.5
     for _ in range(20):
-        a = haar_orthogonal(2, gen)
-        v = sample_uniform_ball(2, 1.0, 1, RngStream(int(gen.integers(1 << 30)), 0)).points[0]
+        a = haar_orthogonal(2, gen, 1)[0]
+        v = sample_uniform_ball(2, 1.0, 1, RngStream(int(gen.integers(1 << 30)), 0))[0]
         placed = boundary @ a.T + v
         # g^-1(x) = A^T (x - v) for g = (A, v)
         assert any(
