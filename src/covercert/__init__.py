@@ -1,157 +1,8 @@
 """Constructive machinery behind a volume lower bound for universal
-covers, at desk scale: exact geometric primitives, Monte Carlo body
-oracles, isometry nets, randomized coclique construction, and log-space
-bound evaluators — everything needed to build and independently re-verify
-a non-cover witness certificate.
+covers, at desk scale: exact geometric primitives, body oracles, isometry
+nets, randomized coclique construction, and log-space bound evaluators —
+everything needed to build and independently re-verify a non-cover witness
+certificate.
 """
 
-from .bodies import (
-    BallBody,
-    BallIntersectionBody,
-    Body,
-    HalfspaceIntersectionBody,
-    ThickenedBody,
-    TransformedBody,
-    UnionBody,
-    VolumeEstimate,
-    body_from_json_dict,
-    mc_overlap_fraction,
-    mc_volume,
-    probe_points,
-    reduce_to_ball,
-    thicken,
-    transform,
-)
-from .bounds import (
-    BoundReport,
-    ConeConstants,
-    ConeSpec,
-    ConstantWidthGeometry,
-    IntervalUnion,
-    ThickeningBudget,
-    borsuk_piece_bound,
-    borsuk_report,
-    choose_alpha,
-    cone_constants,
-    cone_negative_control,
-    constant_width_geometry,
-    main_inequality,
-    proof_pipeline_budget,
-    sweep_set_1d,
-    theorem_lower_bound,
-    thickening_budget,
-    verify_cone_inclusion,
-    verify_sweep_inequality,
-)
-from .cli import main, verify_witness_certificate
-from .coclique import (
-    CocliqueParams,
-    CocliqueResult,
-    MeasurableGraphSpec,
-    build_coclique,
-    check_hypotheses,
-    chernoff_bound,
-    chernoff_bound_log,
-    edge_measure_audit,
-    exact_binomial_tail,
-    geometric_spec,
-)
-from .geom_core import (
-    Ball,
-    RngStream,
-    SphericalCap,
-    ball_volume_log,
-    cap_measure_bounds,
-    cap_measure_exact,
-    diameter,
-    jung_radius,
-    min_enclosing_ball,
-    regular_simplex,
-    sample_uniform_ball,
-    sample_uniform_sphere,
-)
-from .isometry_nets import (
-    Isometry,
-    IsometryNet,
-    audit_cover_family,
-    audit_orthogonal_net,
-    build_cover_family,
-    build_orthogonal_net,
-    build_translation_cover,
-    haar_orthogonal,
-    iso_distance_surrogate,
-    op_norm_distance,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Ball",
-    "BallBody",
-    "BallIntersectionBody",
-    "Body",
-    "BoundReport",
-    "CocliqueParams",
-    "CocliqueResult",
-    "ConeConstants",
-    "ConeSpec",
-    "ConstantWidthGeometry",
-    "HalfspaceIntersectionBody",
-    "IntervalUnion",
-    "Isometry",
-    "IsometryNet",
-    "MeasurableGraphSpec",
-    "RngStream",
-    "SphericalCap",
-    "ThickenedBody",
-    "ThickeningBudget",
-    "TransformedBody",
-    "UnionBody",
-    "VolumeEstimate",
-    "audit_cover_family",
-    "audit_orthogonal_net",
-    "ball_volume_log",
-    "body_from_json_dict",
-    "borsuk_piece_bound",
-    "borsuk_report",
-    "build_coclique",
-    "build_cover_family",
-    "build_orthogonal_net",
-    "build_translation_cover",
-    "cap_measure_bounds",
-    "cap_measure_exact",
-    "check_hypotheses",
-    "chernoff_bound",
-    "chernoff_bound_log",
-    "choose_alpha",
-    "cone_constants",
-    "cone_negative_control",
-    "constant_width_geometry",
-    "diameter",
-    "edge_measure_audit",
-    "exact_binomial_tail",
-    "geometric_spec",
-    "haar_orthogonal",
-    "iso_distance_surrogate",
-    "jung_radius",
-    "main",
-    "main_inequality",
-    "mc_overlap_fraction",
-    "mc_volume",
-    "min_enclosing_ball",
-    "op_norm_distance",
-    "probe_points",
-    "proof_pipeline_budget",
-    "reduce_to_ball",
-    "regular_simplex",
-    "sample_uniform_ball",
-    "sample_uniform_sphere",
-    "sweep_set_1d",
-    "theorem_lower_bound",
-    "thicken",
-    "thickening_budget",
-    "transform",
-    "verify_cone_inclusion",
-    "verify_sweep_inequality",
-    "verify_witness_certificate",
-]

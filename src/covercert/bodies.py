@@ -1,5 +1,5 @@
 """Measurable bodies: membership oracles with bounding balls, isometric
-transforms, Minkowski thickening, and Monte Carlo volume estimation.
+transforms and Minkowski thickening.
 
 Supported kinds: ball, halfspace intersection, ball intersection, thickened
 body, transformed body, finite union. Thickening relies on a projection
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .geom_core import (
     RngStream,
     as_points,
     as_vector,
-    ball_volume_log,
     in_balls,
     min_enclosing_ball,
     sample_uniform_ball,
@@ -36,49 +34,16 @@ PROJECTION_SWEEP_CAP = 10_000
 _FAMILY_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
 _FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
 _FAMILY_LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0  # u = 2^-53
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    mean: float
-    ci_low: float
-    ci_high: float
-    samples: int
-
-    def __post_init__(self):
-        if not (self.ci_low <= self.mean + 1e-15 and self.mean <= self.ci_high + 1e-15):
-            raise ValueError("confidence interval must contain the mean")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "samples": self.samples,
-        }
-
-
-def _wilson_interval(hits: int, samples: int) -> tuple[float, float]:
-    z = _WILSON_Z
-    phat = hits / samples
-    denom = 1.0 + z * z / samples
-    center = (phat + z * z / (2.0 * samples)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / samples + z * z / (4.0 * samples * samples)) / denom
-    # the bound is exactly 0 at no hits and 1 at all hits; rounding misses by an ulp
-    return (max(0.0, center - half) if hits else 0.0,
-            min(1.0, center + half) if hits < samples else 1.0)
-
-
 class Body:
-    """Base membership oracle. Subclasses must set dim, bound, exact_volume
-    and implement contains_many / project / to_json_dict."""
+    """Base membership oracle. Subclasses must set dim and bound and
+    implement contains_many / project / to_json_dict."""
 
     kind = "abstract"
     dim: int
     bound: Ball
-    exact_volume: float | None = None
 
     def contains(self, p) -> bool:
         v = as_vector(p)
@@ -108,7 +73,6 @@ class BallBody(Body):
         self.dim = ball.dim
         self.bound = ball
         self.ball = ball
-        self.exact_volume = math.exp(ball_volume_log(self.dim, radius)) if radius > 0 else 0.0
 
     def contains_many(self, points):
         return self.ball.contains_points(points)
@@ -267,7 +231,6 @@ class TransformedBody(Body):
         self.dim = base.dim
         self.bound = Ball(isometry.apply(base.bound.center.reshape(1, -1))[0],
                           base.bound.radius)
-        self.exact_volume = base.exact_volume
 
     def contains_many(self, points):
         pts = as_points(points, self.dim)
@@ -518,44 +481,6 @@ def _cull(centers: np.ndarray, center_norm: float, radius: float,
     inner = q - rho - delta - 2.0 * gamma * scale * scale / q
     full = dist_sq[near] <= inner * inner if inner > 0.0 else np.zeros(len(near), dtype=bool)
     return near, full
-
-
-def mc_volume(b: Body, samples: int, rng: RngStream) -> VolumeEstimate:
-    """Monte Carlo volume: hit rate inside the bounding ball scaled by the
-    exact bounding-ball volume, with a Wilson 95% interval on the rate. A
-    ball fills its bounding ball, so its exact volume is returned instead."""
-    if samples < 100:
-        raise ValueError("at least 100 samples required")
-    if b.bound.radius <= 0:
-        raise ValueError("degenerate bounding ball (radius 0)")
-    if b.exact_volume is not None and reduce_to_ball(b) is not None:
-        v = b.exact_volume
-        return VolumeEstimate(mean=v, ci_low=v, ci_high=v, samples=samples)
-    pts = sample_uniform_ball(b.dim, b.bound.radius, samples, rng) + b.bound.center
-    hits = int(np.count_nonzero(b.contains_many(pts)))
-    vol_bound = math.exp(ball_volume_log(b.dim, b.bound.radius))
-    lo, hi = _wilson_interval(hits, samples)
-    return VolumeEstimate(
-        mean=vol_bound * hits / samples,
-        ci_low=vol_bound * lo,
-        ci_high=vol_bound * hi,
-        samples=samples,
-    )
-
-
-def mc_overlap_fraction(b: Body, window: Ball, samples: int, rng: RngStream) -> VolumeEstimate:
-    """Estimate Vol(b intersect window) / Vol(window) by uniform sampling
-    in the window."""
-    if samples < 100:
-        raise ValueError("at least 100 samples required")
-    if window.radius <= 0:
-        raise ValueError("degenerate window (radius 0)")
-    if window.dim != b.dim:
-        raise ValueError("window dimension mismatch")
-    pts = sample_uniform_ball(b.dim, window.radius, samples, rng) + window.center
-    hits = int(np.count_nonzero(b.contains_many(pts)))
-    lo, hi = _wilson_interval(hits, samples)
-    return VolumeEstimate(mean=hits / samples, ci_low=lo, ci_high=hi, samples=samples)
 
 
 def probe_points(b: Body, count: int, rng: RngStream) -> np.ndarray:

@@ -30,6 +30,7 @@ from .geom_core import (
 
 _LOG_FLOAT_MAX = 709.0
 SWEEP_MAX_COMPONENTS = 6  # most components of U in a verify_sweep_inequality instance
+CONE_T_POINTS = 17  # grid points in t of each cone sweep
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +241,21 @@ def _cone_constants_for(n: int, cone: ConeSpec) -> ConeConstants:
 
 
 def _cone_sweep(cone: ConeSpec, const: ConeConstants, eps: float, window_eps: float,
-                probes: int, rng: RngStream, t_points: int) -> dict:
+                probes: int, rng: RngStream) -> dict:
     """x + t rho for x in apex + eps B_n, rho within alpha/2 of the axis, t
     on a grid over [c1 window_eps, c1 window_eps + c2]."""
     gen = rng.generator()
     rho = _cap_directions(gen, cone.axis, cone.angle / 2.0, int(probes))
     x = cone.apex + uniform_ball_points(gen, cone.dim, eps, int(probes))
     t_lo = const.c1 * window_eps
-    t = np.linspace(t_lo, t_lo + const.c2, int(t_points))
+    t = np.linspace(t_lo, t_lo + const.c2, CONE_T_POINTS)
     pts = x[:, None, :] + t[None, :, None] * rho[:, None, :]
     flat = pts.reshape(-1, cone.dim)
     inside = cone.contains_many(flat, tol=PREDICATE_TOL)
     bad = np.flatnonzero(~inside)
     examples = [{"point": [float(v) for v in flat[idx]],
-                 "t": float(t[int(idx) % int(t_points)])} for idx in bad[:5]]
-    return {"probes": int(probes), "t_points": int(t_points),
+                 "t": float(t[int(idx) % CONE_T_POINTS])} for idx in bad[:5]]
+    return {"probes": int(probes), "t_points": CONE_T_POINTS,
             "evaluations": int(flat.shape[0]), "violations": int(bad.size),
             "pass": bad.size == 0, "examples": examples,
             "n": cone.dim, "alpha": cone.angle, "ell": cone.height,
@@ -262,7 +263,7 @@ def _cone_sweep(cone: ConeSpec, const: ConeConstants, eps: float, window_eps: fl
 
 
 def verify_cone_inclusion(n: int, cone: ConeSpec, eps: float, probes: int,
-                          rng: RngStream, t_points: int = 17) -> dict:
+                          rng: RngStream) -> dict:
     """MC audit that the eps-ball at the apex sweeps inside the cone: for
     x in a + eps B_n, rho within angle alpha/2 of the axis, and t on a grid
     over [c1 eps, c1 eps + c2], the point x + t rho stays in the cone.
@@ -274,12 +275,11 @@ def verify_cone_inclusion(n: int, cone: ConeSpec, eps: float, probes: int,
     const = _cone_constants_for(n, cone)
     if not 0.0 < eps < const.eps0:
         raise ValueError(f"eps must lie in (0, eps0) = (0, {const.eps0:.6g})")
-    return _cone_sweep(cone, const, eps, eps, probes, rng, t_points)
+    return _cone_sweep(cone, const, eps, eps, probes, rng)
 
 
 def cone_negative_control(n: int, cone: ConeSpec, probes: int,
-                          rng: RngStream, eps_factor: float = 1.5,
-                          t_points: int = 17) -> dict:
+                          rng: RngStream, eps_factor: float = 1.5) -> dict:
     """Fault injection documenting sharpness: inflate the apex ball to
     eps_factor * eps0 while keeping the sweep window certified for eps0.
 
@@ -291,8 +291,7 @@ def cone_negative_control(n: int, cone: ConeSpec, probes: int,
     const = _cone_constants_for(n, cone)
     if eps_factor <= 0:
         raise ValueError("eps_factor must be positive")
-    report = _cone_sweep(cone, const, eps_factor * const.eps0, const.eps0, probes, rng,
-                         t_points)
+    report = _cone_sweep(cone, const, eps_factor * const.eps0, const.eps0, probes, rng)
     report.update({"eps_factor": eps_factor, "expected_violations": eps_factor > 1.0})
     return report
 

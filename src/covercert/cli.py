@@ -167,17 +167,17 @@ def cmd_witness(args) -> int:
         raise ValueError("witness search requires --seed")
     n = args.n
     check_witness_dim(n)
+    for flag, value in (("--r", args.r), ("--eps", args.eps),
+                        ("--ball-radius", None if args.body else args.ball_radius)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive")
     if args.body:
         base = _read_json(args.body, "body", body_from_json_dict)
         if base.dim != n:
             raise ValueError("body dimension does not match --n")
     else:
         base = BallBody(np.zeros(n), args.ball_radius)
-    if args.r <= 0:
-        raise ValueError("r must be positive")
     alpha = args.alpha if args.alpha is not None else default_alpha(args.r)
-    if args.eps <= 0:
-        raise ValueError("eps must be positive")
 
     config = run_config("witness", args.seed, {
         "n": n, "r": args.r, "alpha": alpha, "k": args.k, "eps": args.eps,

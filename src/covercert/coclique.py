@@ -65,9 +65,6 @@ class CocliqueParams:
         """Strict integer threshold for |X intersect Y| comparisons."""
         return int(math.ceil(self.M / (2.0 * self.k)))
 
-    def to_json_dict(self) -> dict:
-        return {"M": self.M, "k": self.k, "p": self.p, "max_retries": self.max_retries}
-
 
 @dataclass
 class CocliqueResult:
@@ -171,14 +168,6 @@ def family_counts(family, points: np.ndarray) -> np.ndarray:
     )
 
 
-def family_membership_matrix(family, points: np.ndarray) -> np.ndarray:
-    """Boolean matrix: entry (i, j) says member i contains point j."""
-    if hasattr(family, "counts"):
-        return family.contains(points)
-    return np.array([f.contains_many(points) for f in family],
-                    dtype=bool).reshape(len(family), len(points))
-
-
 def _greedy_delete(edge_mat: np.ndarray) -> np.ndarray:
     """Delete the endpoint with the larger incident-edge count, ties by
     sample index; returns the keep mask."""
@@ -267,10 +256,11 @@ def edge_threshold(r: float, alpha: float) -> float:
     return 2.0 * r * math.cos(alpha / 2.0)
 
 
-def geometric_spec(n: int, r: float, alpha: float, family,
+def geometric_spec(n: int, r: float, alpha: float,
                    unit_diameter: bool = False) -> MeasurableGraphSpec:
     """Uniform sampling on r B_n with far-pair edges:
-    edge(x, y) iff |x - y| >= 2 r cos(alpha/2)."""
+    edge(x, y) iff |x - y| >= 2 r cos(alpha/2). The family starts empty;
+    the caller sets it."""
     n = as_dim(n, 1)
     if r <= 0:
         raise ValueError("r must be positive")
@@ -295,7 +285,7 @@ def geometric_spec(n: int, r: float, alpha: float, family,
         dim=n,
         sampler=sampler,
         edge_matrix=edge_matrix,
-        family=family if hasattr(family, "counts") else list(family),
+        family=[],
     )
 
 
@@ -308,7 +298,7 @@ def edge_measure_audit(n: int, alpha: float, trials: int, rng: RngStream,
         raise ValueError("alpha must lie in (0, pi/2)")
     if anchors < 2:
         raise ValueError("at least the origin and one more anchor required")
-    n = int(n)
+    n = as_dim(n, 2)
     threshold = edge_threshold(1.0, alpha)
     m_alpha = cap_measure_exact(n, alpha)
     sigma = math.sqrt(m_alpha * (1.0 - m_alpha) / trials)

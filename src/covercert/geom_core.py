@@ -87,26 +87,6 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class SphericalCap:
-    """Points of the unit sphere within angle `angle` of `axis`."""
-
-    axis: Vector
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", as_vector(self.axis))
-        object.__setattr__(self, "angle", float(self.angle))
-        if abs(np.linalg.norm(self.axis) - 1.0) > PREDICATE_TOL:
-            raise ValueError("cap axis must be a unit vector (tol 1e-12)")
-        if not 0.0 < self.angle < math.pi:
-            raise ValueError("cap angle must lie in (0, pi)")
-
-    def contains_directions(self, dirs: np.ndarray) -> np.ndarray:
-        d = as_points(dirs, self.axis.size)
-        return d @ self.axis >= math.cos(self.angle)
-
-
-@dataclass(frozen=True)
 class RngStream:
     """Deterministic random stream: identical (seed, stream_id) pairs
     reproduce identical sample sequences."""
@@ -381,7 +361,7 @@ def ball_volume_log(n: int, radius: float = 1.0) -> float:
     """log Vol(radius * B_n) = (n/2) log pi - log Gamma(n/2 + 1) + n log radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    n = int(n)
+    n = as_dim(n, 1)
     return 0.5 * n * math.log(math.pi) - float(gammaln(0.5 * n + 1.0)) + n * math.log(radius)
 
 

@@ -2,8 +2,7 @@
 deterministic coverage certificates, translation grids, and product cover
 families.
 
-Distances: rotations are compared in the operator norm; full isometries in
-the conservative surrogate  d(f, g) = |A - B|_op + |v - w|.  For n <= 3 the
+Distances: rotations are compared in the operator norm. For n <= 3 the
 operator distance between same-determinant orthogonal matrices reduces to
 an exact trace formula; opposite determinant classes are always at operator
 distance >= 2, so nets cover each class separately.
@@ -67,10 +66,6 @@ class Isometry:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @staticmethod
-    def identity(n: int) -> "Isometry":
-        return Isometry(np.eye(n), np.zeros(n))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = as_points(points, self.dim)
         return pts @ self.matrix.T + self.translation
@@ -89,23 +84,6 @@ class Isometry:
     @staticmethod
     def from_json_dict(d: dict) -> "Isometry":
         return Isometry(d["matrix"], d["translation"])
-
-
-def op_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest singular value of a - b for orthogonal a, b."""
-    if np.shape(a) != np.shape(b):
-        raise ValueError("matrix shape mismatch")
-    pair, _ = _check_isometries([a, b], name="matrix")
-    return float(np.linalg.svd(pair[0] - pair[1], compute_uv=False)[0])
-
-
-def iso_distance_surrogate(f: Isometry, g: Isometry) -> float:
-    """|A - B|_op + |v - w|; upper-bounds sup |f(x) - g(x)| over the unit ball."""
-    if f.dim != g.dim:
-        raise ValueError("isometry dimension mismatch")
-    return op_norm_distance(f.matrix, g.matrix) + float(
-        np.linalg.norm(f.translation - g.translation)
-    )
 
 
 @dataclass

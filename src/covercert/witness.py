@@ -27,6 +27,7 @@ from .isometry_nets import IsometryNet, build_cover_family
 
 SCHEMA_VERSION = 2  # of certificates and their verification reports
 ENUMERATION_CAP = 1_000_000  # k-subsets enumerated exhaustively below this
+FAMILY_CAP = 10**7  # most members a search builds; larger families are refused unbuilt
 # orthogonal nets are deterministic grids here, so families regenerate exactly
 WITNESS_DIMS = (2, 3)
 # the family each certificate schema names, by its rule
@@ -111,8 +112,8 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
     # the parameter checks (M, k, p, retries, alpha, the unit-diameter edge
     # threshold) all run before the family is built
     params = CocliqueParams(M=M, k=k, p=p, max_retries=max_retries)
-    spec = geometric_spec(n, r, alpha, [], unit_diameter=True)
-    family = spec.family = witness_family(base, r, eps)
+    spec = geometric_spec(n, r, alpha, unit_diameter=True)
+    family = spec.family = witness_family(base, r, eps, max_size=FAMILY_CAP)
 
     # shared-sample estimate of the worst member measure on r B_n
     probe = uniform_ball_points(rng.child(2).generator(), n, r, samples)

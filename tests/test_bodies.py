@@ -1,6 +1,6 @@
 """Body oracle tests: membership/projection consistency, closed-form areas
-(circle lens, Steiner thickening) against Monte Carlo intervals, transform
-algebra, and JSON round trips."""
+(circle lens, Steiner thickening, a union of disjoint discs) against Monte
+Carlo hit rates, transform algebra, and JSON round trips."""
 
 import math
 
@@ -17,17 +17,21 @@ from covercert.bodies import (
     ThickenedBody,
     TransformedBody,
     UnionBody,
-    VolumeEstimate,
     _cull,
     body_from_json_dict,
-    mc_overlap_fraction,
-    mc_volume,
     probe_points,
     reduce_to_ball,
     thicken,
     transform,
 )
-from covercert.geom_core import PREDICATE_TOL, Ball, RngStream, in_balls, sq_norms
+from covercert.geom_core import (
+    PREDICATE_TOL,
+    Ball,
+    RngStream,
+    in_balls,
+    sample_uniform_ball,
+    sq_norms,
+)
 from covercert.isometry_nets import Isometry, IsometryNet
 
 
@@ -52,6 +56,15 @@ def lens_body() -> BallIntersectionBody:
 LENS_AREA = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0  # two unit circles, d=1
 
 
+def hit_area(body, samples: int, seed: int) -> tuple[float, float]:
+    """Area of a planar body from the hit rate of uniform samples in its
+    bounding disc, and the standard error of that estimate."""
+    pts = sample_uniform_ball(2, body.bound.radius, samples, RngStream(seed, 0))
+    rate = np.count_nonzero(body.contains_many(pts + body.bound.center)) / samples
+    disc = math.pi * body.bound.radius ** 2
+    return disc * rate, disc * math.sqrt(rate * (1.0 - rate) / samples)
+
+
 # ---------------------------------------------------------------------------
 # primitive bodies
 
@@ -60,7 +73,7 @@ def test_ball_body_membership_and_volume():
     b = BallBody(np.array([1.0, 0.0]), 2.0)
     assert b.contains([1.0, 1.9])
     assert not b.contains([1.0, 2.1])
-    assert b.exact_volume == pytest.approx(math.pi * 4.0, rel=1e-12)
+    assert b.ball.radius == 2.0
     proj = b.project(np.array([[5.0, 0.0], [1.0, 0.5]]))
     assert np.allclose(proj, [[3.0, 0.0], [1.0, 0.5]], atol=1e-12)
 
@@ -128,59 +141,19 @@ def test_ball_intersection_validation():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo volumes against closed forms
-
-
-def test_mc_volume_of_ball_is_exact():
-    b = BallBody(np.zeros(2), 1.5)
-    est = mc_volume(b, 500, RngStream(1, 0))
-    # the body equals its own bounding ball: every sample hits
-    assert est.mean == pytest.approx(b.exact_volume, rel=1e-12)
-    assert est.ci_low == est.ci_high == est.mean
+# areas against closed forms
 
 
 def test_mc_volume_lens_closed_form():
-    est = mc_volume(lens_body(), 60000, RngStream(2, 0))
-    assert est.ci_low <= LENS_AREA <= est.ci_high
-    assert est.mean == pytest.approx(LENS_AREA, rel=0.05)
+    area, sigma = hit_area(lens_body(), 60000, 2)
+    assert abs(area - LENS_AREA) <= 4.0 * sigma
 
 
 def test_mc_volume_steiner_thickened_square():
     fat = thicken(unit_square(), 0.1)
     exact = 1.0 + 4.0 * 0.1 + math.pi * 0.01  # area + perimeter eps + pi eps^2
-    est = mc_volume(fat, 60000, RngStream(3, 0))
-    assert est.ci_low <= exact <= est.ci_high
-
-
-def test_mc_volume_determinism_and_validation():
-    a = mc_volume(lens_body(), 500, RngStream(5, 1))
-    b = mc_volume(lens_body(), 500, RngStream(5, 1))
-    assert a == b
-    with pytest.raises(ValueError):
-        mc_volume(lens_body(), 50, RngStream(0, 0))
-
-
-def test_mc_overlap_fraction():
-    ball = BallBody(np.zeros(2), 1.0)
-    inside = mc_overlap_fraction(ball, Ball(np.zeros(2), 1.0), 400, RngStream(4, 0))
-    assert inside.mean == 1.0
-    far = mc_overlap_fraction(ball, Ball(np.array([5.0, 0.0]), 1.0), 400,
-                              RngStream(4, 1))
-    assert far.mean == 0.0
-
-
-def test_mc_overlap_fraction_interval_at_zero_and_all_hits():
-    # 0 or 400 hits of 400 still leave the rate uncertain: the Wilson bounds
-    ball = BallBody(np.zeros(2), 1.0)
-    far = mc_overlap_fraction(ball, Ball(np.array([5.0, 0.0]), 1.0), 400, RngStream(4, 1))
-    assert far.ci_low == 0.0 < far.ci_high < 0.01
-    inside = mc_overlap_fraction(ball, Ball(np.zeros(2), 1.0), 400, RngStream(4, 0))
-    assert 0.99 < inside.ci_low < inside.ci_high == 1.0
-
-
-def test_volume_estimate_validation():
-    with pytest.raises(ValueError):
-        VolumeEstimate(mean=1.0, ci_low=1.2, ci_high=1.4, samples=100)
+    area, sigma = hit_area(fat, 60000, 3)
+    assert abs(area - exact) <= 4.0 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +164,7 @@ def test_thicken_ball_scales_volume_exactly():
     base = BallBody(np.zeros(3), 1.0)
     fat = thicken(base, 0.25)
     assert isinstance(fat, BallBody)
-    assert fat.exact_volume / base.exact_volume == pytest.approx(1.25**3, rel=1e-12)
+    assert fat.ball.radius == 1.25
 
 
 def test_thicken_stacks_additively():
@@ -292,8 +265,8 @@ def test_union_membership_volume_and_bound():
     assert u.contains([1.0, 0.4])
     assert not u.contains([0.0, 0.0])
     assert u.bound.radius == pytest.approx(1.5, abs=1e-9)
-    est = mc_volume(u, 60000, RngStream(6, 0))
-    assert est.ci_low <= math.pi / 2.0 <= est.ci_high
+    area, sigma = hit_area(u, 60000, 6)
+    assert abs(area - math.pi / 2.0) <= 4.0 * sigma
 
 
 def test_union_projection_picks_nearest_part():

@@ -5,6 +5,7 @@ Output goes through --out files rather than captured stdout so the replay
 tests can compare bytes directly.
 """
 
+import ast
 import copy
 import hashlib
 import json
@@ -590,6 +591,13 @@ def test_witness_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
     (["--max-retries", "0"], "max_retries must be positive"),
     (["--alpha", "2.0"], "alpha must lie in (0, pi/2)"),
     (["--r", "0.6", "--alpha", "0.1"], "a diameter-1 witness needs the edge threshold at or below 1"),
+    (["--r", "nan", "--alpha", "1.0"], "--r must be finite and positive"),
+    (["--eps", "nan"], "--eps must be finite and positive"),
+    (["--ball-radius", "nan"], "--ball-radius must be finite and positive"),
+    (["--ball-radius", "inf"], "--ball-radius must be finite and positive"),
+    # floors of 10^601.2 and 10^9.2 members, above the search's FAMILY_CAP
+    (["--eps", "1e-300"], "the family needs at least 10^"),
+    (["--eps", "1e-4"], "the family needs at least 10^"),
 ])
 def test_witness_bad_parameters_exit_2_before_the_family(monkeypatch, capsys, flags, message):
     def never(*args, **kwargs):
@@ -780,3 +788,46 @@ def test_bench_tracer_wraps_every_layer():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+# Public names kept without a caller in src/, and why.
+UNCALLED_BY_DESIGN = {
+    "audit_orthogonal_net": "the direct check that the certified O(2) and O(3) "
+                            "grids cover within delta; tests compare it with an SVD",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """Each module-level public def or class of src/covercert is named in
+    some src module other than __init__.py (outside its own body, and not
+    only by an import), is wrapped by bench/tracer.py, is imported by the
+    acceptance tests, or is listed in UNCALLED_BY_DESIGN."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "covercert").glob("*.py"))}
+    public = {node.name: module for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    # names loaded or read as attributes by each top-level statement, less
+    # the statement's own name: a definition and its recursion are no caller
+    called = set()
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            for stmt in tree.body:
+                called |= {node.id if isinstance(node, ast.Name) else node.attr
+                           for node in ast.walk(stmt)
+                           if isinstance(node, (ast.Name, ast.Attribute))
+                           } - {getattr(stmt, "name", None)}
+    tracer = ast.parse((root / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    wrapped = {node.elts[1].value for node in ast.walk(tracer)
+               if isinstance(node, ast.Tuple) and len(node.elts) == 4
+               and isinstance(node.elts[1], ast.Constant)}
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(acceptance)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    unreached = sorted(f"{public[name]}:{name}" for name in public
+                       if name not in called | wrapped | imported | set(UNCALLED_BY_DESIGN))
+    assert unreached == []
+    # an exception that gains a caller leaves the list
+    assert set(UNCALLED_BY_DESIGN) <= set(public) - called - wrapped - imported

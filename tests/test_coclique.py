@@ -24,7 +24,6 @@ from covercert.coclique import (
     edge_threshold,
     exact_binomial_tail,
     family_counts,
-    family_membership_matrix,
     geometric_spec,
 )
 from covercert.geom_core import Ball, RngStream
@@ -243,7 +242,7 @@ def test_family_counts_fast_path_matches_generic():
     pts = gen.normal(size=(400, 3))
     members = _members(family)
     assert np.array_equal(family_counts(family, pts), family_counts(members, pts))
-    assert np.array_equal(family.contains(pts), family_membership_matrix(members, pts))
+    assert np.array_equal(family.contains(pts), np.array([m.contains_many(pts) for m in members]))
     assert np.array_equal(family.counts(pts), family.contains(pts).sum(axis=1))
 
 
@@ -276,7 +275,7 @@ def test_cover_family_segment_matches_generic(monkeypatch, budget):
     pts = np.random.default_rng(34).uniform(-0.9, 0.9, size=(40, 2))
     members = _members(family)
     masks = family.contains(pts)
-    assert np.array_equal(masks, family_membership_matrix(members, pts))
+    assert np.array_equal(masks, np.array([m.contains_many(pts) for m in members]))
     assert np.array_equal(family_counts(family, pts), family_counts(members, pts))
     assert 0 < masks.sum() < masks.size
 
@@ -291,7 +290,7 @@ def test_membership_matrix_consistency():
     gen = np.random.default_rng(33)
     family = interval_family()
     pts = gen.random((200, 1))
-    mat = family_membership_matrix(family, pts)
+    mat = np.array([m.contains_many(pts) for m in family])
     assert mat.shape == (10, 200)
     assert np.array_equal(mat.sum(axis=1), family_counts(family, pts))
 
@@ -434,7 +433,7 @@ def test_spec_edge_scalar_consistency():
 
 
 def test_geometric_spec_threshold():
-    spec = geometric_spec(2, 1.0, math.pi / 3.0, [])
+    spec = geometric_spec(2, 1.0, math.pi / 3.0)
     assert edge_threshold(1.0, math.pi / 3.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
     pair = spec.edge_matrix(np.array([[0.0, 0.0], [1.7321, 0.0], [1.7320, 0.0]]))
     assert pair[0, 1] and not pair[0, 2]
@@ -449,12 +448,12 @@ def test_geometric_spec_unit_diameter_gate():
     # 2 r cos(alpha/2) = 1 exactly at alpha = 2 arccos(1/(2r))
     r = 0.55
     alpha = 2.0 * math.acos(1.0 / (2.0 * r))
-    geometric_spec(2, r, alpha, [], unit_diameter=True)
+    geometric_spec(2, r, alpha, unit_diameter=True)
     assert edge_threshold(r, alpha) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        geometric_spec(2, 0.8, 0.5, [], unit_diameter=True)
+        geometric_spec(2, 0.8, 0.5, unit_diameter=True)
     with pytest.raises(ValueError):
-        geometric_spec(2, 0.55, math.pi / 2.0, [])
+        geometric_spec(2, 0.55, math.pi / 2.0)
 
 
 def test_edge_measure_audit_small():
@@ -468,3 +467,5 @@ def test_edge_measure_audit_small():
         edge_measure_audit(2, math.pi / 2.0, 100, RngStream(0, 0))
     with pytest.raises(ValueError):
         edge_measure_audit(2, 1.0, 100, RngStream(0, 0), anchors=1)
+    with pytest.raises(ValueError):
+        edge_measure_audit(2.5, 1.0, 100, RngStream(1, 0), anchors=3)  # once reported n = 2

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from covercert.geom_core import (
     Ball,
     RngStream,
-    SphericalCap,
     as_points,
     ball_volume_log,
     cap_measure_bounds,
@@ -378,6 +377,8 @@ def test_ball_volume_log_known_values():
     )
     with pytest.raises(ValueError):
         ball_volume_log(3, 0.0)
+    with pytest.raises(ValueError):
+        ball_volume_log(2.5)  # once truncated to log Vol(B_2)
 
 
 def test_cap_measure_closed_forms():
@@ -437,18 +438,6 @@ def test_ball_contains_points_and_json():
     assert back.radius == ball.radius and np.array_equal(back.center, ball.center)
     with pytest.raises(ValueError):
         Ball([0.0, 0.0], -1.0)
-
-
-def test_spherical_cap_validation_and_membership():
-    cap = SphericalCap(np.array([1.0, 0.0]), 0.5)
-    dirs = np.array([[1.0, 0.0],
-                     [math.cos(0.49), math.sin(0.49)],
-                     [math.cos(0.51), math.sin(0.51)]])
-    assert cap.contains_directions(dirs).tolist() == [True, True, False]
-    with pytest.raises(ValueError):
-        SphericalCap(np.array([1.0, 1.0]), 0.5)
-    with pytest.raises(ValueError):
-        SphericalCap(np.array([1.0, 0.0]), 0.0)
 
 
 def test_as_points_validation():

@@ -21,9 +21,7 @@ from covercert.isometry_nets import (
     build_orthogonal_net,
     build_translation_cover,
     haar_orthogonal,
-    iso_distance_surrogate,
     min_distance_to_net,
-    op_norm_distance,
     translation_cover_size_floor_log,
 )
 
@@ -41,7 +39,7 @@ def test_isometry_apply_inverse_compose():
     gen = np.random.default_rng(0)
     q, _ = np.linalg.qr(gen.normal(size=(3, 3)))
     f = Isometry(q, gen.normal(size=3))
-    g = Isometry.identity(3)
+    g = Isometry(np.eye(3), np.zeros(3))
     pts = gen.normal(size=(20, 3))
     assert np.allclose(g.apply(pts), pts)
     assert np.allclose(f.inverse().apply(f.apply(pts)), pts, atol=1e-12)
@@ -67,16 +65,6 @@ def test_isometry_json_round_trip():
 # operator distances
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-math.pi, max_value=math.pi),
-       st.floats(min_value=-math.pi, max_value=math.pi))
-def test_op_norm_closed_form_2d(theta, phi):
-    # |R(a) - R(b)|_op = 2 |sin((a - b)/2)|
-    expected = 2.0 * abs(math.sin((theta - phi) / 2.0))
-    assert op_norm_distance(_rot(theta), _rot(phi)) == pytest.approx(expected,
-                                                                     abs=1e-10)
-
-
 def test_min_distance_trace_formula_matches_svd():
     gen = np.random.default_rng(21)
     for n in (2, 3):
@@ -96,16 +84,6 @@ def test_min_distance_opposite_class_is_two():
     reflector = np.diag([1.0, -1.0])
     d = min_distance_to_net(np.eye(2)[None], reflector[None])
     assert d[0] == 2.0
-
-
-def test_iso_surrogate_dominates_sup_distance():
-    gen = np.random.default_rng(23)
-    for _ in range(25):
-        f = Isometry(haar_orthogonal(3, gen, 1)[0], gen.normal(size=3))
-        g = Isometry(haar_orthogonal(3, gen, 1)[0], gen.normal(size=3))
-        x = sample_uniform_ball(3, 1.0, 400, RngStream(int(gen.integers(1 << 30)), 0))
-        gap = np.linalg.norm(f.apply(x) - g.apply(x), axis=1)
-        assert gap.max() <= iso_distance_surrogate(f, g) + 1e-9
 
 
 # ---------------------------------------------------------------------------
