@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .geom_core import RngStream, as_dim, cap_measure_exact, sq_distances, uniform_ball_points
 
@@ -106,12 +105,13 @@ def exact_binomial_tail(M: int, p: float, t: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    j = np.arange(t, M + 1)
-    log_terms = (
-        gammaln(M + 1) - gammaln(j + 1) - gammaln(M - j + 1)
+    log_terms = [
+        math.lgamma(M + 1) - math.lgamma(j + 1) - math.lgamma(M - j + 1)
         + j * math.log(p) + (M - j) * math.log1p(-p)
-    )
-    return float(np.exp(logsumexp(log_terms)))
+        for j in range(t, M + 1)
+    ]
+    top = max(log_terms)
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in log_terms)
 
 
 def check_hypotheses(params: CocliqueParams, family_size: int,

@@ -320,7 +320,8 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     identity rotation, in every n; any other body needs a rotation net, and
     those exist for n <= MAX_NET_DIM only. A family that must hold more than
     `max_size` members (grid rotation nets times the translation grid's
-    floor) is refused before anything is built.
+    floor), or whose net radius eps / 2D is not a finite positive float, is
+    refused before anything is built.
     """
     from . import bodies as _bodies
 
@@ -335,6 +336,9 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         raise ValueError("body must contain the origin")
 
     delta = eps / (2.0 * d_bound)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"the orthogonal net radius eps / (2 D) = {delta} is not finite and "
+                         f"positive (eps = {eps}, diameter bound D = {d_bound})")
     rho = eps / (2.0 * max(d_bound, 1.0))
     ball_form = _bodies.reduce_to_ball(k_body)
     symmetric = ball_form is not None and float(np.linalg.norm(ball_form.center)) <= 1e-12

@@ -49,10 +49,15 @@ def check_witness_dim(n: int) -> None:
 def default_alpha(r: float) -> float:
     """Largest cap angle keeping the edge threshold 2 r cos(alpha/2) at 1
     (so cocliques have diameter <= 1); a fixed interior angle when r <= 1/2
-    already keeps the threshold below 1."""
-    if r > 0.5:
-        return 2.0 * math.acos(1.0 / (2.0 * r))
-    return 1.0
+    already keeps the threshold below 1. From r = 1/sqrt(2) on, that angle
+    is at least pi/2, outside the cap-angle domain, so there is no default."""
+    if r <= 0.5:
+        return 1.0
+    alpha = 2.0 * math.acos(1.0 / (2.0 * r))
+    if alpha >= math.pi / 2.0:
+        raise ValueError(f"r = {r} is at least 1/sqrt(2), where no default cap angle in "
+                         "(0, pi/2) keeps the edge threshold at 1: --alpha must be given")
+    return alpha
 
 
 def witness_family(base: Body, r: float, eps: float, max_size: float = math.inf) -> CoverFamily:

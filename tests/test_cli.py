@@ -330,7 +330,8 @@ def test_witness_verify_cert_bounds_family_before_building(witness_cert, witness
     # a family that must hold more members than the certificate counts is
     # refused before any net or grid is built: eps = 2e-4 implies about 4e8
     # members, and a schema-1 family thinned to every 7th member (and count)
-    # counts 5,599 where the grid alone has at least 38,718
+    # counts 5,599 where the grid alone has at least 38,718. So is a base
+    # ball of radius 1e-320, whose net radius eps / (2 D) overflows
     def never(*args, **kwargs):
         raise AssertionError("a net was built")
 
@@ -343,12 +344,17 @@ def test_witness_verify_cert_bounds_family_before_building(witness_cert, witness
     net = thinned["family_manifest"]["net"]
     net["elements"] = net["elements"][::7]
     thinned["per_member_counts"] = thinned["per_member_counts"][::7]
-    for name, cert, allowed in (("fine-eps", fine_eps, 39193), ("thinned", thinned, 5599)):
+    tiny = json.loads(out.read_text())
+    tiny["family_manifest"]["base_body"]["ball"]["radius"] = 1e-320
+    for name, cert, message in (
+            ("fine-eps", fine_eps, "members, more than the 39193 allowed"),
+            ("thinned", thinned, "members, more than the 5599 allowed"),
+            ("tiny-base", tiny, "the orthogonal net radius eps / (2 D) = inf is not finite")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cert))
         capsys.readouterr()
         assert main(["witness", "--verify-cert", str(path)]) == 2, name
-        assert f"members, more than the {allowed} allowed" in _one_line_error(capsys)
+        assert message in _one_line_error(capsys)
 
 
 def test_witness_k2_verify_reproduces_verdict(tmp_path):
@@ -598,6 +604,13 @@ def test_witness_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
     # floors of 10^601.2 and 10^9.2 members, above the search's FAMILY_CAP
     (["--eps", "1e-300"], "the family needs at least 10^"),
     (["--eps", "1e-4"], "the family needs at least 10^"),
+    # eps / (2 D) overflows for a subnormal base and underflows for eps = 5e-324
+    (["--ball-radius", "1e-320"], "the orthogonal net radius eps / (2 D) = inf is not finite"),
+    (["--eps", "5e-324"], "the orthogonal net radius eps / (2 D) = 0.0 is not finite"),
+    # the default angle 2 acos(1/2r) reaches pi/2 at r = 1/sqrt(2)
+    (["--r", "0.8"], "r = 0.8 is at least 1/sqrt(2), where no default cap angle in (0, pi/2) "
+                     "keeps the edge threshold at 1: --alpha must be given"),
+    (["--r", "1e300"], "--alpha must be given"),
 ])
 def test_witness_bad_parameters_exit_2_before_the_family(monkeypatch, capsys, flags, message):
     def never(*args, **kwargs):
@@ -771,6 +784,18 @@ def test_console_script_runs():
     exe = shutil.which("covercert")
     if exe:
         _check_bounds_run([exe], f"installed script {exe}")
+
+
+def test_cli_import_loads_no_scipy():
+    """covercert's special functions are its own: importing the CLI in a
+    fresh interpreter loads no scipy module."""
+    src = str(Path(covercert.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import covercert.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_bench_tracer_wraps_every_layer():

@@ -104,6 +104,23 @@ def test_tail_matches_rational_oracle_property(M, num, data):
     assert got == pytest.approx(want, rel=1e-11, abs=1e-290)
 
 
+def test_tail_matches_scipy_binom_sf():
+    # binom.sf loses digits below about 1e-290 and is 0 from about 1e-283 on
+    # (M = 200, p = 0.01, t = 162), where the tail is still a normal float;
+    # the rational-oracle tests above cover that deep tail
+    stats = pytest.importorskip("scipy.stats")
+    compared = 0
+    for M in (1, 5, 12, 28, 64, 200):
+        for p in (1e-6, 0.01, 0.05, 0.3, 0.5, 0.9):
+            for t in range(M + 1):
+                want = float(stats.binom.sf(t - 1, M, p))
+                if want >= 1e-250:
+                    assert exact_binomial_tail(M, p, t) == pytest.approx(want, rel=1e-11), \
+                        (M, p, t)
+                    compared += 1
+    assert compared > 1000
+
+
 def test_tail_edge_identities():
     assert exact_binomial_tail(10, 0.3, 0) == 1.0
     assert exact_binomial_tail(10, 0.0, 3) == 0.0

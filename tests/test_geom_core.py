@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covercert.geom_core as geom_core
 from covercert.geom_core import (
     Ball,
     RngStream,
@@ -391,6 +392,66 @@ def test_cap_measure_closed_forms():
     near = math.pi / 2.0 - 1e-6
     assert cap_measure_exact(2, near) == pytest.approx(near / math.pi, abs=1e-9)
     assert cap_measure_exact(7, math.pi / 2.0) == pytest.approx(0.5, abs=1e-14)
+
+
+_CAP_CLOSED_FORMS = {
+    2: lambda a: a / math.pi,
+    3: lambda a: math.sin(a / 2.0) ** 2,  # (1 - cos a)/2 without its cancellation at small a
+    4: lambda a: (a - math.sin(a) * math.cos(a)) / math.pi,
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CAP_CLOSED_FORMS))
+def test_cap_measure_closed_forms_dense(n):
+    # the whole angle range on both sides of pi/2; the absolute floor only
+    # covers the n = 4 form's own cancellation as a -> 0, where m ~ 2a^3/3pi
+    for alpha in np.linspace(1e-4, math.pi - 1e-4, 2001):
+        alpha = float(alpha)
+        assert cap_measure_exact(n, alpha) == pytest.approx(
+            _CAP_CLOSED_FORMS[n](alpha), rel=1e-13, abs=1e-16), alpha
+
+
+def test_cap_measure_matches_scipy_betainc():
+    special = pytest.importorskip("scipy.special")
+    worst = 0.0
+    for n in range(2, 301):
+        for alpha in np.linspace(1e-4, math.pi - 1e-4, 100):
+            alpha = float(alpha)
+            half = 0.5 * float(special.betainc((n - 1) / 2.0, 0.5, math.sin(alpha) ** 2))
+            want = half if alpha <= math.pi / 2.0 else 1.0 - half
+            if want > 0.0:
+                worst = max(worst, abs(cap_measure_exact(n, alpha) - want) / want)
+    assert worst <= 1e-11
+
+
+def test_cap_measure_matches_scipy_betainc_at_large_n():
+    # choose_alpha's angles, sin a = 1 - lam ln n / n, up to n = 10^9: there
+    # x = sin^2 a is near 1 and a = (n-1)/2 is large, where a fraction in x
+    # alone, or a difference of two large lgamma values, loses up to 1e-6
+    special = pytest.importorskip("scipy.special")
+    for n in (10**k for k in range(3, 10)):
+        for lam in (0.5, 1.0, 3.0, 5.0):
+            alpha = math.asin(1.0 - lam * math.log(n) / n)
+            for a in (alpha, math.pi - alpha):
+                half = 0.5 * float(special.betainc((n - 1) / 2.0, 0.5, math.sin(a) ** 2))
+                want = half if a <= math.pi / 2.0 else 1.0 - half
+                assert cap_measure_exact(n, a) == pytest.approx(want, rel=1e-12), (n, lam, a)
+
+
+def test_ball_volume_log_matches_scipy_gammaln():
+    special = pytest.importorskip("scipy.special")
+    for n in range(1, 1001):
+        for radius in (0.5, 1.0, 3.0):
+            want = (0.5 * n * math.log(math.pi) - float(special.gammaln(0.5 * n + 1.0))
+                    + n * math.log(radius))
+            assert ball_volume_log(n, radius) == pytest.approx(want, rel=1e-11, abs=1e-12)
+
+
+def test_incomplete_beta_refuses_to_return_unconverged(monkeypatch):
+    # at n = 50, alpha = 1 the continued fraction needs more than one term
+    monkeypatch.setattr(geom_core, "_BETA_CF_TERMS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 terms"):
+        cap_measure_exact(50, 1.0)
 
 
 def test_cap_measure_domain():
