@@ -11,6 +11,7 @@ intersections, nearest part for unions), via
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -31,6 +32,14 @@ from .isometry_nets import Isometry, IsometryNet
 
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEP_CAP = 10_000
+# A body may reach R (1 + BOUND_SLACK) from the centre of its bound ball of
+# radius R: the halfspace body's vertex check allows this much rounding.
+BOUND_SLACK = 1e-9
+# ThickenedBody.contains_many decides a point outside without a projection
+# when it lies farther than R + eps + CULL_SLACK (1 + |c| + R + eps) from the
+# centre c of the base's bound ball (c, R); the reasoning is in that method.
+CULL_SLACK = 1e-6
+VERTEX_SUBSET_CAP = 10_000  # most n-subsets the halfspace body's vertex check solves
 _FAMILY_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
 _FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
 _FAMILY_LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
@@ -38,7 +47,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0  # u = 2^-53
 
 
 class Body:
-    """Base membership oracle. Subclasses must set dim and bound and
+    """Base membership oracle. Subclasses must set dim and bound, a ball
+    that holds the body up to a relative BOUND_SLACK of its radius, and
     implement contains_many / project / to_json_dict."""
 
     kind = "abstract"
@@ -113,8 +123,10 @@ def _dykstra(points: np.ndarray, projectors: list, tol: float = PROJECTION_TOL,
 
 
 class HalfspaceIntersectionBody(Body):
-    """Intersection of halfspaces {x : normal . x <= offset}; a bounding
-    ball must be supplied since the intersection itself may be unbounded."""
+    """Intersection P of halfspaces {x : normal . x <= offset}. The bound
+    ball must be supplied, and it is checked: the body is refused when P is
+    empty, unbounded, or reaches farther than its radius (see _check_bound).
+    """
 
     kind = "halfspaces"
 
@@ -133,10 +145,43 @@ class HalfspaceIntersectionBody(Body):
             raise ValueError("bound dimension mismatch")
         self.bound = bound
         self.exact_volume = exact_volume
+        self._check_bound()
+
+    def _check_bound(self) -> None:
+        """Refuse P unless every point of it lies within R (1 + BOUND_SLACK)
+        of the bound's centre c. Q, the cube of half-width 2R about c, makes
+        P n Q a polytope, and its vertices solve n of the constraints (the
+        halfspaces and the 2n faces of Q) with independent normals. When
+        every vertex lies within R (1 + BOUND_SLACK) of c, so does their
+        hull P n Q, which then keeps off the faces of Q. Then P = P n Q: P
+        is convex, so a point of P beyond Q would put a point of P n Q on a
+        face of Q. No vertex means P n Q is empty: P is empty or lies wholly
+        outside the bound. At most VERTEX_SUBSET_CAP subsets are solved."""
+        n, c, radius = self.dim, self.bound.center, self.bound.radius
+        normals = np.vstack([self.normals, np.eye(n), -np.eye(n)])
+        offsets = np.concatenate([self.offsets, c + 2.0 * radius, 2.0 * radius - c])
+        subsets = math.comb(len(normals), n)
+        if subsets > VERTEX_SUBSET_CAP:
+            raise ValueError(f"checking the bound of {len(self.normals)} halfspaces in "
+                             f"dimension {n} takes {subsets} vertex solves, more than the "
+                             f"{VERTEX_SUBSET_CAP} allowed")
+        idx = np.array(list(itertools.combinations(range(len(normals)), n)))
+        mats = normals[idx]
+        sing = np.linalg.svd(mats, compute_uv=False)
+        solvable = sing[:, -1] > 1e-9 * sing[:, 0]  # normals independent, with room to spare
+        verts = np.linalg.solve(mats[solvable], offsets[idx[solvable]][..., None])[..., 0]
+        scale = float(np.abs(c).max()) + 2.0 * radius
+        verts = verts[np.all(verts @ normals.T <= offsets + BOUND_SLACK * scale, axis=1)]
+        if len(verts) == 0:
+            raise ValueError("the halfspaces meet in no point of their bound ball")
+        reach = math.sqrt(float(sq_norms(verts - c).max()))
+        if not reach <= radius * (1.0 + BOUND_SLACK):
+            raise ValueError(f"the halfspaces reach at least {reach:.6g} from the bound's centre, "
+                             f"beyond its radius {radius:.6g}: the bound must hold the body")
 
     def contains_many(self, points):
         pts = as_points(points, self.dim)
-        return np.all(pts @ self.normals.T <= self.offsets + 1e-12, axis=1)
+        return np.all(pts @ self.normals.T <= self.offsets + PREDICATE_TOL, axis=1)
 
     def project(self, points):
         pts = as_points(points, self.dim)
@@ -186,6 +231,10 @@ class BallIntersectionBody(Body):
 
 
 class ThickenedBody(Body):
+    """base + eps B_n: the points within eps (and PROJECTION_TOL) of the
+    base, found by projecting onto it. Points far outside the base's bound
+    ball are decided without a projection (see contains_many)."""
+
     kind = "thickened"
 
     def __init__(self, base: Body, eps: float):
@@ -195,10 +244,31 @@ class ThickenedBody(Body):
         self.eps = float(eps)
         self.dim = base.dim
         self.bound = Ball(base.bound.center, base.bound.radius + eps)
+        outer = self.bound.radius
+        reach = outer + CULL_SLACK * (1.0 + float(np.linalg.norm(self.bound.center)) + outer)
+        self._reach_sq = reach * reach
 
     def contains_many(self, points):
+        """dist(p, base) <= eps + PROJECTION_TOL, with the distance projected
+        only for the points p with |p - c| <= reach = R + eps + s, where (c, R)
+        is the base's bound ball and s = CULL_SLACK (1 + |c| + R + eps); the
+        rest are outside.
+
+        The base lies within R (1 + BOUND_SLACK) of c (the Body contract), so
+        a point beyond reach is more than eps + s - R BOUND_SLACK > eps +
+        PROJECTION_TOL from it. The projection agrees: it accepts p only
+        when |p - x| <= eps + PROJECTION_TOL for its result x, and
+        |p - x| >= |p - c| - |x - c|, so x would have to end more than
+        s - PROJECTION_TOL >= 999 PROJECTION_TOL outside the bound ball.
+        Dykstra stops only once a whole sweep moved no point by more than
+        PROJECTION_TOL, so its result is off the base by about that much.
+        |p - c| itself is off by a few ulps of |p| + |c|, far below s."""
         pts = as_points(points, self.dim)
-        return self.base.distance_many(pts) <= self.eps + PROJECTION_TOL
+        near = sq_norms(pts - self.bound.center) <= self._reach_sq
+        inside = np.zeros(len(pts), dtype=bool)
+        if near.any():
+            inside[near] = self.base.distance_many(pts[near]) <= self.eps + PROJECTION_TOL
+        return inside
 
     def project(self, points):
         pts = as_points(points, self.dim)
@@ -345,7 +415,11 @@ class CoverFamily:
     BallBody (centre c, radius r), members are the balls of centres
     translations + matrices @ c, decided by in_balls, the rule of BallBody;
     balls that provably hold none or all of a group of points skip the
-    pair-by-pair test (see _cull).
+    pair-by-pair test (see _cull). Otherwise the points are mapped back
+    by a block of members at once and the thickened base decides them in one
+    batch; it projects only the mapped points near its bounding ball (see
+    ThickenedBody.contains_many), so a member far from a point costs no
+    Dykstra sweep.
     """
 
     def __init__(self, base: Body, eps: float, net: IsometryNet):

@@ -10,6 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercert.bodies import (
+    BOUND_SLACK,
+    CULL_SLACK,
+    PROJECTION_TOL,
+    VERTEX_SUBSET_CAP,
     BallBody,
     BallIntersectionBody,
     CoverFamily,
@@ -121,6 +125,50 @@ def test_halfspace_validation():
         HalfspaceIntersectionBody([(0.0, 0.0)], [0.5], Ball(np.zeros(2), 1.0))
     with pytest.raises(ValueError):
         HalfspaceIntersectionBody([(1.0, 0.0)], [0.5], Ball(np.zeros(3), 1.0))
+
+
+def _segment(half_length: float, radius: float, sides: int = 4) -> HalfspaceIntersectionBody:
+    """[-half_length, half_length] x {0} as halfspaces; sides = 3 drops
+    y >= 0, leaving a half-strip."""
+    normals = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)][:sides]
+    offsets = [half_length, half_length, 0.0, 0.0][:sides]
+    return HalfspaceIntersectionBody(normals, offsets, Ball(np.zeros(2), radius))
+
+
+def test_halfspace_bound_must_hold_the_body():
+    # bounds that hold the body pass, up to the relative BOUND_SLACK: the
+    # unit square at sqrt(0.5), a segment at its half-length, a regular
+    # hexagon at its circumradius, whose vertices are rounded solutions
+    unit_square()
+    _segment(0.3, 0.3)
+    angles = np.arange(6) * math.pi / 3.0
+    hexagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    HalfspaceIntersectionBody(hexagon, np.full(6, 0.5 * math.sqrt(3.0)), Ball(np.zeros(2), 1.0))
+    # half-length 0.3, declared bound radius 0.1: the check sees the segment
+    # clipped to the cube of half-width 0.2 about the centre
+    with pytest.raises(ValueError, match="reach at least 0.2 from the bound's centre"):
+        _segment(0.3, 0.1)
+    with pytest.raises(ValueError, match="the bound must hold the body"):
+        _segment(0.5, 0.5, sides=3)  # unbounded half-strip
+    with pytest.raises(ValueError, match="the bound must hold the body"):
+        HalfspaceIntersectionBody([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+                                  [0.5] * 4, Ball(np.zeros(2), math.sqrt(0.5) * (1.0 - 1e-6)))
+    with pytest.raises(ValueError, match="meet in no point of their bound ball"):
+        HalfspaceIntersectionBody([(1.0, 0.0), (-1.0, 0.0)], [-1.0, -1.0],
+                                  Ball(np.zeros(2), 5.0))  # empty: x <= -1 and x >= 1
+    with pytest.raises(ValueError, match="meet in no point of their bound ball"):
+        HalfspaceIntersectionBody([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+                                  [9.0, -8.0, 0.5, 0.5], Ball(np.zeros(2), 1.0))
+    # the cull's margin covers a bound this loose and the projection's tolerance
+    assert BOUND_SLACK + PROJECTION_TOL < CULL_SLACK
+
+
+def test_halfspace_bound_check_is_capped():
+    # 3-d, 40 halfspaces plus 6 cube faces: C(46, 3) = 15,180 subsets
+    normals = np.random.default_rng(3).normal(size=(40, 3))
+    assert math.comb(46, 3) > VERTEX_SUBSET_CAP
+    with pytest.raises(ValueError, match=f"more than the {VERTEX_SUBSET_CAP} allowed"):
+        HalfspaceIntersectionBody(normals, np.ones(40), Ball(np.zeros(3), 10.0))
 
 
 def test_lens_membership_and_bound():
@@ -278,6 +326,60 @@ def test_union_projection_picks_nearest_part():
     assert np.allclose(proj[1], [-1.5, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
         UnionBody([])
+
+
+# ---------------------------------------------------------------------------
+# the thickened body's bounding-ball cull against the projection it skips
+
+
+def _reach(body: ThickenedBody) -> float:
+    outer = body.bound.radius  # R + eps
+    return outer + CULL_SLACK * (1.0 + float(np.linalg.norm(body.bound.center)) + outer)
+
+
+@pytest.mark.parametrize("base", [
+    unit_square(),
+    _segment(0.3, 0.3),
+    lens_body(),
+    UnionBody([unit_square(), BallBody(np.array([1.0, 0.5]), 0.3)]),
+    TransformedBody(lens_body(), Isometry(_rot(0.7), np.array([0.4, -1.2]))),
+    TransformedBody(_segment(0.3, 0.3), Isometry(_rot(2.1), np.array([-0.5, 0.25]))),
+], ids=["square", "segment", "lens", "union", "transformed-lens", "transformed-segment"])
+@pytest.mark.parametrize("eps", [0.0, 0.15])
+def test_thickened_cull_equals_projection(base, eps):
+    fat = ThickenedBody(base, eps)
+    c = base.bound.center
+    rng = np.random.default_rng(2024)
+    # seeded points out to twice the reach, and points a few ulps either
+    # side of the reach sphere
+    scatter = c + rng.normal(scale=_reach(fat), size=(400, 2))
+    dirs = rng.normal(size=(40, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = _reach(fat) * (1.0 + np.arange(-4, 5) * 2.0 ** -52)
+    shell = c + (dirs[:, None, :] * radii[None, :, None]).reshape(-1, 2)
+    pts = np.vstack([scatter, shell])
+    beyond = sq_norms(pts - c) > _reach(fat) ** 2
+    inside = fat.contains_many(pts)
+    assert beyond.sum() > 100 and (eps == 0.0 or inside.sum() > 20)
+    assert np.array_equal(inside, base.distance_many(pts) <= eps + PROJECTION_TOL)
+    assert not inside[beyond].any()
+
+
+def test_cover_family_counts_segment_matches_per_member():
+    # every member of a segment family decided on its own, by projecting
+    # the points mapped back by that member alone
+    from covercert.isometry_nets import build_cover_family
+
+    base, eps = _segment(0.5, 0.5), 0.3
+    net = build_cover_family(base, 1.0, Ball(np.zeros(2), 0.4), eps)
+    family = CoverFamily(base, eps, net)
+    pts = sample_uniform_ball(2, 1.2, 60, RngStream(5, 0))
+    reference = np.array([
+        np.count_nonzero(base.distance_many((pts - v) @ m) <= eps + PROJECTION_TOL)
+        for m, v in zip(net.matrices, net.translations)])
+    counts = family.counts(pts)
+    assert len(net) > 200 and counts.min() < counts.max()
+    assert counts.tolist() == reference.tolist()
 
 
 # ---------------------------------------------------------------------------

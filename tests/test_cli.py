@@ -555,6 +555,75 @@ def test_witness_body_file(tmp_path):
     assert main(["witness", "--seed", "2", "--body", str(wrong)]) == 2
 
 
+# The segment body of the benchmark: half-length 0.3 on the x-axis, a
+# Dykstra base whose family needs the rotation net.
+SEGMENT_BODY = {
+    "dim": 2, "kind": "halfspaces", "exact_volume": None,
+    "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
+                   {"normal": [-1.0, 0.0], "offset": 0.3},
+                   {"normal": [0.0, 1.0], "offset": 0.0},
+                   {"normal": [0.0, -1.0], "offset": 0.0}],
+    "bound": {"center": [0.0, 0.0], "radius": 0.3},
+}
+
+
+@pytest.fixture(scope="module")
+def segment_cert(tmp_path_factory):
+    """The SEGMENT_BODY witness at seed 1, eps 0.4 and 500 samples, run from
+    the body's directory so that the echoed --body path is its bare name."""
+    home = tmp_path_factory.mktemp("segment")
+    (home / "segment.json").write_text(json.dumps(SEGMENT_BODY))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(home)
+        rc, _ = run(["witness", "--seed", "1", "--body", "segment.json", "--eps", "0.4",
+                     "--samples", "500"], home / "cert.json")
+    return rc, home / "cert.json"
+
+
+# Non-ball outputs, pinned as test_witness_succeeds_and_replays pins the ball
+# certificate: a change meant to alter their bytes updates the hash and says why.
+def test_segment_witness_is_pinned(segment_cert):
+    rc, out = segment_cert
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "7115164d35173e00990a6a55bd18a4532e89590ebd85d6f3b2f3125b8f6f0a75"
+
+
+@pytest.mark.parametrize("flags,digest", [
+    (["--samples", "200"], "e2c07c83ab65ce31aee140f26f221bd01e51c7f650ccf8b600198fb3dc0040bb"),
+    (["--samples", "20", "--expect-fail"],
+     "80ce9d5ff024b06736198e201745db349eb617f2bf870da171ff17968a65eb5c"),
+], ids=["cover", "cover-expect-fail"])
+def test_cover_audit_is_pinned(tmp_path, flags, digest):
+    out = tmp_path / "audit.json"
+    rc, _ = run(["audit", "--suite", "cover", "--seed", "1", *flags], out)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fault", ["bound-too-small", "unbounded"])
+def test_halfspace_body_beyond_its_bound_exits_2(segment_cert, tmp_path, capsys, fault):
+    # a bound of radius 0.1 used to give a family built from the false
+    # diameter bound 0.2, and a certificate that verified
+    body = copy.deepcopy(SEGMENT_BODY)
+    if fault == "bound-too-small":
+        body["bound"]["radius"] = 0.1
+    else:
+        del body["halfspaces"][3]  # y >= 0 dropped: a half-strip
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["witness", "--seed", "1", "--body", str(path), "--eps", "0.4",
+                 "--samples", "500"]) == 2
+    assert "the bound must hold the body" in _one_line_error(capsys)
+    cert = json.loads(segment_cert[1].read_text())
+    cert["family_manifest"]["base_body"] = body
+    forged = tmp_path / "cert.json"
+    forged.write_text(json.dumps(cert))
+    assert main(["witness", "--verify-cert", str(forged)]) == 2
+    assert "the bound must hold the body" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"kind": "ball", "dim": 2}, "malformed body: missing key 'ball'"),
     ({"kind": "cube", "dim": 2}, "unknown body kind: cube"),

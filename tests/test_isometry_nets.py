@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from covercert.bodies import BallBody, thicken
 from covercert.geom_core import Ball, RngStream, sample_uniform_ball
 from covercert.isometry_nets import (
+    AUDIT_SHORTLIST,
     Isometry,
     IsometryNet,
     audit_cover_family,
@@ -23,6 +24,7 @@ from covercert.isometry_nets import (
     haar_orthogonal,
     min_distance_to_net,
     translation_cover_size_floor_log,
+    _member_proxy,
 )
 
 
@@ -338,6 +340,43 @@ def test_cover_family_audit_detects_missing_rotations():
                              rng=RngStream(12, 0))
     assert rep["failures"] > 0
     assert rep["failure_examples"]
+
+
+def _segment_nets():
+    """The audit's segment net, its rotation-stripped copy and a net of
+    fewer members than AUDIT_SHORTLIST."""
+    from covercert.audits import strip_rotations
+
+    net = build_cover_family(segment_2d(), 1.0, Ball(np.zeros(2), 1.0), 0.2)
+    small = IsometryNet(2, net.delta, net.matrices[::1000], net.translations[::1000], {})
+    assert len(small) < AUDIT_SHORTLIST
+    return {"cover": net, "stripped": strip_rotations(net), "small": small}
+
+
+@pytest.mark.parametrize("name", ["cover", "stripped", "small"])
+def test_member_proxy_is_bitwise_the_dense_sum(name):
+    net = _segment_nets()[name]
+    proxy = _member_proxy(net)
+    gen = np.random.default_rng(21)
+    flat = net.matrices.reshape(len(net), -1)
+    for _ in range(20):
+        a = haar_orthogonal(2, gen, 1)[0]
+        v = gen.uniform(-1.0, 1.0, 2)
+        dense = (np.linalg.norm(flat - a.reshape(1, -1), axis=1)
+                 + np.linalg.norm(net.translations - v, axis=1))
+        assert proxy(a, v).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("name", ["stripped", "small"])
+def test_audit_shortlist_does_not_change_the_report(monkeypatch, name):
+    # with no shortlist every trial tests the whole family at once
+    import covercert.isometry_nets as isometry_nets
+
+    net, body, window = _segment_nets()[name], segment_2d(), Ball(np.zeros(2), 1.0)
+    rep = audit_cover_family(net, body, window, 0.2, trials=12, rng=RngStream(8, 0))
+    monkeypatch.setattr(isometry_nets, "AUDIT_SHORTLIST", 0)
+    assert audit_cover_family(net, body, window, 0.2, trials=12, rng=RngStream(8, 0)) == rep
+    assert 0 < rep["failures"] < 12 or name == "small"
 
 
 def test_cover_family_direct_placement_guarantee():
