@@ -249,7 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=64)
     p.add_argument("--p", type=float, default=0.05)
     p.add_argument("--max-retries", type=int, default=64)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=int, default=20000,
+                   help="probe points of r B_n that estimate the largest member measure "
+                        "of a non-ball base; a ball base's is exact and draws no probe")
     p.add_argument("--verify-cert", default=None,
                    help="verify an existing certificate instead of searching")
     p.add_argument("--out", default=None)

@@ -17,7 +17,19 @@ from typing import Callable
 
 import numpy as np
 
-from .geom_core import RngStream, as_dim, cap_measure_exact, sq_distances, uniform_ball_points
+from .geom_core import (
+    RngStream,
+    as_dim,
+    cap_measure_exact,
+    gauss_legendre,
+    lens_measure,
+    sq_distances,
+    uniform_ball_points,
+)
+
+# edge_measure_exact's rule: after its substitution, 16 nodes already agree
+# with 128 to 1e-11 for n = 2..6 and r, threshold in [0.5, 1]
+EDGE_MEASURE_NODES = 32
 
 
 @dataclass
@@ -254,6 +266,27 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
 def edge_threshold(r: float, alpha: float) -> float:
     """Far-pair distance 2 r cos(alpha/2) of the geometric graph on r B_n."""
     return 2.0 * r * math.cos(alpha / 2.0)
+
+
+def edge_measure_exact(n: int, r: float, threshold: float,
+                       nodes: int = EDGE_MEASURE_NODES) -> float:
+    """(nu x nu)(|x - y| >= threshold) for x, y uniform on r B_n, that is
+    1 - E_x[lens_measure(n, |x|, r, threshold)], where |x| has density
+    n s^(n-1) / r^n on [0, r].
+
+    On [0, s0], s0 = |r - threshold|, one ball holds the other and the lens
+    is the constant min(1, (threshold/r)^n). On [s0, r] the lens grows like
+    (s - s0)^((n+1)/2) from s0, so the substitution s = s0 + (r - s0) u^2
+    makes the integrand smooth in u, and one Gauss-Legendre rule of `nodes`
+    points on u in [0, 1] integrates it."""
+    s0 = min(abs(r - threshold), r)
+    far = (1.0 - min(1.0, (threshold / r) ** n)) * (s0 / r) ** n
+    x, w = gauss_legendre(nodes)
+    u = 0.5 * (x + 1.0)
+    s = s0 + (r - s0) * u * u
+    miss = np.array([1.0 - lens_measure(n, d, r, threshold) for d in s])
+    density = n * s ** (n - 1) / r ** n * (r - s0) * u * w  # ds = 2 (r - s0) u du, du = w / 2
+    return far + float(np.dot(miss, density))
 
 
 def geometric_spec(n: int, r: float, alpha: float,

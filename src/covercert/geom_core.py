@@ -31,6 +31,11 @@ _AFFINE_DEPENDENCE = 1e-10  # min_enclosing_ball's relative pivot for affine dep
 # every n up to 10^14, so a fraction still moving after 1000 is an error
 _BETA_CF_TOL = 2.3e-16
 _BETA_CF_TERMS = 1000
+# gauss_legendre's Newton iteration: from Tricomi's guesses it converges
+# quadratically, and a step below the tolerance leaves the root within an
+# ulp or two; 100 steps without that are an error
+_LEGENDRE_ROOT_TOL = 1e-15
+_LEGENDRE_NEWTON_STEPS = 100
 
 
 def as_vector(x) -> Vector:
@@ -450,3 +455,52 @@ def cap_measure_bounds(n: int, alpha: float) -> tuple[float, float]:
     lower = s / math.sqrt(2.0 * math.pi * n)
     upper = s / (math.sqrt(2.0 * math.pi * (n - 1)) * math.cos(alpha))
     return lower, upper
+
+
+def _solid_cap(n: int, cos_angle: float) -> float:
+    """Normalized volume of the solid cap {x in B_n : x_1 >= cos_angle}. The
+    first n coordinates of a uniform point on the unit sphere of R^(n+2) are
+    uniform on B_n (Archimedes' projection), so this is the spherical cap
+    measure cap_measure_exact(n + 2, acos(cos_angle))."""
+    if cos_angle >= 1.0:
+        return 0.0
+    if cos_angle <= -1.0:
+        return 1.0
+    return cap_measure_exact(n + 2, math.acos(cos_angle))
+
+
+def lens_measure(n: int, d: float, a: float, b: float) -> float:
+    """Vol(B(0, a) & B(d e_1, b)) / Vol(a B_n) for d >= 0 and a, b > 0.
+
+    Disjoint balls (d >= a + b) give 0 and nested ones (d <= |a - b|)
+    min(1, (b/a)^n). Otherwise the radical hyperplane x_1 = h cuts the lens
+    into a solid cap of each ball, of half-angles acos(h/a) and
+    acos((d - h)/b)."""
+    n = as_dim(n, 1)
+    if d >= a + b:
+        return 0.0
+    if d <= abs(a - b):
+        return min(1.0, (b / a) ** n)
+    h = (d * d + a * a - b * b) / (2.0 * d)
+    return _solid_cap(n, h / a) + (b / a) ** n * _solid_cap(n, (d - h) / b)
+
+
+def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the count-point Gauss-Legendre rule
+    on [-1, 1]. Newton's method on the three-term Legendre recurrence
+    refines Tricomi's guesses cos(pi (k - 1/4) / (count + 1/2)) to the
+    roots of P_count, and w = 2 / ((1 - x^2) P'_count(x)^2). Plain array
+    arithmetic: no LAPACK routine is paged in for the rule."""
+    count = as_dim(count, 1)
+    x = np.cos(np.pi * (np.arange(1, count + 1) - 0.25) / (count + 0.5))
+    for _ in range(_LEGENDRE_NEWTON_STEPS):
+        prev, cur = np.ones_like(x), x
+        for j in range(2, count + 1):
+            prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+        slope = count * (x * cur - prev) / (x * x - 1.0)
+        step = cur / slope
+        x = x - step
+        if float(np.max(np.abs(step))) <= _LEGENDRE_ROOT_TOL:
+            return x[::-1], (2.0 / ((1.0 - x * x) * slope * slope))[::-1]
+    raise ArithmeticError(f"Legendre roots of degree {count} did not converge "
+                          f"in {_LEGENDRE_NEWTON_STEPS} Newton steps")

@@ -388,7 +388,8 @@ def _member_proxy(net: IsometryNet):
     only and gathers every member's terms from them: a row's norm depends on
     that row alone, so the values are bitwise those of the member-by-member
     sum."""
-    mats, mat_of = np.unique(net.matrices.reshape(len(net), -1), axis=0, return_inverse=True)
+    mats, mat_of = np.unique(net.matrices.reshape(len(net), net.dim * net.dim), axis=0,
+                             return_inverse=True)
     trans, trans_of = np.unique(net.translations, axis=0, return_inverse=True)
 
     def proxy(a: np.ndarray, v: np.ndarray) -> np.ndarray:

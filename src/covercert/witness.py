@@ -15,14 +15,24 @@ import numpy as np
 
 from .bodies import Body, CoverFamily, body_from_json_dict
 from .coclique import (
+    EDGE_MEASURE_NODES,
     CocliqueParams,
     build_coclique,
     check_hypotheses,
+    edge_measure_exact,
     edge_threshold,
     family_counts,
     geometric_spec,
 )
-from .geom_core import PREDICATE_TOL, Ball, RngStream, as_points, diameter, uniform_ball_points
+from .geom_core import (
+    PREDICATE_TOL,
+    Ball,
+    RngStream,
+    as_points,
+    diameter,
+    lens_measure,
+    uniform_ball_points,
+)
 from .isometry_nets import IsometryNet, build_cover_family
 
 SCHEMA_VERSION = 2  # of certificates and their verification reports
@@ -35,6 +45,11 @@ MEMBER_RULES = {
     1: "member = g(thicken(base_body, eps)) for g in net.elements",
     2: "member = g(thicken(base_body, eps)) for g in witness_family(base_body, r, eps).net",
 }
+# the closed forms behind a certificate's exact estimates; lens(d; a, b) is
+# Vol(B(0, a) & B(d e_1, b)) / Vol(a B_n) (geom_core.lens_measure)
+MEMBER_FORMULA = "lens(min_i |c_i|; r, R + eps)"
+EDGE_FORMULA = (f"1 - E_x[lens(|x|; r, threshold)], {EDGE_MEASURE_NODES}-node "
+                "Gauss-Legendre in u, |x| = s0 + (r - s0) u^2")
 
 
 def check_witness_dim(n: int) -> None:
@@ -105,6 +120,22 @@ def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
     return bool(int(top.sum()) < len(points)), diam, "count-sum"
 
 
+def _member_measure_max(family: CoverFamily, r: float, samples: int, rng: RngStream) -> dict:
+    """The largest measure on r B_n of a family member, as an estimates entry.
+
+    Ball members B(c, R + eps) lose measure on r B_n as |c| grows (Anderson's
+    inequality), so the member nearest the origin has the exact maximum.
+    Other members have no closed form: the fraction of a `samples`-point
+    probe of r B_n that each member holds estimates it."""
+    if family.centers is not None:
+        nearest = math.sqrt(float(family.centers_sq.min()))
+        return {"value": lens_measure(family.dim, nearest, r, family.radius),
+                "method": "exact", "formula": MEMBER_FORMULA}
+    probe = uniform_ball_points(rng.generator(), family.dim, r, samples)
+    return {"value": float(family_counts(family, probe).max()) / samples,
+            "method": "monte-carlo", "samples": samples}
+
+
 def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: float,
                    M: int, p: float, max_retries: int, samples: int, config: dict) -> dict:
     """Seeded search for a witness against witness_family(base, r, eps);
@@ -120,19 +151,14 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
     spec = geometric_spec(n, r, alpha, unit_diameter=True)
     family = spec.family = witness_family(base, r, eps, max_size=FAMILY_CAP)
 
-    # shared-sample estimate of the worst member measure on r B_n
-    probe = uniform_ball_points(rng.child(2).generator(), n, r, samples)
-    nu_hat = family_counts(family, probe) / float(samples)
-    p_hat_max = float(nu_hat.max()) if nu_hat.size else 0.0
-
-    # hypothesis report (diagnostic only; never gates the verdict)
+    # the lemma's two measures on r B_n (diagnostic only; never gate the verdict)
     threshold = edge_threshold(r, alpha)
-    pair_gen = rng.child(3).generator()
-    xs = uniform_ball_points(pair_gen, n, r, samples)
-    ys = uniform_ball_points(pair_gen, n, r, samples)
-    edge_hat = float(np.count_nonzero(
-        np.linalg.norm(xs - ys, axis=1) >= threshold)) / samples
-    hypotheses = check_hypotheses(params, len(family), nu_hat, edge_hat)
+    estimates = {"member_measure_max": _member_measure_max(family, r, samples, rng.child(2)),
+                 "edge_measure": {"value": edge_measure_exact(n, r, threshold),
+                                  "method": "exact", "formula": EDGE_FORMULA}}
+    hypotheses = check_hypotheses(params, len(family),
+                                  [estimates["member_measure_max"]["value"]],
+                                  estimates["edge_measure"]["value"])
     if not hypotheses["pass"]:
         warnings.warn("lemma hypotheses fail on measured estimates; "
                       "continuing — the verdict is decided by direct "
@@ -169,11 +195,7 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
             "rule": result.rule,
             "diagnostics": result.diagnostics,
         },
-        "estimates": {
-            "samples": samples,
-            "p_hat_max": p_hat_max,
-            "edge_measure_hat": edge_hat,
-        },
+        "estimates": estimates,
         "hypotheses": hypotheses,
     }
 

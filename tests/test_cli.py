@@ -193,6 +193,16 @@ def test_witness_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+# the fields a witness search draws from its seed, as bench/checks.py hashes them
+SEEDED_FIELDS = ("X", "per_member_counts", "verdict", "diam_X", "non_coverage_method")
+
+
+def _seeded_digest(cert: dict) -> str:
+    text = json.dumps({k: cert[k] for k in SEEDED_FIELDS}, sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_witness_succeeds_and_replays(witness_cert, tmp_path):
     rc, out, _ = witness_cert
     assert rc == 0
@@ -208,9 +218,13 @@ def test_witness_succeeds_and_replays(witness_cert, tmp_path):
     assert cert["non_coverage_method"] == "per-member-counts"
     assert max(cert["per_member_counts"]) < len(cert["X"]["points"])
     # The replay contract, pinned: a change meant to alter certificate bytes
-    # updates this hash and says why.
+    # updates this hash and says why. Last change: the estimates block took
+    # the exact member and edge measures (estimates and hypotheses only).
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "9f27a57671dabcf556d74a3b935db6e63514f3736d4011bdafd8afd6e98a873f"
+        "e62202e5eff8d5489f2ff4d6701f6b0d36622fcc305c97f9e8e462e6f45e43bf"
+    # the seeded result fields alone, pinned apart from the bytes around them
+    assert _seeded_digest(cert) == \
+        "0ea96679ab97ee527a9850ea5f07a1813cdfa15d8ed7d78d8e0965132d1f0425"
     replay = tmp_path / "replay.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -223,8 +237,8 @@ def test_witness_flags_hypothesis_estimates(witness_cert):
     assert any("hypotheses fail on measured estimates" in str(w.message)
                for w in caught)
     cert = json.loads(out.read_text())
-    # the measured first-moment estimate is diagnostic, not the design p
-    assert cert["estimates"]["p_hat_max"] > cert["config"]["params"]["p"]
+    # the largest member measure is diagnostic, not the design p
+    assert cert["estimates"]["member_measure_max"]["value"] > cert["config"]["params"]["p"]
     assert not cert["hypotheses"]["pass"]
 
 
@@ -585,8 +599,16 @@ def segment_cert(tmp_path_factory):
 def test_segment_witness_is_pinned(segment_cert):
     rc, out = segment_cert
     assert rc == 0
+    # Last change: the edge measure became exact and the pair draw went
+    # (estimates and hypotheses only).
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "7115164d35173e00990a6a55bd18a4532e89590ebd85d6f3b2f3125b8f6f0a75"
+        "fe439f5f1321f7bc3fb129ba391e88ba7bd2af81aa95dfa09b088c1f8a50125e"
+    cert = json.loads(out.read_text())
+    assert _seeded_digest(cert) == \
+        "545ad59499368f4957e817f13afe02b3b88f95d6ba8c846d38853650c84db606"
+    # a segment member has no closed-form measure: the probe still runs
+    assert cert["estimates"]["member_measure_max"]["method"] == "monte-carlo"
+    assert cert["estimates"]["edge_measure"]["method"] == "exact"
 
 
 @pytest.mark.parametrize("flags,digest", [
@@ -865,6 +887,25 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_witness_searches_load_no_scipy_or_numpy_polynomial(tmp_path):
+    """A ball witness and a segment witness, run in one fresh interpreter,
+    load no scipy module and no numpy.polynomial (the quadrature rule of
+    the exact edge measure is geom_core.gauss_legendre)."""
+    src = str(Path(covercert.__file__).resolve().parents[1])
+    (tmp_path / "segment.json").write_text(json.dumps(SEGMENT_BODY))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from covercert.cli import main; "
+            "assert main(['witness', '--seed', '2', '--out', sys.argv[2] + '/ball.json']) == 0; "
+            "assert main(['witness', '--seed', '1', '--body', sys.argv[2] + '/segment.json', "
+            "'--eps', '0.4', '--samples', '500', '--out', sys.argv[2] + '/seg.json']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert json.loads((tmp_path / "ball.json").read_text())["verdict"] is True
 
 
 def test_bench_tracer_wraps_every_layer():

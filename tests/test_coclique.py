@@ -21,12 +21,13 @@ from covercert.coclique import (
     chernoff_bound,
     chernoff_bound_log,
     edge_measure_audit,
+    edge_measure_exact,
     edge_threshold,
     exact_binomial_tail,
     family_counts,
     geometric_spec,
 )
-from covercert.geom_core import Ball, RngStream
+from covercert.geom_core import Ball, RngStream, uniform_ball_points
 from covercert.isometry_nets import Isometry, IsometryNet, build_cover_family, haar_orthogonal
 
 
@@ -486,3 +487,36 @@ def test_edge_measure_audit_small():
         edge_measure_audit(2, 1.0, 100, RngStream(0, 0), anchors=1)
     with pytest.raises(ValueError):
         edge_measure_audit(2.5, 1.0, 100, RngStream(1, 0), anchors=3)  # once reported n = 2
+
+
+# (r, threshold): the witness defaults, the n = 4 regime, and a threshold
+# below r, where a constant far measure 1 - (threshold/r)^n is added
+EDGE_CELLS = [(0.55, 1.0), (0.62, 1.0), (0.6, 0.5)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_edge_measure_exact_matches_monte_carlo(n):
+    samples = 10**5
+    for cell, (r, threshold) in enumerate(EDGE_CELLS):
+        exact = edge_measure_exact(n, r, threshold)
+        gen = RngStream(50 + n, cell).generator()
+        xs = uniform_ball_points(gen, n, r, samples)
+        ys = uniform_ball_points(gen, n, r, samples)
+        hat = float(np.count_nonzero(np.linalg.norm(xs - ys, axis=1) >= threshold)) / samples
+        sigma = math.sqrt(exact * (1.0 - exact) / samples)
+        assert abs(hat - exact) <= 4.0 * sigma, (r, threshold, hat, exact)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_edge_measure_rule_has_converged(n):
+    nodes = coclique.EDGE_MEASURE_NODES
+    for r, threshold in EDGE_CELLS + [(0.6, 0.6), (0.5, 0.9999)]:
+        assert abs(edge_measure_exact(n, r, threshold)
+                   - edge_measure_exact(n, r, threshold, nodes=4 * nodes)) <= 1e-9
+
+
+def test_edge_measure_exact_limits():
+    # no pair of r B_n is 2r apart or more; every pair is at least 0 apart
+    assert edge_measure_exact(3, 0.5, 1.0) == 0.0
+    assert edge_measure_exact(3, 0.5, 2.0) == 0.0
+    assert edge_measure_exact(3, 0.5, 1e-12) == pytest.approx(1.0, abs=1e-9)

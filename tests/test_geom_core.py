@@ -18,7 +18,9 @@ from covercert.geom_core import (
     cap_measure_bounds,
     cap_measure_exact,
     diameter,
+    gauss_legendre,
     jung_radius,
+    lens_measure,
     min_enclosing_ball,
     regular_simplex,
     sample_uniform_ball,
@@ -485,6 +487,72 @@ def test_cap_bounds_domain():
         cap_measure_bounds(3, math.pi / 2.0)
     with pytest.raises(ValueError):
         cap_measure_bounds(1, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# lens of two balls and the Gauss-Legendre rule
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_lens_boundary_cases(n):
+    a = 0.6
+    for b in (0.3, 0.6, 0.9):
+        # disjoint or touching balls share no volume
+        assert lens_measure(n, a + b, a, b) == 0.0
+        assert lens_measure(n, 5.0, a, b) == 0.0
+        # one ball inside the other, and d = 0
+        nested = min(1.0, (b / a) ** n)
+        for d in (0.0, abs(a - b)):
+            assert lens_measure(n, d, a, b) == nested
+        # the two-cap branch meets both limits continuously
+        assert lens_measure(n, abs(a - b) + 1e-9, a, b) == pytest.approx(nested, abs=1e-6)
+        assert lens_measure(n, a + b - 1e-9, a, b) == pytest.approx(0.0, abs=1e-6)
+
+
+def _lens_2d(d, a, b):
+    """Area of two intersecting discs over the area of the first."""
+    kite = math.sqrt((-d + a + b) * (d + a - b) * (d - a + b) * (d + a + b))
+    area = (a * a * math.acos((d * d + a * a - b * b) / (2.0 * d * a))
+            + b * b * math.acos((d * d + b * b - a * a) / (2.0 * d * b)) - 0.5 * kite)
+    return area / (math.pi * a * a)
+
+
+def _lens_3d(d, a, b):
+    """Volume of two intersecting balls of R^3 over the volume of the first."""
+    volume = (math.pi * (a + b - d) ** 2
+              * (d * d + 2.0 * d * b - 3.0 * b * b + 2.0 * d * a + 6.0 * a * b - 3.0 * a * a)
+              / (12.0 * d))
+    return volume / (4.0 / 3.0 * math.pi * a ** 3)
+
+
+@pytest.mark.parametrize("n,closed", [(2, _lens_2d), (3, _lens_3d)], ids=["disc", "ball"])
+def test_lens_matches_elementary_closed_forms(n, closed):
+    for a, b in ((0.55, 0.52), (0.55, 1.0), (1.0, 0.3)):
+        for d in np.linspace(abs(a - b), a + b, 41)[1:-1]:
+            assert lens_measure(n, float(d), a, b) == pytest.approx(
+                closed(float(d), a, b), rel=1e-11, abs=1e-14), (a, b, d)
+
+
+def test_lens_decreases_with_distance():
+    for n in (2, 4, 6):
+        values = [lens_measure(n, float(d), 0.62, 0.6) for d in np.linspace(0.0, 1.3, 131)]
+        assert all(x >= y for x, y in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 32])
+def test_gauss_legendre_integrates_polynomials_exactly(count):
+    nodes, weights = gauss_legendre(count)
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    assert float(np.max(np.abs(nodes + nodes[::-1]))) <= 1e-14
+    for degree in range(2 * count):
+        want = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert float(np.dot(weights, nodes ** degree)) == pytest.approx(want, abs=1e-13)
+
+
+def test_gauss_legendre_refuses_unconverged_roots(monkeypatch):
+    monkeypatch.setattr(geom_core, "_LEGENDRE_NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 Newton steps"):
+        gauss_legendre(32)
 
 
 # ---------------------------------------------------------------------------

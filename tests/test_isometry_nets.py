@@ -342,6 +342,16 @@ def test_cover_family_audit_detects_missing_rotations():
     assert rep["failure_examples"]
 
 
+@pytest.mark.parametrize("body", [BallBody(np.zeros(2), 0.3), segment_2d()],
+                         ids=["ball", "segment"])
+def test_cover_family_audit_fails_every_trial_on_an_empty_net(body):
+    net = IsometryNet(2, 0.1, np.zeros((0, 2, 2)), np.zeros((0, 2)), {})
+    rep = audit_cover_family(net, body, Ball(np.zeros(2), 1.0), 0.2, trials=7,
+                             rng=RngStream(9, 0))
+    assert (rep["trials"], rep["failures"], rep["pass"]) == (7, 7, False)
+    assert len(rep["failure_examples"]) == 5
+
+
 def _segment_nets():
     """The audit's segment net, its rotation-stripped copy and a net of
     fewer members than AUDIT_SHORTLIST."""

@@ -1,11 +1,16 @@
 """The witness verdict on a hand-built family: every non-coverage method,
-the empty witness and a witness wider than the threshold."""
+the empty witness and a witness wider than the threshold; and the largest
+member measure the lemma report records, exact for ball members."""
+
+import math
 
 import numpy as np
 import pytest
 
 import covercert.witness as witness
-from covercert.bodies import BallBody, CoverFamily
+from covercert.bodies import BallBody, CoverFamily, body_from_json_dict
+from covercert.coclique import family_counts
+from covercert.geom_core import RngStream, uniform_ball_points
 from covercert.isometry_nets import IsometryNet
 from covercert.witness import verdict
 
@@ -62,3 +67,45 @@ def test_verdict_rejects_k_outside_family(k):
     # allocates k indices before it finds no subset
     with pytest.raises(ValueError, match="must lie in \\[1, 3\\]"):
         verdict(X, PAIR_COVERS.counts(X), PAIR_COVERS, k, 2.0)
+
+
+def _translates(base, centers) -> CoverFamily:
+    """base thickened by 0.1 and translated to each of the centers."""
+    n = base.dim
+    net = IsometryNet(n, 0.1, np.repeat(np.eye(n)[None], len(centers), axis=0), centers, {})
+    return CoverFamily(base, 0.1, net)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_member_measure_max_is_exact_for_balls(n):
+    # six members of radius 0.6, none centred at the origin, on r B_n
+    r, samples = 0.62, 10**5
+    family = _translates(BallBody(np.zeros(n), 0.5),
+                         np.random.default_rng(70 + n).uniform(-0.3, 0.3, (6, n)))
+    entry = witness._member_measure_max(family, r, 1, RngStream(0, 0))
+    assert entry == {"value": entry["value"], "method": "exact",
+                     "formula": witness.MEMBER_FORMULA}
+    p_max = entry["value"]
+    nu = family.counts(uniform_ball_points(RngStream(80 + n, 0).generator(), n, r, samples))
+    nu = nu / samples
+    sigma = np.sqrt(nu * (1.0 - nu) / samples)
+    nearest = int(np.argmin(family.centers_sq))
+    assert abs(nu[nearest] - p_max) <= 4.0 * math.sqrt(p_max * (1.0 - p_max) / samples)
+    # no member measures more than the exact maximum
+    assert np.all(nu - 4.0 * sigma <= p_max), (nu, p_max)
+
+
+def test_member_measure_max_probes_other_bases():
+    segment = body_from_json_dict({
+        "dim": 2, "kind": "halfspaces", "exact_volume": None,
+        "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
+                       {"normal": [-1.0, 0.0], "offset": 0.3},
+                       {"normal": [0.0, 1.0], "offset": 0.0},
+                       {"normal": [0.0, -1.0], "offset": 0.0}],
+        "bound": {"center": [0.0, 0.0], "radius": 0.3}})
+    family = _translates(segment, np.array([[0.0, 0.0], [0.2, 0.1], [0.9, 0.0]]))
+    assert family.centers is None
+    entry = witness._member_measure_max(family, 0.55, 400, RngStream(3, 2))
+    probe = uniform_ball_points(RngStream(3, 2).generator(), 2, 0.55, 400)
+    assert entry == {"value": float(family_counts(family, probe).max()) / 400,
+                     "method": "monte-carlo", "samples": 400}
