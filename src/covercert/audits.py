@@ -16,27 +16,58 @@ import numpy as np
 from . import bounds as _bounds
 from .bodies import HalfspaceIntersectionBody
 from .coclique import edge_measure_audit
-from .geom_core import (Ball, RngStream, cap_measure_bounds, cap_measure_exact, diameter, jung_radius,
-                        min_enclosing_ball, regular_simplex, sample_uniform_ball)
+from .geom_core import (Ball, RngStream, cap_measure_bounds, cap_measure_exact, diameter,
+                        enclosing_radius_ceilings, jung_radius, min_enclosing_ball,
+                        regular_simplex, sample_uniform_ball)
 from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
+
+
+TOL_FLOOR = 1e-12  # smallest jung_check tol: its solves at tol / 10 still certify
+_JUNG_BATCH_ELEMS = 1 << 19  # cloud coordinates bounded per batch (4 MB of float64)
 
 
 def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float) -> dict:
     """The regular simplex of diameter 1 needs radius r_n (within tol), and
-    no random cloud, rescaled to diameter 1, needs more than r_n + tol."""
+    no random cloud, rescaled to diameter 1, needs more than r_n + tol.
+
+    Only the largest cloud radius is reported, so only the clouds that can
+    set it are solved. Cloud `trial` is drawn from rng.child(trial) and
+    rescaled by its diameter; a coincident cloud is skipped. Batches of at
+    most _JUNG_BATCH_ELEMS coordinates get ceilings from
+    enclosing_radius_ceilings at the solver tolerance t = min(1e-8, tol/10):
+
+        C = b (1 + t)(1 + 32 g) + 32 u S,
+
+    b a Badoiu-Clarkson upper bound on the cloud's optimal radius, S its
+    largest |p|, u = 2^-53 and g = rounding_gamma(n + 3); the margin over b
+    covers the solver's (1 + t) certificate and its rounding. No certified
+    solve returns more than C. min_enclosing_ball solves the clouds in
+    descending order of C and stops at the first C below the largest radius
+    so far: no cloud left unsolved could raise it, so max_radius has the
+    bits a solve of every cloud gives. Below TOL_FLOOR a solve may stop
+    uncertified, which the pruning cannot allow."""
     r_n = jung_radius(n)
     solver_tol = min(1e-8, tol / 10.0)
     simplex_radius = min_enclosing_ball(regular_simplex(n), tol=solver_tol).radius
     simplex_ok = abs(simplex_radius - r_n) <= tol
 
     max_radius = 0.0
-    for trial in range(clouds):
-        pts = sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial))
-        d = diameter(pts)
-        if d <= 0.0:
-            continue  # coincident cloud; nothing to normalize
-        ball = min_enclosing_ball(pts / d, tol=solver_tol)
-        max_radius = max(max_radius, ball.radius)
+    batch = max(1, _JUNG_BATCH_ELEMS // (cloud_size * n))
+    for start in range(0, clouds, batch):
+        normalized = []
+        for trial in range(start, min(start + batch, clouds)):
+            pts = sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial))
+            d = diameter(pts)
+            if d > 0.0:  # a coincident cloud has nothing to normalize
+                normalized.append(pts / d)
+        if not normalized:
+            continue
+        stack = np.stack(normalized)
+        ceilings = enclosing_radius_ceilings(stack, solver_tol)
+        for k in np.argsort(-ceilings, kind="stable"):
+            if ceilings[k] < max_radius:
+                break
+            max_radius = max(max_radius, min_enclosing_ball(stack[k], tol=solver_tol).radius)
     clouds_ok = max_radius <= r_n + tol
     return {"r_n": r_n, "simplex": {"radius": simplex_radius, "ok": simplex_ok},
             "clouds": {"trials": clouds, "max_radius": max_radius, "ok": clouds_ok},

@@ -25,6 +25,7 @@ from .geom_core import (
     as_vector,
     in_balls,
     min_enclosing_ball,
+    rounding_gamma,
     sample_uniform_ball,
     sq_norms,
 )
@@ -43,7 +44,6 @@ VERTEX_SUBSET_CAP = 10_000  # most n-subsets the halfspace body's vertex check s
 _FAMILY_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
 _FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
 _FAMILY_LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0  # u = 2^-53
 
 
 class Body:
@@ -545,7 +545,7 @@ def _cull(centers: np.ndarray, center_norm: float, radius: float,
     scale = center_norm + math.sqrt(float(pts_sq.max())) + float(np.linalg.norm(h)) + radius + 1.0
     if not math.isfinite(scale * scale):
         return np.arange(len(centers)), np.zeros(len(centers), dtype=bool)
-    gamma = (n + 3) * _UNIT_ROUNDOFF / (1.0 - (n + 3) * _UNIT_ROUNDOFF)
+    gamma = rounding_gamma(n + 3)
     q = math.sqrt(radius * radius + PREDICATE_TOL)
     delta = 2.0 * math.sqrt(gamma) * scale
     offsets = centers - h

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import bounds as _bounds
-from .audits import SUITES, jung_check, run_suite
+from .audits import SUITES, TOL_FLOOR, jung_check, run_suite
 from .audits import strip_rotations  # noqa: F401  bench/tracer.py times it as cli.strip_rotations
 from .bodies import BallBody, body_from_json_dict
 from .geom_core import RngStream
@@ -131,6 +131,9 @@ def cmd_jung_check(args) -> int:
         raise ValueError("clouds need at least two points")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError("--tol must be finite and positive")
+    if args.tol < TOL_FLOOR:
+        raise ValueError(f"--tol is at least {TOL_FLOOR:g}: below it the enclosing-ball "
+                         "solves may stop uncertified")
     config = run_config("jung-check", args.seed,
                         {"n": n, "samples": args.samples,
                          "cloud_size": args.cloud_size, "tol": args.tol})

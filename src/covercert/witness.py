@@ -8,6 +8,7 @@ regenerates, so a certificate cannot claim a smaller one.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import warnings
 
@@ -120,20 +121,44 @@ def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
     return bool(int(top.sum()) < len(points)), diam, "count-sum"
 
 
-def _member_measure_max(family: CoverFamily, r: float, samples: int, rng: RngStream) -> dict:
-    """The largest measure on r B_n of a family member, as an estimates entry.
-
-    Ball members B(c, R + eps) lose measure on r B_n as |c| grows (Anderson's
-    inequality), so the member nearest the origin has the exact maximum.
-    Other members have no closed form: the fraction of a `samples`-point
-    probe of r B_n that each member holds estimates it."""
+def _exact_estimates(family: CoverFamily, r: float, threshold: float) -> dict:
+    """The estimates entries that have a closed form, by name: the edge
+    measure always, and the largest member measure on r B_n when the
+    members are balls B(c, R + eps). Those lose measure on r B_n as |c|
+    grows (Anderson's inequality), so the member nearest the origin has the
+    exact maximum."""
+    exact = {"edge_measure": {"value": edge_measure_exact(family.dim, r, threshold),
+                              "method": "exact", "formula": EDGE_FORMULA}}
     if family.centers is not None:
         nearest = math.sqrt(float(family.centers_sq.min()))
-        return {"value": lens_measure(family.dim, nearest, r, family.radius),
-                "method": "exact", "formula": MEMBER_FORMULA}
+        exact["member_measure_max"] = {"value": lens_measure(family.dim, nearest, r,
+                                                             family.radius),
+                                       "method": "exact", "formula": MEMBER_FORMULA}
+    return exact
+
+
+def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngStream) -> dict:
+    """The largest measure on r B_n of a member without a closed form, as an
+    estimates entry: the largest fraction of a `samples`-point probe of
+    r B_n that one member holds."""
     probe = uniform_ball_points(rng.generator(), family.dim, r, samples)
     return {"value": float(family_counts(family, probe).max()) / samples,
             "method": "monte-carlo", "samples": samples}
+
+
+def _estimates_check(estimates: dict, family: CoverFamily, r: float, threshold: float) -> dict:
+    """The estimates-recomputed check: every entry with a closed form must
+    be exactly the recomputed entry (method, formula and the bits of its
+    value); any other entry must be a Monte Carlo one, which is reported
+    as not rechecked."""
+    exact = _exact_estimates(family, r, threshold)
+    probed = sorted(name for name, entry in estimates.items()
+                    if name not in exact and entry["method"] == "monte-carlo")
+    ok = len(exact) + len(probed) == len(estimates) and all(
+        name in estimates and json.dumps(estimates[name], sort_keys=True)
+        == json.dumps(entry, sort_keys=True) for name, entry in exact.items())
+    return {"name": "estimates-recomputed", "ok": ok, "recomputed": sorted(exact),
+            "not_rechecked": probed}
 
 
 def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: float,
@@ -153,9 +178,9 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
 
     # the lemma's two measures on r B_n (diagnostic only; never gate the verdict)
     threshold = edge_threshold(r, alpha)
-    estimates = {"member_measure_max": _member_measure_max(family, r, samples, rng.child(2)),
-                 "edge_measure": {"value": edge_measure_exact(n, r, threshold),
-                                  "method": "exact", "formula": EDGE_FORMULA}}
+    estimates = _exact_estimates(family, r, threshold)
+    if "member_measure_max" not in estimates:
+        estimates["member_measure_max"] = _member_measure_probe(family, r, samples, rng.child(2))
     hypotheses = check_hypotheses(params, len(family),
                                   [estimates["member_measure_max"]["value"]],
                                   estimates["edge_measure"]["value"])
@@ -220,7 +245,7 @@ def verify_witness_certificate(cert: dict) -> dict:
     its base body, r and eps, compare the stated net record, member rule
     (and a schema-1 certificate's element list) with it, and recompute the
     threshold, the diameter, the counts, the verdict and its method against
-    it. No search is re-run."""
+    it, and the estimates that have a closed form. No search is re-run."""
     version = cert["schema_version"]
     if type(version) is not int or version not in MEMBER_RULES:
         raise ValueError(f"schema_version {version!r} is not one of "
@@ -243,6 +268,8 @@ def verify_witness_certificate(cert: dict) -> dict:
     stored = np.asarray(_json_numbers("per_member_counts", cert["per_member_counts"], int),
                         dtype=int)
     check_witness_dim(n)
+    if not r > 0.0:
+        raise ValueError(f"r = {r} is not a positive radius")
     if X.shape[1] != n or base.dim != n:
         raise ValueError(f"X and the base body must have dimension n = {n}")
     family = witness_family(base, r, eps, max_size=len(stored))
@@ -266,6 +293,7 @@ def verify_witness_certificate(cert: dict) -> dict:
          "stored_method": cert["non_coverage_method"]},
         {"name": "verdict-matches", "recomputed": holds,
          "ok": cert["verdict"] is holds and cert["non_coverage_method"] == method},
+        _estimates_check(cert["estimates"], family, r, edge_threshold(r, alpha)),
     ]
     return {
         "schema_version": SCHEMA_VERSION,

@@ -174,6 +174,43 @@ def test_jung_check_tol_must_be_finite_and_positive(monkeypatch, capsys, tol):
     assert "--tol must be finite and positive" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("tol", ["9.9e-13", "1e-14", "1e-15", "5e-324"])
+def test_jung_check_tol_floor(monkeypatch, capsys, tol):
+    # below audits.TOL_FLOOR the solves may stop uncertified (at 1e-15 they
+    # did for n = 2, 6 and 10), and jung_check prunes on certified radii
+    def no_clouds(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
+    capsys.readouterr()
+    assert main(["jung-check", "--n", "3", "--seed", "1", "--tol", tol]) == 2
+    assert "--tol is at least 1e-12" in _one_line_error(capsys)
+
+
+def test_jung_check_accepts_the_tol_floor(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # every solve certified
+        rc = main(["jung-check", "--n", "6", "--seed", "0", "--samples", "50",
+                   "--tol", "1e-12", "--out", str(tmp_path / "jung.json")])
+    assert rc == 0
+
+
+# The bench's jung-check call and one at the CLI defaults (1,000 clouds of 16
+# in R^10), pinned: they hold the bytes a solve of every cloud gave before
+# jung_check bounded the clouds and skipped most solves.
+@pytest.mark.parametrize("flags,digest", [
+    (["--n", "6", "--seed", "1001", "--samples", "300", "--cloud-size", "16"],
+     "e1d1e434d35dbd4714b7474a4c5eb5de5feefa8d02a61b400af8f071ceb1ffcf"),
+    (["--n", "10", "--seed", "3"],
+     "c961b11af18aa1a3cdeeb8fe39932beb13ab06aeabd5eece413f68d67cad07db"),
+], ids=["bench", "defaults"])
+def test_jung_check_is_pinned(tmp_path, flags, digest):
+    out = tmp_path / "jung.json"
+    rc, _ = run(["jung-check", *flags], out)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # witness pipeline
 
@@ -271,6 +308,20 @@ def test_witness_verify_cert_accepts(witness_cert, witness_cert_v1, tmp_path):
         assert doc["kind"] == "witness-verification"
         assert doc["pass"]
         assert all(c["ok"] for c in doc["checks"])
+        # both measures of a ball family have closed forms, rechecked bit for bit
+        assert doc["checks"][-1] == {"name": "estimates-recomputed", "ok": True,
+                                     "recomputed": ["edge_measure", "member_measure_max"],
+                                     "not_rechecked": []}
+
+
+def test_witness_verify_cert_accepts_n3(tmp_path):
+    out = tmp_path / "cert.json"
+    rc, cert = run(["witness", "--n", "3", "--seed", "2", "--eps", "0.1",
+                    "--ball-radius", "0.4", "--samples", "500"], out)
+    assert rc == 0 and cert["verdict"] is True
+    rc, doc = run(["witness", "--verify-cert", str(out)], tmp_path / "report.json")
+    assert rc == 0 and doc["pass"]
+    assert doc["checks"][-1]["recomputed"] == ["edge_measure", "member_measure_max"]
 
 
 # each tampering and the checks it must fail
@@ -293,6 +344,11 @@ _TAMPERED = {
     "member-rule": {"family-regenerated"},
     "method": {"verdict-matches"},
     "verdict-one": {"verdict-matches"},
+    # an exact estimate is recomputed: a forged value, or a ball member's
+    # exact measure relabelled as a probe that is not rechecked, fails
+    "member-measure": {"estimates-recomputed"},
+    "edge-measure": {"estimates-recomputed"},
+    "member-measure-relabelled": {"estimates-recomputed"},
 }
 # tamperings that edit the element list of a schema-1 certificate
 _LISTED = {"thinned", "reordered"}
@@ -328,6 +384,14 @@ def test_witness_verify_cert_rejects_tampering(witness_cert, witness_cert_v1, tm
         cert["non_coverage_method"] = "count-sum"
     elif corrupt == "verdict-one":
         cert["verdict"] = 1
+    elif corrupt == "member-measure":
+        cert["estimates"]["member_measure_max"]["value"] = 0.01
+    elif corrupt == "edge-measure":
+        cert["estimates"]["edge_measure"]["value"] = math.nextafter(
+            cert["estimates"]["edge_measure"]["value"], 0.0)
+    elif corrupt == "member-measure-relabelled":
+        cert["estimates"]["member_measure_max"] = {"value": 0.01, "method": "monte-carlo",
+                                                   "samples": 20000}
     else:
         cert["r"] = 0.3
     rc, doc = _verify(cert, tmp_path, f"bad_{corrupt}")
@@ -496,7 +560,9 @@ def _field_paths(doc, path=()):
 _DELETE = object()
 # stated fields the verifier checks beyond the family, counts and diameter
 _CHECKED_FIELDS = {("schema_version",), ("kind",), ("family_manifest", "member_rule"),
-                   ("non_coverage_method",), ("verdict",)}
+                   ("non_coverage_method",), ("verdict",), ("estimates",)} | {
+    ("estimates", name, *key) for name in ("member_measure_max", "edge_measure")
+    for key in ((), ("value",), ("method",), ("formula",))}
 
 
 def test_witness_verify_cert_fuzz(tmp_path, capsys):
@@ -609,6 +675,12 @@ def test_segment_witness_is_pinned(segment_cert):
     # a segment member has no closed-form measure: the probe still runs
     assert cert["estimates"]["member_measure_max"]["method"] == "monte-carlo"
     assert cert["estimates"]["edge_measure"]["method"] == "exact"
+    # the verifier rechecks the exact edge measure and reports the probe
+    rc, doc = run(["witness", "--verify-cert", str(out)], out.parent / "report.json")
+    assert rc == 0 and doc["pass"]
+    assert doc["checks"][-1] == {"name": "estimates-recomputed", "ok": True,
+                                 "recomputed": ["edge_measure"],
+                                 "not_rechecked": ["member_measure_max"]}
 
 
 @pytest.mark.parametrize("flags,digest", [

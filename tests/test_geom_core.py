@@ -18,6 +18,7 @@ from covercert.geom_core import (
     cap_measure_bounds,
     cap_measure_exact,
     diameter,
+    enclosing_radius_ceilings,
     gauss_legendre,
     jung_radius,
     lens_measure,
@@ -312,6 +313,34 @@ def test_meb_certificate_on_jung_inputs():
             ball = min_enclosing_ball(pts, tol=tol)
             assert np.all(ball.contains_points(pts))
             assert ball.radius <= (1.0 + tol) * _dual_lower_bound(pts, ball)
+
+
+# a cloud of one point repeated has a centroid off that point by rounding,
+# on which min_enclosing_ball may stop uncertified
+@pytest.mark.filterwarnings("ignore:min_enclosing_ball stopped:RuntimeWarning")
+@pytest.mark.parametrize("cloud_size", [2, 3, 16])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enclosing_radius_ceilings_hold_every_cloud(n, cloud_size):
+    # random clouds rescaled to diameter 1 as jung-check draws them, plus
+    # one with repeated points and one on a line
+    rng = RngStream(60 + n, 0)
+    clouds = [sample_uniform_ball(n, 1.0, cloud_size, rng.child(t)) for t in range(40)]
+    clouds[0][1:] = clouds[0][0]
+    clouds[1] = clouds[1][:, :1] * clouds[1][-1]
+    stack = np.stack([c / diameter(c) if diameter(c) > 0 else c for c in clouds])
+    for tol in (1e-8, 1e-13):
+        ceilings = enclosing_radius_ceilings(stack, tol)
+        radii = np.array([min_enclosing_ball(c, tol=tol).radius for c in stack])
+        assert np.all(ceilings >= radii)
+        if cloud_size == 16 and n > 1:
+            assert np.all(ceilings[2:] <= 1.1 * radii[2:])  # tight enough to prune
+
+
+def test_enclosing_radius_ceilings_take_a_stack():
+    assert enclosing_radius_ceilings(np.empty((0, 4, 3)), 1e-8).shape == (0,)
+    for bad in (np.zeros((4, 3)), np.zeros((2, 0, 3))):
+        with pytest.raises(ValueError, match=r"\(B, m, n\) stack"):
+            enclosing_radius_ceilings(bad, 1e-8)
 
 
 def test_meb_iteration_cap_warns_and_encloses():

@@ -82,7 +82,7 @@ def test_member_measure_max_is_exact_for_balls(n):
     r, samples = 0.62, 10**5
     family = _translates(BallBody(np.zeros(n), 0.5),
                          np.random.default_rng(70 + n).uniform(-0.3, 0.3, (6, n)))
-    entry = witness._member_measure_max(family, r, 1, RngStream(0, 0))
+    entry = witness._exact_estimates(family, r, 0.5)["member_measure_max"]
     assert entry == {"value": entry["value"], "method": "exact",
                      "formula": witness.MEMBER_FORMULA}
     p_max = entry["value"]
@@ -105,7 +105,9 @@ def test_member_measure_max_probes_other_bases():
         "bound": {"center": [0.0, 0.0], "radius": 0.3}})
     family = _translates(segment, np.array([[0.0, 0.0], [0.2, 0.1], [0.9, 0.0]]))
     assert family.centers is None
-    entry = witness._member_measure_max(family, 0.55, 400, RngStream(3, 2))
+    # no closed form: the exact entries hold the edge measure alone
+    assert list(witness._exact_estimates(family, 0.55, 0.5)) == ["edge_measure"]
+    entry = witness._member_measure_probe(family, 0.55, 400, RngStream(3, 2))
     probe = uniform_ball_points(RngStream(3, 2).generator(), 2, 0.55, 400)
     assert entry == {"value": float(family_counts(family, probe).max()) / 400,
                      "method": "monte-carlo", "samples": 400}
