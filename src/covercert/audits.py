@@ -143,12 +143,12 @@ def segment_body() -> HalfspaceIntersectionBody:
 
 
 def strip_rotations(net: IsometryNet) -> IsometryNet:
-    """Fault injection for cover audits: drop every element whose matrix is
-    not the identity, destroying rotational coverage."""
-    keep = np.isclose(net.matrices, np.eye(net.dim), atol=1e-12).all(axis=(1, 2))
+    """Fault injection for cover audits: drop every rotation of the net but
+    the identity, destroying rotational coverage."""
+    keep = np.isclose(net.rotations, np.eye(net.dim), atol=1e-12).all(axis=(1, 2))
     cert = dict(net.certificate)
     cert["fault"] = "rotation net removed"
-    return IsometryNet(net.dim, net.delta, net.matrices[keep], net.translations[keep], cert)
+    return IsometryNet(net.dim, net.delta, net.rotations[keep], net.translations, cert)
 
 
 def _cover(rng: RngStream, trials: int, expect_fail: bool) -> dict:

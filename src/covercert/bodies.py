@@ -245,8 +245,9 @@ class ThickenedBody(Body):
         self.dim = base.dim
         self.bound = Ball(base.bound.center, base.bound.radius + eps)
         outer = self.bound.radius
-        reach = outer + CULL_SLACK * (1.0 + float(np.linalg.norm(self.bound.center)) + outer)
-        self._reach_sq = reach * reach
+        self.slack = CULL_SLACK * (1.0 + float(np.linalg.norm(self.bound.center)) + outer)
+        self.reach = outer + self.slack
+        self._reach_sq = self.reach * self.reach
 
     def contains_many(self, points):
         """dist(p, base) <= eps + PROJECTION_TOL, with the distance projected
@@ -408,14 +409,15 @@ def reduce_to_ball(b: Body) -> Ball | None:
 
 class CoverFamily:
     """The finite family g(thicken(base, eps)) for g in net, kept as the base
-    body, eps and the net's arrays: no member is built as an object.
+    body, eps and the net's two factors: no member is built as an object,
+    and no array holds a matrix per member.
 
-    Member i contains p iff thicken(base, eps) contains
-    matrices[i]^T (p - translations[i]). When the thickened base is a
-    BallBody (centre c, radius r), members are the balls of centres
-    translations + matrices @ c, decided by in_balls, the rule of BallBody;
-    balls that provably hold none or all of a group of points skip the
-    pair-by-pair test (see _cull). Otherwise the points are mapped back
+    Member i, with A = rotations[i // T] and v = translations[i % T],
+    contains p iff thicken(base, eps) contains A^T (p - v). When the
+    thickened base is a BallBody (centre c, radius r), members are the balls
+    of centres A c + v, one row per member, decided by in_balls, the rule of
+    BallBody; balls that provably hold none or all of a group of points skip
+    the pair-by-pair test (see _cull). Otherwise the points are mapped back
     by a block of members at once and the thickened base decides them in one
     batch; it projects only the mapped points near its bounding ball (see
     ThickenedBody.contains_many), so a member far from a point costs no
@@ -433,18 +435,66 @@ class CoverFamily:
         ball = self.body.ball if isinstance(self.body, BallBody) else None
         self.radius = None if ball is None else ball.radius
         self.centers = None if ball is None else (
-            np.einsum("tij,j->ti", net.matrices, ball.center) + net.translations)
+            np.einsum("rij,j->ri", net.rotations, ball.center)[:, None, :]
+            + net.translations).reshape(len(net), self.dim)
         self.centers_sq = None if ball is None else sq_norms(self.centers)
 
     def __len__(self) -> int:
         return len(self.net)
 
-    def counts(self, points) -> np.ndarray:
-        """How many of the points each member contains, shape (T,)."""
-        counts = np.zeros(len(self), dtype=int)
-        for rows, cols, inside in self._blocks(as_points(points, self.dim), np.arange(len(self))):
+    def counts(self, points, members=None) -> np.ndarray:
+        """How many of the points each member contains, shape (T,);
+        `members` restricts the count to those net indices, in that order."""
+        idx = np.arange(len(self)) if members is None else np.asarray(members, dtype=int)
+        counts = np.zeros(len(idx), dtype=int)
+        for rows, cols, inside in self._blocks(as_points(points, self.dim), idx):
             counts[rows] += len(cols) if inside is None else np.count_nonzero(inside, axis=1)
         return counts
+
+    def count_ceilings(self, points) -> np.ndarray:
+        """Upper bounds on counts(points), one per member. For a
+        ThickenedBody with bound centre c, cull slack s and reach
+        R + eps + s, member i = (A, v) holds p only if in_balls puts p in
+        the ball of centre A c + v and radius reach + s, and those balls are
+        counted as a ball family. Any other thickened base, or points for
+        which the conditions below fail, get the number of points instead.
+
+        Let g = rounding_gamma(n + 3), tau = g plus the largest entry of
+        |A^T A - I| over the net's rotations, as evaluated (an n-term sum,
+        off by less than g), and S = max |p| + max |v| + |c| + reach + s;
+        the ball counts are returned when
+        (i) 8 n (g + tau) S <= s / 2 and (ii) 8 g S^2 <= s reach.
+        - Member i holds p only if ThickenedBody.contains_many finds the
+          mapped-back point b = fl(p A - v A) near, so its float |b - c|^2
+          is at most fl(reach^2), and |b - c| <= reach + g S.
+        - Each coordinate of b is two n-term dot products of p and v with a
+          column of A, of norm at most 1 + tau, and one difference: b lies
+          within 2 n g S of A^T (p - v).
+        - The entries of A^T A are within tau of I, so |A^T A - I|_op is at
+          most n tau. With x = p - v - A c, |A^T x| is at most
+          |A^T (p - v) - c| + n tau |c|, and |x| <= (1 + n tau) |A^T x|; so
+          |x| <= reach + 4 n g S + 2 n tau S.
+        - The float centre c' = fl(A c + v) lies within n g S of A c + v, so
+          |p - c'| <= reach + 5 n g S + 2 n tau S <= reach + s / 2 by (i).
+        - in_balls evaluates |p - c'|^2 and its threshold
+          (reach + s)^2 + PREDICATE_TOL each within 4 g S^2, as in _cull
+          with |c'| + |p| + reach + s <= 2 S; and (reach + s)^2 -
+          (reach + s / 2)^2 >= s reach >= 8 g S^2 by (ii): p is counted.
+        """
+        body, pts = self.body, as_points(points, self.dim)
+        if not isinstance(body, ThickenedBody):
+            return np.full(len(self), len(pts))
+        n, c, s = self.dim, body.bound.center, body.slack
+        scale = (math.sqrt(float(sq_norms(pts).max(initial=0.0)))
+                 + math.sqrt(float(sq_norms(self.net.translations).max(initial=0.0)))
+                 + float(np.linalg.norm(c)) + body.reach + s)
+        gamma = rounding_gamma(n + 3)
+        rot = self.net.rotations
+        tau = gamma + float(np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(n)).max(initial=0.0))
+        if not (8.0 * n * (gamma + tau) * scale <= 0.5 * s
+                and 8.0 * gamma * scale * scale <= s * body.reach):
+            return np.full(len(self), len(pts))
+        return CoverFamily(BallBody(c, body.reach + s), 0.0, self.net).counts(pts)
 
     def contains(self, points, members=None) -> np.ndarray:
         """Boolean (T, m) matrix: entry (i, j) says member i contains point j.
@@ -470,13 +520,12 @@ class CoverFamily:
         m, n = pts.shape
         step = max(1, _FAMILY_CHUNK_POINTS // m)
         for start in range(0, len(idx), step):
-            sel = idx[start:start + step]
-            mats = self.net.matrices[sel]
+            mats, trans = self.net.members(idx[start:start + step])
             # inverse images A^T (p - v) = p A - v A, (m, members, n), in one product
-            shift = np.einsum("tj,tji->ti", self.net.translations[sel], mats)
-            back = (pts @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(m, len(sel), n) - shift
-            inside = self.body.contains_many(back.reshape(-1, n)).reshape(m, len(sel))
-            yield np.arange(start, start + len(sel)), np.arange(m), inside.T
+            shift = np.einsum("tj,tji->ti", trans, mats)
+            back = (pts @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(m, len(mats), n) - shift
+            inside = self.body.contains_many(back.reshape(-1, n)).reshape(m, len(mats))
+            yield np.arange(start, start + len(mats)), np.arange(m), inside.T
 
     def _ball_blocks(self, pts: np.ndarray, idx: np.ndarray):
         """_blocks for ball members, output-sensitive: the points are split

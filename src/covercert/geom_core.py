@@ -252,10 +252,12 @@ def min_enclosing_ball(points: np.ndarray, tol: float = SOLVER_TOL,
         raise ValueError("minimum enclosing ball of an empty set is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if (pts == pts[0]).all():  # one point, repeated: its centroid may round off it
+        return Ball(pts[0].copy(), 0.0)
     centroid = pts.mean(axis=0)
     q = pts - centroid
     sq = np.einsum("ij,ij->i", q, q)
-    if not sq.any():
+    if not sq.any():  # a spread whose square underflows
         return Ball(pts[0].copy(), 0.0)
 
     # The weights are translation and scale invariant; centred, unit-spread

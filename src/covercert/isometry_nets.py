@@ -88,28 +88,45 @@ class Isometry:
 
 @dataclass
 class IsometryNet:
-    """Rigid motions x -> matrices[i] @ x + translations[i]; (T, n, n), (T, n)."""
+    """Rigid motions x -> rotations[i // T] @ x + translations[i % T] for
+    i < R T: each of the R rotations (R, n, n) with each of the T
+    translations (T, n), in rotation-major order. No member array is held."""
 
     dim: int
     delta: float
-    matrices: np.ndarray
+    rotations: np.ndarray
     translations: np.ndarray
     certificate: dict
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.rotations) * len(self.translations)
+
+    def members(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices and translations of the members idx."""
+        t = len(self.translations)
+        return self.rotations[idx // t], self.translations[idx % t]
+
+    def lists(self, matrices: np.ndarray, translations: np.ndarray) -> bool:
+        """Whether the members are exactly these matrices (T, n, n) and
+        translations (T, n), in this order. Builds the whole product."""
+        mats, trans = self.members(np.arange(len(self)))
+        return np.array_equal(mats, matrices) and np.array_equal(trans, translations)
 
     def to_json_dict(self) -> dict:
+        mats, trans = self.members(np.arange(len(self)))
         return {
             "dim": self.dim,
             "delta": self.delta,
             "elements": [{"matrix": m, "translation": v} for m, v in
-                         zip(self.matrices.tolist(), self.translations.tolist())],
+                         zip(mats.tolist(), trans.tolist())],
             "certificate": self.certificate,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "IsometryNet":
+        """The net of an element list, which must run through every rotation
+        with every translation in rotation-major order; validated element by
+        element first."""
         dim, elements = int(d["dim"]), d["elements"]
         try:
             mats = np.asarray([e["matrix"] for e in elements] or np.zeros((0, dim, dim)))
@@ -120,8 +137,17 @@ class IsometryNet:
         mats, trans = _check_isometries(mats, trans, "net element matrix")
         if mats.shape[1] != dim:
             raise ValueError(f"net elements have dimension {mats.shape[1]}, not {dim}")
-        return IsometryNet(dim=dim, delta=float(d["delta"]), matrices=mats,
-                           translations=trans, certificate=dict(d["certificate"]))
+        # the translation count T divides the element count and is at most
+        # the leading run of equal matrices; the least T that fits is taken
+        run = int(np.argmin(np.append(np.all(mats == mats[:1], axis=(1, 2)), False)))
+        for t in range(1, max(run, 1) + 1):
+            if len(mats) % t == 0:
+                net = IsometryNet(dim, float(d["delta"]), mats[::t], trans[:t],
+                                  dict(d["certificate"]))
+                if net.lists(mats, trans):
+                    return net
+        raise ValueError("net elements are not every rotation with every translation "
+                         "in rotation-major order")
 
 
 def haar_orthogonal(n: int, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -183,10 +209,10 @@ def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray) -> np.ndarray:
 
 def audit_orthogonal_net(net: IsometryNet, probes: int, rng: RngStream) -> dict:
     """Probabilistic coverage certificate: random orthogonal probes must all
-    lie within net.delta of some element."""
+    lie within net.delta of some rotation of the net."""
     gen = rng.generator()
     mats = haar_orthogonal(net.dim, gen, probes)
-    dists = min_distance_to_net(mats, net.matrices)
+    dists = min_distance_to_net(mats, net.rotations)
     failures = int(np.count_nonzero(dists > net.delta + COVER_SLACK))
     return {
         "probes": int(probes),
@@ -226,7 +252,7 @@ def build_orthogonal_net(n: int, delta: float) -> IsometryNet:
 
     def rotation_net(mats, cert) -> IsometryNet:
         mats = np.asarray(mats, dtype=float)
-        return IsometryNet(n, float(delta), mats, np.zeros((len(mats), n)), cert)
+        return IsometryNet(n, float(delta), mats, np.zeros((1, n)), cert)
 
     if n == 1:
         return rotation_net([[[1.0]], [[-1.0]]], {"kind": "exact", "covering_radius": 0.0})
@@ -322,6 +348,10 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     `max_size` members (grid rotation nets times the translation grid's
     floor), or whose net radius eps / 2D is not a finite positive float, is
     refused before anything is built.
+
+    The net is held as its two factors: the rotations (R, n, n) and the
+    translation grid (T, n); member i is rotation i // T with translation
+    i % T, and no member array is built.
     """
     from . import bodies as _bodies
 
@@ -356,15 +386,10 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
                     "note": "origin-centered ball is rotation invariant"}
     else:
         rot_net = build_orthogonal_net(n, delta)
-        rotations = rot_net.matrices
+        rotations = rot_net.rotations
         rot_cert = rot_net.certificate
 
     translations = build_translation_cover(v_ball, rho)
-
-    # product in rotation-major order: each rotation with every translation
-    matrices = np.repeat(rotations, len(translations), axis=0)
-    shifts = np.tile(translations, (len(rotations), 1))
-    size = len(matrices)
     cert = {
         "kind": "product-grid",
         "rotation_certificate": rot_cert,
@@ -375,28 +400,45 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         "guarantee_eps": eps,
         "diameter_bound": d_bound,
         "window": v_ball.to_json_dict(),
-        "size": size,
+        "size": len(rotations) * len(translations),
         "size_bound_log": _size_bound_log(n, d_bound, eps, len(translations)),
     }
-    return IsometryNet(n, delta + rho, matrices, shifts, cert)
+    return IsometryNet(n, delta + rho, rotations, translations, cert)
 
 
-def _member_proxy(net: IsometryNet):
-    """proxy(a, v): |M_g - a|_F + |v_g - v| for every member g = (M_g, v_g)
-    of net, shape (len(net),). The net's distinct matrices and translations
-    are found once here, so each call takes its two norms over those rows
-    only and gathers every member's terms from them: a row's norm depends on
-    that row alone, so the values are bitwise those of the member-by-member
-    sum."""
-    mats, mat_of = np.unique(net.matrices.reshape(len(net), net.dim * net.dim), axis=0,
-                             return_inverse=True)
-    trans, trans_of = np.unique(net.translations, axis=0, return_inverse=True)
+def _best(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of k least values, by a partition; all of them when there
+    are no more than k."""
+    return np.argpartition(values, k)[:k] if len(values) > k else np.arange(len(values))
 
-    def proxy(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (np.linalg.norm(mats - a.reshape(1, -1), axis=1)[mat_of]
-                + np.linalg.norm(trans - v, axis=1)[trans_of])
 
-    return proxy
+def _shortlist(net: IsometryNet, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The AUDIT_SHORTLIST = k members g = (A_g, v_g) of least proxy
+    |A_g - a|_F + |v_g - v|, a rotation term plus a translation term. A
+    member whose rotation is not among the k best has a sum no less than
+    the k members that pair one of those with its translation, and likewise
+    for translations: so k least sums of the product lie among the k best
+    rotations times the k best translations."""
+    k, t = AUDIT_SHORTLIST, len(net.translations)
+    rot = np.linalg.norm(net.rotations.reshape(len(net.rotations), -1) - a.reshape(1, -1), axis=1)
+    trans = np.linalg.norm(net.translations - v, axis=1)
+    rows, cols = _best(rot, k), _best(trans, k)
+    pick = _best((rot[rows, None] + trans[cols]).ravel(), k)
+    return rows[pick // len(cols)] * t + cols[pick % len(cols)]
+
+
+def _candidates(net: IsometryNet, a: np.ndarray, v: np.ndarray):
+    """The whole family in two parts, the shortlist for the placement (a, v)
+    and then the rest, which is built only when asked for; one part when
+    the family is no larger than the shortlist."""
+    if len(net) <= AUDIT_SHORTLIST:
+        yield np.arange(len(net))
+        return
+    short = _shortlist(net, a, v)
+    yield short
+    rest = np.ones(len(net), dtype=bool)
+    rest[short] = False
+    yield np.flatnonzero(rest)
 
 
 def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
@@ -405,12 +447,11 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     (A, v), probe points of A K + v, and require some g in T whose
     eps-thickening of K contains every probe.
 
-    Candidates are ranked by the proxy |M_g - A|_F + |v_g - v| (member
-    matrix M_g, translation v_g; see _member_proxy), and the AUDIT_SHORTLIST
-    best, picked by a partition rather than a sort, are tested in one
-    batched membership call; a failed shortlist falls back to one batched
-    call over the rest of the family, so reported failures are real, not
-    search artifacts.
+    Candidates are ranked by the proxy |A_g - A|_F + |v_g - v| (member
+    rotation A_g, translation v_g), and the AUDIT_SHORTLIST best, drawn from
+    the net's factors (see _shortlist), are tested in one batched membership
+    call; a failed shortlist falls back to one batched call over the rest of
+    the family, so reported failures are real, not search artifacts.
     """
     from . import bodies as _bodies
 
@@ -418,7 +459,6 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
         raise ValueError("at least one trial required")
     family = _bodies.CoverFamily(k_body, eps, t_net)
     gen = rng.generator()
-    proxy_of = _member_proxy(t_net)
     failures = 0
     failure_examples = []
     base_probes = _bodies.probe_points(k_body, AUDIT_PROBES, rng.child(0))
@@ -431,13 +471,10 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
         else:
             v = v_ball.center.copy()
         placed = base_probes @ a.T + v
-        proxy = proxy_of(a, v)
         # the shortlist and the rest together are the whole family, so
         # their order within does not change `found`
-        order = (np.argpartition(proxy, AUDIT_SHORTLIST) if len(proxy) > AUDIT_SHORTLIST
-                 else np.arange(len(proxy)))
         found = any(family.contains(placed, part).all(axis=1).any()
-                    for part in (order[:AUDIT_SHORTLIST], order[AUDIT_SHORTLIST:]) if part.size)
+                    for part in _candidates(t_net, a, v) if part.size)
         if not found:
             failures += 1
             if len(failure_examples) < 5:

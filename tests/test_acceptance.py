@@ -276,7 +276,7 @@ def test_08_cover_family(capsys):
     fault_ok = fault["failures"] > 0
     ok = positive_ok and fault_ok
     report(capsys, 8, "cover-family", ok,
-           f"1000 placements covered (net size {len(family.matrices)}); "
+           f"1000 placements covered (net size {len(family)}); "
            f"rotation removal detected with {fault['failures']} failures")
     assert positive_ok, audit
     assert fault_ok, fault

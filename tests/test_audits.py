@@ -36,9 +36,8 @@ def _degenerate(n, radius, count, rng):
 
 
 # Points copied from one draw can get a diameter of about 1e-8 from rounding
-# instead of 0; the cloud rescaled by it may leave min_enclosing_ball
-# uncertified. Its radius is then far below the maximum either way.
-@pytest.mark.filterwarnings("ignore:min_enclosing_ball stopped:RuntimeWarning")
+# instead of 0; rescaled by it, they are still one point repeated, which
+# min_enclosing_ball certifies at radius 0.
 @pytest.mark.parametrize("tol", [1e-6, 1e-3])
 @pytest.mark.parametrize("cloud_size", [2, 3, 16])
 @pytest.mark.parametrize("n", range(1, 11))

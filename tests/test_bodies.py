@@ -376,7 +376,7 @@ def test_cover_family_counts_segment_matches_per_member():
     pts = sample_uniform_ball(2, 1.2, 60, RngStream(5, 0))
     reference = np.array([
         np.count_nonzero(base.distance_many((pts - v) @ m) <= eps + PROJECTION_TOL)
-        for m, v in zip(net.matrices, net.translations)])
+        for m, v in zip(*net.members(np.arange(len(net))))])
     counts = family.counts(pts)
     assert len(net) > 200 and counts.min() < counts.max()
     assert counts.tolist() == reference.tolist()
@@ -428,8 +428,10 @@ def test_square_exact_volume_survives_round_trip():
 # cover families: the culled ball path against the dense in_balls matrix
 
 
-def _ball_family(base_center, base_radius, eps, matrices, translations) -> CoverFamily:
-    net = IsometryNet(len(base_center), 0.0, np.asarray(matrices, dtype=float),
+def _ball_family(base_center, base_radius, eps, rotations, translations) -> CoverFamily:
+    """Balls of radius base_radius + eps: every rotation of the base centre
+    with every translation."""
+    net = IsometryNet(len(base_center), 0.0, np.asarray(rotations, dtype=float),
                       np.asarray(translations, dtype=float), {})
     return CoverFamily(BallBody(base_center, base_radius), eps, net)
 
@@ -437,16 +439,19 @@ def _ball_family(base_center, base_radius, eps, matrices, translations) -> Cover
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        offset=st.floats(0.0, 1e3), radius=st.sampled_from(["zero", "tiny", "random"]),
-       members=st.integers(1, 80), points=st.integers(1, 600))
-def test_cover_family_cull_equals_dense(n, seed, offset, radius, members, points):
+       rotations=st.integers(1, 8), translations=st.integers(1, 12),
+       points=st.integers(1, 600))
+def test_cover_family_cull_equals_dense(n, seed, offset, radius, rotations, translations,
+                                        points):
     rng = np.random.default_rng(seed)
     base = {"zero": 0.0, "tiny": 1e-7, "random": float(rng.uniform(0.01, 2.0))}[radius]
     eps = float(rng.uniform(0.0, 0.5)) if radius == "random" else 0.0
     # random rotations (QR of Gaussians) and translations around `offset`
-    q = np.linalg.qr(rng.normal(size=(members, n, n)))[0]
+    q = np.linalg.qr(rng.normal(size=(rotations, n, n)))[0]
     spread = float(rng.uniform(0.1, 5.0))
-    translations = offset + rng.uniform(-spread, spread, (members, n))
-    family = _ball_family(rng.uniform(-1.0, 1.0, n), base, eps, q, translations)
+    shifts = offset + rng.uniform(-spread, spread, (translations, n))
+    family = _ball_family(rng.uniform(-1.0, 1.0, n), base, eps, q, shifts)
+    members = len(family)
     # points around the centres, some exactly on one
     pts = offset + rng.uniform(-spread, spread, (points, n))
     pts[: min(points, members) // 2] = family.centers[: min(points, members) // 2]
@@ -507,8 +512,22 @@ def test_cover_family_cull_bounds():
     for pts, centers in ((np.array([[-1.0, 0.0], [1.0, 0.0]]),
                           np.array([[x, 0.0] for x in (1.5, 1.0 + q, 2.5, 3.0)])),
                          (pts, centers)):
-        family = _ball_family(np.zeros(2), base, 0.0,
-                              np.repeat(np.eye(2)[None], len(centers), 0), centers)
+        family = _ball_family(np.zeros(2), base, 0.0, np.eye(2)[None], centers)
         dense = in_balls(centers, base, pts)
         assert family.counts(pts).tolist() == np.count_nonzero(dense, axis=1).tolist()
         assert np.array_equal(family.contains(pts), dense)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_family_centres_keep_their_bytes(n):
+    # centres from the factors, one einsum per rotation, are the bytes of
+    # the einsum over the once-materialised np.repeat / np.tile members
+    rng = np.random.default_rng(40 + n)
+    rotations = np.linalg.qr(rng.normal(size=(7, n, n)))[0]
+    translations = rng.uniform(-2.0, 2.0, (11, n))
+    center = rng.uniform(-1.0, 1.0, n)
+    family = _ball_family(center, 0.4, 0.1, rotations, translations)
+    old = (np.einsum("tij,j->ti", np.repeat(rotations, len(translations), axis=0), center)
+           + np.tile(translations, (len(rotations), 1)))
+    assert family.centers.tobytes() == old.tobytes()
+    assert family.centers_sq.tobytes() == sq_norms(old).tobytes()

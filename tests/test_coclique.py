@@ -245,17 +245,17 @@ def _members(family: CoverFamily) -> list:
     fat = thicken(family.base, family.eps)
     net = family.net
     return [transform(fat, Isometry(m, v))
-            for m, v in zip(net.matrices, net.translations)]
+            for m, v in zip(*net.members(np.arange(len(net))))]
 
 
-def _random_net(gen, n: int, size: int) -> IsometryNet:
-    return IsometryNet(n, 0.1, haar_orthogonal(n, gen, size),
-                       gen.normal(size=(size, n)), {})
+def _random_net(gen, n: int, rotations: int, translations: int) -> IsometryNet:
+    return IsometryNet(n, 0.1, haar_orthogonal(n, gen, rotations),
+                       gen.normal(size=(translations, n)), {})
 
 
 def test_family_counts_fast_path_matches_generic():
     gen = np.random.default_rng(31)
-    family = CoverFamily(BallBody(gen.normal(size=3), 0.8), 0.3, _random_net(gen, 3, 12))
+    family = CoverFamily(BallBody(gen.normal(size=3), 0.8), 0.3, _random_net(gen, 3, 4, 3))
     assert family.centers is not None  # ball base: the centre-array path
     pts = gen.normal(size=(400, 3))
     members = _members(family)
@@ -266,7 +266,7 @@ def test_family_counts_fast_path_matches_generic():
 
 def test_family_counts_chunked(monkeypatch):
     gen = np.random.default_rng(32)
-    family = CoverFamily(BallBody(np.zeros(2), 0.7), 0.3, _random_net(gen, 2, 9))
+    family = CoverFamily(BallBody(np.zeros(2), 0.7), 0.3, _random_net(gen, 2, 3, 3))
     pts = gen.normal(size=(50, 2))
     whole_counts, whole_masks = family.counts(pts), family.contains(pts)
     # 3 * 50 + 1 pairs per block: three members per block, the last block short

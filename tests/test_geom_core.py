@@ -315,9 +315,21 @@ def test_meb_certificate_on_jung_inputs():
             assert ball.radius <= (1.0 + tol) * _dual_lower_bound(pts, ball)
 
 
-# a cloud of one point repeated has a centroid off that point by rounding,
-# on which min_enclosing_ball may stop uncertified
-@pytest.mark.filterwarnings("ignore:min_enclosing_ball stopped:RuntimeWarning")
+@pytest.mark.parametrize("n", [6, 10])
+def test_meb_repeated_point_is_certified_radius_zero(n):
+    # the centroid of 16 copies of one point may round off the point; the
+    # copies are caught before the centroid is taken
+    import warnings
+
+    rng = RngStream(90 + n, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for trial in range(40):
+            point = sample_uniform_ball(n, 1.0, 1, rng.child(trial))[0]
+            ball = min_enclosing_ball(np.repeat(point[None], 16, axis=0))
+            assert ball.radius == 0.0 and ball.center.tobytes() == point.tobytes()
+
+
 @pytest.mark.parametrize("cloud_size", [2, 3, 16])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_enclosing_radius_ceilings_hold_every_cloud(n, cloud_size):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercert.bodies import BallBody, thicken
+from covercert.bodies import BallBody, CoverFamily, probe_points, thicken
 from covercert.geom_core import Ball, RngStream, sample_uniform_ball
 from covercert.isometry_nets import (
     AUDIT_SHORTLIST,
@@ -24,7 +24,8 @@ from covercert.isometry_nets import (
     haar_orthogonal,
     min_distance_to_net,
     translation_cover_size_floor_log,
-    _member_proxy,
+    _candidates,
+    _shortlist,
 )
 
 
@@ -128,7 +129,7 @@ def test_net_n2_grid_coverage():
     assert len(net) == 2 * count
     # worst case: a rotation halfway between adjacent grid angles
     worst = _rot(math.pi / count)
-    d = min_distance_to_net(worst[None], net.matrices)[0]
+    d = min_distance_to_net(worst[None], net.rotations)[0]
     assert d <= delta + 1e-9
     rep = audit_orthogonal_net(net, 400, RngStream(2, 0))
     assert rep["pass"], rep
@@ -157,7 +158,8 @@ def test_net_json_round_trip():
     back = IsometryNet.from_json_dict(net.to_json_dict())
     assert back.dim == net.dim and back.delta == net.delta
     assert len(back) == len(net)
-    assert np.allclose(back.matrices, net.matrices)
+    assert np.allclose(back.rotations, net.rotations)
+    assert np.array_equal(back.translations, np.zeros((1, 2)))
 
 
 def test_net_json_batched_validation():
@@ -178,7 +180,42 @@ def test_net_json_batched_validation():
     with pytest.raises(ValueError, match="translation dimension mismatch"):
         IsometryNet.from_json_dict(bad)
     empty = IsometryNet.from_json_dict(dict(doc, elements=[]))
-    assert len(empty) == 0 and empty.matrices.shape == (0, 2, 2)
+    assert len(empty) == 0 and empty.rotations.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("n,eps,window", [(1, 0.3, 0.5), (2, 0.3, 0.5), (3, 5.0, 3.0)])
+def test_cover_family_members_are_the_old_product(n, eps, window):
+    # the factors expand to exactly the np.repeat / np.tile arrays the
+    # family was once built as, and a listed net factors back into them;
+    # an off-centre ball needs a rotation net (n = 3: 96 rotations, 27
+    # translations)
+    body = BallBody(np.full(n, 0.05), 0.3)
+    net = build_cover_family(body, 1.0, Ball(np.zeros(n), window), eps, max_size=10**4)
+    rotations, translations = net.rotations, net.translations
+    assert len(rotations) > 1 and len(translations) > 1
+    assert net.certificate["size"] == len(net) == len(rotations) * len(translations)
+    mats, trans = net.members(np.arange(len(net)))
+    assert mats.tobytes() == np.repeat(rotations, len(translations), axis=0).tobytes()
+    assert trans.tobytes() == np.tile(translations, (len(rotations), 1)).tobytes()
+    back = IsometryNet.from_json_dict(json.loads(json.dumps(net.to_json_dict())))
+    assert back.rotations.tobytes() == rotations.tobytes()
+    assert back.translations.tobytes() == translations.tobytes()
+
+
+def test_net_json_factors_repeated_rotations_and_refuses_other_lists():
+    # rotations (I, I, R) with two translations: the leading run of equal
+    # matrices is four long, yet the list is a product of period two
+    rot, shifts = _rot(0.4), np.array([[0.1, 0.0], [0.0, 0.2]])
+    net = IsometryNet(2, 0.1, np.stack([np.eye(2), np.eye(2), rot]), shifts, {})
+    doc = net.to_json_dict()
+    back = IsometryNet.from_json_dict(doc)
+    assert (len(back.rotations), len(back.translations)) == (3, 2)
+    every = np.arange(len(net))
+    assert all(np.array_equal(a, b) for a, b in zip(back.members(every), net.members(every)))
+    # a pair swapped, or one member dropped, is not a rotation-major product
+    for elements in (doc["elements"][1::-1] + doc["elements"][2:], doc["elements"][:-1]):
+        with pytest.raises(ValueError, match="not every rotation with every translation"):
+            IsometryNet.from_json_dict(dict(doc, elements=elements))
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +390,50 @@ def test_cover_family_audit_fails_every_trial_on_an_empty_net(body):
 
 
 def _segment_nets():
-    """The audit's segment net, its rotation-stripped copy and a net of
-    fewer members than AUDIT_SHORTLIST."""
+    """The audit's segment net, its rotation-stripped copy, its rotations
+    with three translations and a net of fewer members than AUDIT_SHORTLIST."""
     from covercert.audits import strip_rotations
 
     net = build_cover_family(segment_2d(), 1.0, Ball(np.zeros(2), 1.0), 0.2)
-    small = IsometryNet(2, net.delta, net.matrices[::1000], net.translations[::1000], {})
-    assert len(small) < AUDIT_SHORTLIST
-    return {"cover": net, "stripped": strip_rotations(net), "small": small}
+    small = IsometryNet(2, net.delta, net.rotations[::20], net.translations[::100], {})
+    assert 1 < len(small) < AUDIT_SHORTLIST
+    few = IsometryNet(2, net.delta, net.rotations, net.translations[::70], {})
+    assert len(few.translations) == 3
+    return {"cover": net, "stripped": strip_rotations(net), "few-translations": few,
+            "small": small}
+
+
+@pytest.mark.parametrize("name", ["cover", "stripped", "few-translations", "small"])
+def test_shortlist_is_a_top_k_of_the_dense_proxy(name):
+    # the shortlist drawn from the factors holds AUDIT_SHORTLIST least
+    # values of the proxy summed member by member, and with the rest it is
+    # the whole family once, so the trial's `found` is the dense scan's
+    net = _segment_nets()[name]
+    body, eps = segment_2d(), 0.2
+    family = CoverFamily(body, eps, net)
+    mats, trans = net.members(np.arange(len(net)))
+    probes = probe_points(body, 16, RngStream(4, 0))
+    gen = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(20):
+        a = haar_orthogonal(2, gen, 1)[0]
+        v = gen.uniform(-0.7, 0.7, 2)  # inside the unit window
+        parts = list(_candidates(net, a, v))
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(net)))
+        if len(net) > AUDIT_SHORTLIST:
+            dense = (np.linalg.norm(mats.reshape(len(net), -1) - a.reshape(1, -1), axis=1)
+                     + np.linalg.norm(trans - v, axis=1))
+            short = _shortlist(net, a, v)
+            assert np.array_equal(parts[0], short) and len(set(short.tolist())) == len(short)
+            assert np.sort(dense[short]).tobytes() == np.sort(dense)[:AUDIT_SHORTLIST].tobytes()
+        placed = probes @ a.T + v
+        found = any(family.contains(placed, part).all(axis=1).any() for part in parts)
+        assert found == bool(family.contains(placed).all(axis=1).any())
+        outcomes.add(found)
+    assert outcomes == {True} if name == "cover" else False in outcomes
 
 
 @pytest.mark.parametrize("name", ["cover", "stripped", "small"])
-def test_member_proxy_is_bitwise_the_dense_sum(name):
-    net = _segment_nets()[name]
-    proxy = _member_proxy(net)
-    gen = np.random.default_rng(21)
-    flat = net.matrices.reshape(len(net), -1)
-    for _ in range(20):
-        a = haar_orthogonal(2, gen, 1)[0]
-        v = gen.uniform(-1.0, 1.0, 2)
-        dense = (np.linalg.norm(flat - a.reshape(1, -1), axis=1)
-                 + np.linalg.norm(net.translations - v, axis=1))
-        assert proxy(a, v).tobytes() == dense.tobytes()
-
-
-@pytest.mark.parametrize("name", ["stripped", "small"])
 def test_audit_shortlist_does_not_change_the_report(monkeypatch, name):
     # with no shortlist every trial tests the whole family at once
     import covercert.isometry_nets as isometry_nets
@@ -386,7 +442,10 @@ def test_audit_shortlist_does_not_change_the_report(monkeypatch, name):
     rep = audit_cover_family(net, body, window, 0.2, trials=12, rng=RngStream(8, 0))
     monkeypatch.setattr(isometry_nets, "AUDIT_SHORTLIST", 0)
     assert audit_cover_family(net, body, window, 0.2, trials=12, rng=RngStream(8, 0)) == rep
-    assert 0 < rep["failures"] < 12 or name == "small"
+    if name == "stripped":
+        assert 0 < rep["failures"] < 12
+    elif name == "cover":
+        assert rep["failures"] == 0
 
 
 def test_cover_family_direct_placement_guarantee():
@@ -408,5 +467,5 @@ def test_cover_family_direct_placement_guarantee():
         # g^-1(x) = A^T (x - v) for g = (A, v)
         assert any(
             np.all(fat.contains_many((placed - v) @ a_g))
-            for a_g, v in zip(net.matrices, net.translations)
+            for a_g, v in zip(*net.members(np.arange(len(net))))
         )

@@ -1,17 +1,26 @@
 """The witness verdict on a hand-built family: every non-coverage method,
 the empty witness and a witness wider than the threshold; and the largest
-member measure the lemma report records, exact for ball members."""
+member measure the lemma report records, exact for ball members and,
+for other bases, the exact maximum of a probe count pruned by ceilings."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covercert.witness as witness
-from covercert.bodies import BallBody, CoverFamily, body_from_json_dict
+from covercert.bodies import (
+    BallBody,
+    BallIntersectionBody,
+    CoverFamily,
+    HalfspaceIntersectionBody,
+    body_from_json_dict,
+)
 from covercert.coclique import family_counts
-from covercert.geom_core import RngStream, uniform_ball_points
-from covercert.isometry_nets import IsometryNet
+from covercert.geom_core import Ball, RngStream, uniform_ball_points
+from covercert.isometry_nets import IsometryNet, haar_orthogonal
 from covercert.witness import verdict
 
 # X: two points 1.8 apart on the x-axis
@@ -22,7 +31,7 @@ def _family(*translations) -> CoverFamily:
     """Discs of radius 0.6 (a radius-0.5 base thickened by 0.1) at the
     given centres."""
     t = np.asarray(translations, dtype=float)
-    net = IsometryNet(2, 0.1, np.repeat(np.eye(2)[None], len(t), axis=0), t, {})
+    net = IsometryNet(2, 0.1, np.eye(2)[None], t, {})
     return CoverFamily(BallBody(np.zeros(2), 0.5), 0.1, net)
 
 
@@ -72,7 +81,7 @@ def test_verdict_rejects_k_outside_family(k):
 def _translates(base, centers) -> CoverFamily:
     """base thickened by 0.1 and translated to each of the centers."""
     n = base.dim
-    net = IsometryNet(n, 0.1, np.repeat(np.eye(n)[None], len(centers), axis=0), centers, {})
+    net = IsometryNet(n, 0.1, np.eye(n)[None], centers, {})
     return CoverFamily(base, 0.1, net)
 
 
@@ -111,3 +120,78 @@ def test_member_measure_max_probes_other_bases():
     probe = uniform_ball_points(RngStream(3, 2).generator(), 2, 0.55, 400)
     assert entry == {"value": float(family_counts(family, probe).max()) / 400,
                      "method": "monte-carlo", "samples": 400}
+
+
+def _box(gen, n: int) -> HalfspaceIntersectionBody:
+    """A box of random orientation and half-widths (the first at least
+    0.05, the others possibly 0: a segment or a plate), centred off the
+    origin, with its circumscribed ball as the bound."""
+    q = haar_orthogonal(n, gen, 1)[0]
+    centre = gen.uniform(-0.5, 0.5, n)
+    half = np.concatenate([gen.uniform(0.05, 0.5, 1), gen.uniform(0.0, 0.5, n - 1)
+                           * (gen.uniform(size=n - 1) < 0.7)])
+    normals = np.vstack([q, -q])
+    offsets = np.concatenate([q @ centre + half, half - q @ centre])
+    return HalfspaceIntersectionBody(normals, offsets,
+                                     Ball(centre, float(np.linalg.norm(half)) + 1e-12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["box", "lens"]), rotations=st.integers(1, 6),
+       translations=st.integers(1, 12), samples=st.integers(1, 300))
+def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, translations,
+                                                  samples):
+    # bases whose bound centre is off the origin, so that the rotations
+    # move the ceilings: every ceiling holds its member's count, and the
+    # pruned maximum is the maximum of a count of every member
+    gen = np.random.default_rng(seed)
+    if kind == "box":
+        base = _box(gen, n)
+    else:
+        # two balls overlapping by at least 0.4
+        a = gen.uniform(-0.5, 0.5, n)
+        b = a + gen.uniform(-0.4, 0.4, n) / math.sqrt(n)
+        base = BallIntersectionBody([Ball(a, float(gen.uniform(0.4, 0.8))),
+                                     Ball(b, float(gen.uniform(0.4, 0.8)))])
+    net = IsometryNet(n, 0.1, haar_orthogonal(n, gen, rotations),
+                      gen.uniform(-1.0, 1.0, (translations, n)), {})
+    family = CoverFamily(base, float(gen.uniform(0.05, 0.5)), net)
+    r = float(gen.uniform(0.3, 1.0))
+    rng = RngStream(seed % 1000, 2)
+    probe = uniform_ball_points(rng.generator(), n, r, samples)
+    exact = family.counts(probe)
+    ceilings = family.count_ceilings(probe)
+    assert np.all(ceilings >= exact)
+    for batch in (1, witness.PROBE_BATCH):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(witness, "PROBE_BATCH", batch)
+            entry = witness._member_measure_probe(family, r, samples, rng)
+        assert entry == {"value": float(exact.max()) / samples, "method": "monte-carlo",
+                         "samples": samples}
+
+
+def test_member_probe_counts_few_members_of_a_segment_family(monkeypatch):
+    # the benchmark's segment of length 0.6 at eps 0.4: 4,598 members, of
+    # which the ceilings leave a few hundred to count
+    segment = body_from_json_dict({
+        "dim": 2, "kind": "halfspaces", "exact_volume": None,
+        "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
+                       {"normal": [-1.0, 0.0], "offset": 0.3},
+                       {"normal": [0.0, 1.0], "offset": 0.0},
+                       {"normal": [0.0, -1.0], "offset": 0.0}],
+        "bound": {"center": [0.0, 0.0], "radius": 0.3}})
+    family = witness.witness_family(segment, 0.55, 0.4)
+    counted = []
+    counts = family.counts
+
+    def recording(points, members=None):
+        counted.append(len(family) if members is None else len(members))
+        return counts(points, members)
+
+    monkeypatch.setattr(family, "counts", recording)
+    rng = RngStream(1001, 2)
+    entry = witness._member_measure_probe(family, 0.55, 500, rng)
+    assert len(family) == 4598 and sum(counted) < 500
+    probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
+    assert entry["value"] == float(counts(probe).max()) / 500
