@@ -26,6 +26,7 @@ from .geom_core import (
     in_balls,
     min_enclosing_ball,
     rounding_gamma,
+    row_norms,
     sample_uniform_ball,
     sq_norms,
 )
@@ -69,7 +70,7 @@ class Body:
 
     def distance_many(self, points: np.ndarray) -> np.ndarray:
         pts = as_points(points, self.dim)
-        return np.linalg.norm(pts - self.project(pts), axis=1)
+        return row_norms(pts, self.project(pts))
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -96,7 +97,7 @@ class BallBody(Body):
 
 def _project_onto_ball(x: np.ndarray, ball: Ball) -> np.ndarray:
     rel = x - ball.center
-    norms = np.linalg.norm(rel, axis=1)
+    norms = row_norms(rel)
     scale = np.ones_like(norms)
     outside = norms > ball.radius
     scale[outside] = ball.radius / norms[outside]
@@ -135,7 +136,7 @@ class HalfspaceIntersectionBody(Body):
         offsets = np.asarray(offsets, dtype=float).reshape(-1)
         if normals.shape[0] != offsets.size:
             raise ValueError("one offset per normal required")
-        norms = np.linalg.norm(normals, axis=1)
+        norms = row_norms(normals)
         if np.any(norms < 1e-15):
             raise ValueError("halfspace normals must be nonzero")
         self.normals = normals / norms[:, None]
@@ -174,7 +175,7 @@ class HalfspaceIntersectionBody(Body):
         verts = verts[np.all(verts @ normals.T <= offsets + BOUND_SLACK * scale, axis=1)]
         if len(verts) == 0:
             raise ValueError("the halfspaces meet in no point of their bound ball")
-        reach = math.sqrt(float(sq_norms(verts - c).max()))
+        reach = math.sqrt(float(sq_norms(verts, c).max()))
         if not reach <= radius * (1.0 + BOUND_SLACK):
             raise ValueError(f"the halfspaces reach at least {reach:.6g} from the bound's centre, "
                              f"beyond its radius {radius:.6g}: the bound must hold the body")
@@ -202,6 +203,13 @@ class HalfspaceIntersectionBody(Body):
 
 
 class BallIntersectionBody(Body):
+    """Intersection of closed balls. Two balls with |c_i - c_j| > r_i + r_j
+    are refused: they share no point, and Dykstra would run to
+    PROJECTION_SWEEP_CAP on the empty body. The pairwise rule is exact for
+    two balls and in R^1, where pairwise meeting intervals share a point
+    (Helly); for three or more balls in R^2 and up it is not, and pairwise
+    meeting balls with an empty intersection are still accepted."""
+
     kind = "ball_intersection"
 
     def __init__(self, balls: list[Ball]):
@@ -210,6 +218,11 @@ class BallIntersectionBody(Body):
         dims = {b.dim for b in balls}
         if len(dims) != 1:
             raise ValueError("all balls must share one dimension")
+        for a, b in itertools.combinations(balls, 2):
+            gap = float(np.linalg.norm(a.center - b.center))
+            if gap > a.radius + b.radius:
+                raise ValueError(f"balls of radii {a.radius:.6g} and {b.radius:.6g} at "
+                                 f"distance {gap:.6g} do not meet: the intersection is empty")
         self.balls = list(balls)
         self.dim = balls[0].dim
         self.bound = min(balls, key=lambda b: b.radius)
@@ -265,7 +278,7 @@ class ThickenedBody(Body):
         PROJECTION_TOL, so its result is off the base by about that much.
         |p - c| itself is off by a few ulps of |p| + |c|, far below s."""
         pts = as_points(points, self.dim)
-        near = sq_norms(pts - self.bound.center) <= self._reach_sq
+        near = sq_norms(pts, self.bound.center) <= self._reach_sq
         inside = np.zeros(len(pts), dtype=bool)
         if near.any():
             inside[near] = self.base.distance_many(pts[near]) <= self.eps + PROJECTION_TOL
@@ -275,7 +288,7 @@ class ThickenedBody(Body):
         pts = as_points(points, self.dim)
         onto_base = self.base.project(pts)
         rel = pts - onto_base
-        norms = np.linalg.norm(rel, axis=1)
+        norms = row_norms(rel)
         step = np.minimum(norms, self.eps)
         safe = norms > 1e-300
         out = onto_base.copy()
@@ -346,10 +359,10 @@ class UnionBody(Body):
     def project(self, points):
         pts = as_points(points, self.dim)
         best = self.parts[0].project(pts)
-        best_d = np.linalg.norm(pts - best, axis=1)
+        best_d = row_norms(pts, best)
         for p in self.parts[1:]:
             cand = p.project(pts)
-            d = np.linalg.norm(pts - cand, axis=1)
+            d = row_norms(pts, cand)
             closer = d < best_d
             best[closer] = cand[closer]
             best_d[closer] = d[closer]
@@ -590,7 +603,7 @@ def _cull(centers: np.ndarray, center_norm: float, radius: float,
     """
     n = pts.shape[1]
     h = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    rho = math.sqrt(float(sq_norms(pts - h).max()))
+    rho = math.sqrt(float(sq_norms(pts, h).max()))
     scale = center_norm + math.sqrt(float(pts_sq.max())) + float(np.linalg.norm(h)) + radius + 1.0
     if not math.isfinite(scale * scale):
         return np.arange(len(centers)), np.zeros(len(centers), dtype=bool)

@@ -25,6 +25,7 @@ from .geom_core import (
     ball_volume_log,
     cap_measure_exact,
     jung_radius,
+    row_norms,
     uniform_ball_points,
 )
 
@@ -123,10 +124,9 @@ def verify_sweep_inequality(trials: int, rng: RngStream) -> dict:
     worst = -math.inf
     for _ in range(int(trials)):
         parts = int(gen.integers(1, SWEEP_MAX_COMPONENTS + 1))
-        cuts = np.sort(gen.choice(2048, size=2 * parts, replace=False))
-        U = IntervalUnion.from_pairs(
-            (cuts[2 * i] / 1024.0, cuts[2 * i + 1] / 1024.0) for i in range(parts)
-        )
+        # sorted distinct cuts pair up into sorted disjoint intervals
+        ends = (np.sort(gen.choice(2048, size=2 * parts, replace=False)) / 1024.0).tolist()
+        U = IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
         j = int(gen.integers(2, 513))
         i = int(gen.integers(1, j))
         h1, h2 = i / 1024.0, j / 1024.0
@@ -195,7 +195,7 @@ class ConeSpec:
         pts = as_points(points, self.dim)
         rel = pts - self.apex
         proj = rel @ self.axis
-        norms = np.linalg.norm(rel, axis=1)
+        norms = row_norms(rel)
         return (proj >= norms * math.cos(self.angle) - tol) & \
                (proj <= self.height + tol)
 

@@ -23,6 +23,7 @@ from .geom_core import (
     cap_measure_exact,
     gauss_legendre,
     lens_measure,
+    row_norms,
     sq_distances,
     uniform_ball_points,
 )
@@ -347,7 +348,7 @@ def edge_measure_audit(n: int, alpha: float, trials: int, rng: RngStream,
     cos_alpha = math.cos(alpha)
     for i, x in enumerate(anchor_pts):
         ys = uniform_ball_points(rng.child(i + 1).generator(), n, 1.0, trials)
-        far = np.linalg.norm(ys - x, axis=1) >= threshold
+        far = row_norms(ys, x) >= threshold
         fraction = float(np.count_nonzero(far)) / trials
         norm_x = float(np.linalg.norm(x))
         if norm_x > 0 and np.any(far):

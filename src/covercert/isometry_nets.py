@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import Ball, RngStream, as_points, ball_volume_log, sample_uniform_ball
+from .geom_core import Ball, RngStream, as_points, ball_volume_log, row_norms, sample_uniform_ball
 
 ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-8
@@ -303,7 +303,7 @@ def build_translation_cover(v_ball: Ball, rho: float) -> np.ndarray:
     axis = pitch * np.arange(-k, k + 1)
     grid = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
     grid = grid + v_ball.center
-    keep = np.linalg.norm(grid - v_ball.center, axis=1) <= reach + 1e-12
+    keep = row_norms(grid, v_ball.center) <= reach + 1e-12
     return grid[keep]
 
 
@@ -420,8 +420,8 @@ def _shortlist(net: IsometryNet, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     for translations: so k least sums of the product lie among the k best
     rotations times the k best translations."""
     k, t = AUDIT_SHORTLIST, len(net.translations)
-    rot = np.linalg.norm(net.rotations.reshape(len(net.rotations), -1) - a.reshape(1, -1), axis=1)
-    trans = np.linalg.norm(net.translations - v, axis=1)
+    rot = row_norms(net.rotations.reshape(len(net.rotations), -1), a.reshape(-1))
+    trans = row_norms(net.translations, v)
     rows, cols = _best(rot, k), _best(trans, k)
     pick = _best((rot[rows, None] + trans[cols]).ravel(), k)
     return rows[pick // len(cols)] * t + cols[pick % len(cols)]

@@ -188,6 +188,20 @@ def test_ball_intersection_validation():
         BallIntersectionBody([Ball(np.zeros(2), 1.0), Ball(np.zeros(3), 1.0)])
 
 
+def test_ball_intersection_refuses_disjoint_balls():
+    # two lenses 1 apart with radii 0.3 share no point: refused before any
+    # projection could run Dykstra to its sweep cap
+    with pytest.raises(ValueError, match="do not meet"):
+        BallIntersectionBody([Ball((0.0, 0.0), 0.3), Ball((1.0, 0.0), 0.3)])
+    # touching balls meet in one point
+    body = BallIntersectionBody([Ball((0.0, 0.0), 0.5), Ball((1.0, 0.0), 0.5)])
+    assert body.contains([0.5, 0.0])
+    # the rule is pairwise: three pairwise meeting balls in R^2 with an
+    # empty intersection are still accepted
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(0.75)]])
+    BallIntersectionBody([Ball(c, 0.51) for c in corners])
+
+
 # ---------------------------------------------------------------------------
 # areas against closed forms
 

@@ -211,6 +211,21 @@ def test_jung_check_is_pinned(tmp_path, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# The bench's edges, cone and sweep calls at its first seed, pinned: they
+# hold the bytes these suites gave while every row norm went through
+# np.linalg.norm and every sweep set through IntervalUnion.from_pairs.
+@pytest.mark.parametrize("suite,digest", [
+    ("edges", "2abaf8e9e32ee75b5bc94534c4a487b99cc50190a16d3d3f394883eb33478117"),
+    ("cone", "b7babcb3e4ae325b1d4f35878101884ef289a600e9f44b70ea589e295d10164a"),
+    ("sweep", "a556a0540928bc9896f05153d32c4afced169c38eccc968d58109de8f72d0461"),
+])
+def test_audit_suite_is_pinned(tmp_path, suite, digest):
+    out = tmp_path / "audit.json"
+    rc, _ = run(["audit", "--suite", suite, "--seed", "1001"], out)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # witness pipeline
 
@@ -722,7 +737,10 @@ def test_halfspace_body_beyond_its_bound_exits_2(segment_cert, tmp_path, capsys,
     ({"kind": "ball", "dim": 2}, "malformed body: missing key 'ball'"),
     ({"kind": "cube", "dim": 2}, "unknown body kind: cube"),
     ([1, 2], "malformed body: "),
-], ids=["missing-key", "unknown-kind", "not-an-object"])
+    ({"kind": "ball_intersection", "dim": 2,
+      "balls": [{"center": [0.0, 0.0], "radius": 0.3}, {"center": [1.0, 0.0], "radius": 0.3}]},
+     "do not meet: the intersection is empty"),
+], ids=["missing-key", "unknown-kind", "not-an-object", "disjoint-lens"])
 def test_witness_bad_body_file_exits_2(tmp_path, capsys, doc, message):
     body = tmp_path / "body.json"
     body.write_text(json.dumps(doc))
@@ -1038,3 +1056,20 @@ def test_every_public_name_has_a_caller():
     assert unreached == []
     # an exception that gains a caller leaves the list
     assert set(UNCALLED_BY_DESIGN) <= set(public) - called - wrapped - imported
+
+
+def test_row_norms_are_computed_in_one_place():
+    """No np.linalg.norm(..., axis=...) in src/covercert outside
+    geom_core.row_norms: every row norm goes through it, so one rule gives
+    their bits. A norm of one vector takes no axis and is not counted."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "covercert").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "norm"
+                        and (len(node.args) >= 3
+                             or any(kw.arg == "axis" for kw in node.keywords))):
+                    found.append((path.name, getattr(stmt, "name", None)))
+    assert found == [("geom_core.py", "row_norms")]

@@ -24,8 +24,10 @@ from covercert.geom_core import (
     lens_measure,
     min_enclosing_ball,
     regular_simplex,
+    row_norms,
     sample_uniform_ball,
     sample_uniform_sphere,
+    sq_norms,
     uniform_ball_points,
 )
 
@@ -130,6 +132,68 @@ def test_regular_simplex_unit_edges_and_circumradius():
         assert np.linalg.norm(pts.mean(axis=0)) < 1e-12
         radii = np.linalg.norm(pts, axis=1)
         assert radii.max() == pytest.approx(jung_radius(n), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row norms
+
+
+def _layouts(a: np.ndarray):
+    """The values of a in C order, in Fortran order and as views with a
+    negative row stride, a negative column stride and both."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a),
+            a[::-1].copy()[::-1], a[:, ::-1].copy()[:, ::-1], a[::-1, ::-1].copy()[::-1, ::-1]]
+
+
+def _norm_mismatches(norms, n: int, m: int) -> list:
+    """The cases where norms(a, origin) differs in any bit from
+    np.linalg.norm(a - origin, axis=1): every layout of a, no origin, one
+    vector and one row per point, at scales 1, 1e-160 (squares subnormal)
+    and 1e150 (squares near the float maximum)."""
+    gen = np.random.default_rng(100 * n + m)
+    bad = []
+    for scale in (1.0, 1e-160, 1e150):
+        base = scale * gen.standard_normal((m, n))
+        origins = {"none": None, "vector": scale * gen.standard_normal(n),
+                   "rows": scale * gen.standard_normal((m, n))}
+        for layout, a in enumerate(_layouts(base)):
+            for kind, origin in origins.items():
+                want = np.linalg.norm(a if origin is None else a - origin, axis=1)
+                if norms(a, origin).tobytes() != want.tobytes():
+                    bad.append((scale, layout, kind))
+    return bad
+
+
+def _column_sum(a, origin):
+    return np.sqrt(sq_norms(a, origin))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 20000])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_row_norms_match_numpy_bit_for_bit(n, m):
+    assert _norm_mismatches(row_norms, n, m) == []
+    if n < 8:  # row_norms' own column sum, also where it calls numpy
+        assert _norm_mismatches(_column_sum, n, m) == []
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_a_pure_column_sum_from_8_columns_fails_the_bit_check(n):
+    # the mutant row_norms = sqrt(sq_norms) at every width: numpy adds 8 or
+    # more squares in blocks, so the check above would catch it
+    assert _norm_mismatches(_column_sum, n, 20000) != []
+
+
+def test_sq_norms_origin_is_the_difference_summed_by_columns():
+    gen = np.random.default_rng(9)
+    for n in (1, 3, 6, 10):
+        a = gen.standard_normal((50, n))
+        for origin in (gen.standard_normal(n), gen.standard_normal((50, n))):
+            assert sq_norms(a, origin).tobytes() == sq_norms(a - origin).tobytes()
+        # the origin is read, not written
+        origin = gen.standard_normal(n)
+        kept = origin.copy(), a.copy()
+        sq_norms(a, origin)
+        assert np.array_equal(origin, kept[0]) and np.array_equal(a, kept[1])
 
 
 # ---------------------------------------------------------------------------
