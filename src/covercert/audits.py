@@ -32,7 +32,9 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
 
     Only the largest cloud radius is reported, so only the clouds that can
     set it are solved. Cloud `trial` is drawn from rng.child(trial) and
-    rescaled by its diameter; a coincident cloud is skipped. Batches of at
+    rescaled by its diameter; a coincident cloud (every row equal to the
+    first, an exact test: diameter() may give it a few 1e-8 from rounding)
+    or one of float diameter 0 is skipped. Batches of at
     most _JUNG_BATCH_ELEMS coordinates get ceilings from
     enclosing_radius_ceilings at the solver tolerance t = min(1e-8, tol/10):
 
@@ -57,8 +59,10 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
         normalized = []
         for trial in range(start, min(start + batch, clouds)):
             pts = sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial))
+            if (pts == pts[0]).all():  # a coincident cloud has nothing to normalize
+                continue
             d = diameter(pts)
-            if d > 0.0:  # a coincident cloud has nothing to normalize
+            if d > 0.0:
                 normalized.append(pts / d)
         if not normalized:
             continue

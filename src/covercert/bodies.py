@@ -434,7 +434,8 @@ class CoverFamily:
     by a block of members at once and the thickened base decides them in one
     batch; it projects only the mapped points near its bounding ball (see
     ThickenedBody.contains_many), so a member far from a point costs no
-    Dykstra sweep.
+    Dykstra sweep. pair_blocks decides (probe set, member) pairs the same
+    way, for callers with one probe set per member.
     """
 
     def __init__(self, base: Body, eps: float, net: IsometryNet):
@@ -530,15 +531,46 @@ class CoverFamily:
         if self.centers is not None:
             yield from self._ball_blocks(pts, idx)
             return
-        m, n = pts.shape
+        for start, inside in self.pair_blocks(pts[None], np.zeros(len(idx), dtype=int), idx):
+            yield np.arange(start, start + len(inside)), np.arange(len(pts)), inside
+
+    def pair_blocks(self, probes: np.ndarray, sets: np.ndarray, members: np.ndarray):
+        """Membership of (probe set, member) pairs: probes is a stack
+        (s, m, n) of m >= 1 points each, and pair k asks which points of
+        probes[sets[k]] member members[k] holds. Yields (start, inside), in
+        order, with inside the boolean (b, m) block of pairs start to
+        start + b - 1.
+
+        Ball members are decided by in_balls over the gathered centres, each
+        entry a function of its own pair, so the booleans are those of
+        _ball_blocks; a block holds at most _FAMILY_CHUNK_ELEMS centre-point
+        pairs. Otherwise the points are mapped back, A^T (p - v) = p A - v A,
+        with one matrix product for each run of adjacent pairs that share a
+        probe set (so callers list the pairs of one set together), and the
+        thickened base decides at most _FAMILY_CHUNK_POINTS of them in one
+        contains_many call, point by point across the block's pairs."""
+        m, n = probes.shape[1:]
+        if self.centers is not None:
+            probes_sq = sq_norms(probes)
+            step = max(1, _FAMILY_CHUNK_ELEMS // m)
+            for start in range(0, len(members), step):
+                sel, at = members[start:start + step], sets[start:start + step]
+                yield start, in_balls(self.centers[sel], self.radius, probes[at],
+                                      self.centers_sq[sel], probes_sq[at])
+            return
         step = max(1, _FAMILY_CHUNK_POINTS // m)
-        for start in range(0, len(idx), step):
-            mats, trans = self.net.members(idx[start:start + step])
-            # inverse images A^T (p - v) = p A - v A, (m, members, n), in one product
-            shift = np.einsum("tj,tji->ti", trans, mats)
-            back = (pts @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(m, len(mats), n) - shift
-            inside = self.body.contains_many(back.reshape(-1, n)).reshape(m, len(mats))
-            yield np.arange(start, start + len(mats)), np.arange(m), inside.T
+        for start in range(0, len(members), step):
+            at = sets[start:start + step]
+            mats, trans = self.net.members(members[start:start + step])
+            # inverse images, point-major (m, pairs, n): one product per run of
+            # adjacent pairs that share a probe set
+            back = np.empty((m, len(mats), n))
+            cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(), len(at)]
+            for a, b in zip(cuts, cuts[1:]):
+                back[:, a:b] = (probes[at[a]] @ mats[a:b].transpose(1, 0, 2).reshape(n, -1)
+                                ).reshape(m, b - a, n)
+            back -= np.einsum("tj,tji->ti", trans, mats)
+            yield start, self.body.contains_many(back.reshape(-1, n)).reshape(m, len(mats)).T
 
     def _ball_blocks(self, pts: np.ndarray, idx: np.ndarray):
         """_blocks for ball members, output-sensitive: the points are split

@@ -149,11 +149,12 @@ def sq_norms(a: np.ndarray, origin: np.ndarray | None = None) -> np.ndarray:
     """Row squared norms |a_i - origin|^2, summed coordinate by coordinate
     in index order, as in_balls sums them. origin is one vector, one row per
     point, or None for 0; the (m, n) difference a - origin is formed one
-    column at a time, never whole."""
+    column at a time, never whole. With no origin, a may also be a stack
+    (..., m, n) of point sets."""
     if origin is None:
-        out = a[:, 0] * a[:, 0]
-        for j in range(1, a.shape[1]):
-            out += a[:, j] * a[:, j]
+        out = a[..., 0] * a[..., 0]
+        for j in range(1, a.shape[-1]):
+            out += a[..., j] * a[..., j]
         return out
     origin = np.asarray(origin, dtype=float)
     d = a[:, 0] - origin[..., 0]
@@ -189,6 +190,8 @@ def in_balls(centers: np.ndarray, radius: float, points: np.ndarray,
              points_sq: np.ndarray | None = None) -> np.ndarray:
     """The one ball-membership rule: entry (i, j) says points[j] lies in the
     closed ball (centers[i], radius), |p - c|^2 <= radius^2 + PREDICATE_TOL.
+    points is one set (m, n) for every ball, or a stack (len(centers), m, n)
+    of one set per ball; entry (i, j) then tests points[i, j].
 
     |p - c|^2 is evaluated as (|c|^2 + |p|^2) - 2 c.p, the norms and c.p
     summed coordinate by coordinate in index order, so that every entry is
@@ -197,11 +200,11 @@ def in_balls(centers: np.ndarray, radius: float, points: np.ndarray,
     sq_norms(centers) and sq_norms(points) when the caller has them."""
     centers_sq = sq_norms(centers) if centers_sq is None else centers_sq
     points_sq = sq_norms(points) if points_sq is None else points_sq
-    dot = centers[:, :1] * points[:, 0]
+    dot = centers[:, :1] * points[..., 0]
     for j in range(1, centers.shape[1]):
-        dot += centers[:, j:j + 1] * points[:, j]
+        dot += centers[:, j:j + 1] * points[..., j]
     dot *= 2.0
-    sq = centers_sq[:, None] + points_sq[None, :]
+    sq = centers_sq[:, None] + points_sq
     sq -= dot
     return sq <= radius * radius + PREDICATE_TOL
 

@@ -22,8 +22,9 @@ DET_TOL = 1e-8
 COVER_SLACK = 1e-9  # float slack when comparing distances against delta
 MAX_NET_DIM = 3  # nets are deterministic, certified grids up to here
 AUDIT_PROBES = 16  # probe points of the body per audit_cover_family trial
-AUDIT_SHORTLIST = 32  # nearest family members tested first in each trial
+AUDIT_SHORTLIST = 32  # nearest family members tested before the rest in each trial
 _NET_DISTANCE_CHUNK = 2048  # probe matrices per block in min_distance_to_net
+_RANK_CHUNK_ELEMS = 1 << 15  # proxy terms per _shortlists block (256 KB of float64)
 
 
 def _check_isometries(matrices, translations=None, name: str = "isometry matrix"):
@@ -407,38 +408,84 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
 
 
 def _best(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of k least values, by a partition; all of them when there
-    are no more than k."""
-    return np.argpartition(values, k)[:k] if len(values) > k else np.arange(len(values))
+    """Indices of k least values along the last axis, by a partition; all
+    of them when there are no more than k."""
+    if values.shape[-1] > k:
+        return np.argpartition(values, k, axis=-1)[..., :k]
+    return np.broadcast_to(np.arange(values.shape[-1]), values.shape)
+
+
+def _shortlists(net: IsometryNet, mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Row i: the min(AUDIT_SHORTLIST, len(net)) = k members g = (A_g, v_g)
+    of least proxy |A_g - A|_F + |v_g - v| for the placement (A, v) =
+    (mats[i], shifts[i]), a rotation term plus a translation term, in
+    ascending order of proxy. A member whose rotation is not among the k
+    best has a sum no less than the k members that pair one of those with
+    its translation, and likewise for translations: so k least sums of the
+    product lie among the k best rotations times the k best translations.
+    A block of placements forms at most _RANK_CHUNK_ELEMS coordinate
+    differences and candidate sums at once."""
+    k, n = AUDIT_SHORTLIST, net.dim
+    r, t = len(net.rotations), len(net.translations)
+    rot_flat = net.rotations.reshape(r, n * n)
+    step = max(1, _RANK_CHUNK_ELEMS // (rot_flat.size + net.translations.size + k * k))
+    out = []
+    for start in range(0, len(mats), step):
+        a = mats[start:start + step].reshape(-1, 1, n * n)
+        v = shifts[start:start + step, None]
+        count = len(a)
+        rot = row_norms((rot_flat - a).reshape(-1, n * n)).reshape(count, r)
+        trans = row_norms((net.translations - v).reshape(-1, n)).reshape(count, t)
+        rows, cols = _best(rot, k), _best(trans, k)
+        sums = (np.take_along_axis(rot, rows, 1)[:, :, None]
+                + np.take_along_axis(trans, cols, 1)[:, None, :]).reshape(count, -1)
+        pick = _best(sums, k)
+        pick = np.take_along_axis(pick, np.argsort(np.take_along_axis(sums, pick, 1), axis=1,
+                                                   kind="stable"), 1)
+        out.append(np.take_along_axis(rows, pick // cols.shape[1], 1) * t
+                   + np.take_along_axis(cols, pick % cols.shape[1], 1))
+    return np.concatenate(out)
 
 
 def _shortlist(net: IsometryNet, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The AUDIT_SHORTLIST = k members g = (A_g, v_g) of least proxy
-    |A_g - a|_F + |v_g - v|, a rotation term plus a translation term. A
-    member whose rotation is not among the k best has a sum no less than
-    the k members that pair one of those with its translation, and likewise
-    for translations: so k least sums of the product lie among the k best
-    rotations times the k best translations."""
-    k, t = AUDIT_SHORTLIST, len(net.translations)
-    rot = row_norms(net.rotations.reshape(len(net.rotations), -1), a.reshape(-1))
-    trans = row_norms(net.translations, v)
-    rows, cols = _best(rot, k), _best(trans, k)
-    pick = _best((rot[rows, None] + trans[cols]).ravel(), k)
-    return rows[pick // len(cols)] * t + cols[pick % len(cols)]
+    """The shortlist (see _shortlists) of the one placement (a, v)."""
+    return _shortlists(net, a[None], v[None])[0]
 
 
-def _candidates(net: IsometryNet, a: np.ndarray, v: np.ndarray):
-    """The whole family in two parts, the shortlist for the placement (a, v)
-    and then the rest, which is built only when asked for; one part when
-    the family is no larger than the shortlist."""
-    if len(net) <= AUDIT_SHORTLIST:
-        yield np.arange(len(net))
-        return
-    short = _shortlist(net, a, v)
-    yield short
-    rest = np.ones(len(net), dtype=bool)
-    rest[short] = False
-    yield np.flatnonzero(rest)
+def _unlisted(short: np.ndarray, trials: np.ndarray, start: int, stop: int):
+    """(trial, member) pairs of every trial in `trials` with each member in
+    start .. stop - 1 that the trial's row of `short` does not list."""
+    listed = short[trials]
+    keep = np.ones((len(trials), stop - start), dtype=bool)
+    r, c = np.nonzero((listed >= start) & (listed < stop))
+    keep[r, listed[r, c] - start] = False
+    r, c = np.nonzero(keep)
+    return trials[r], start + c
+
+
+def _covered(family, placed: np.ndarray, short: np.ndarray) -> np.ndarray:
+    """Whether some member of the CoverFamily holds every point of placed[i],
+    for each probe set i, tested in the stages of audit_cover_family; row i
+    of `short` is set i's shortlist."""
+    from . import bodies as _bodies
+
+    covered = np.zeros(len(placed), dtype=bool)
+
+    def test(sets, members):
+        for start, inside in family.pair_blocks(placed, sets, members):
+            covered[sets[start:start + len(inside)][inside.all(axis=1)]] = True
+
+    for part in (slice(0, 1), slice(1, None)):  # the best member, then the shortlist's rest
+        left = np.flatnonzero(~covered)
+        listed = short[left, part]
+        test(np.repeat(left, listed.shape[1]), listed.ravel())
+    start, size, m = 0, len(family), placed.shape[1]
+    while start < size and not covered.all():
+        left = np.flatnonzero(~covered)
+        stop = min(size, start + max(1, _bodies._FAMILY_CHUNK_POINTS // (m * len(left))))
+        test(*_unlisted(short, left, start, stop))
+        start = stop
+    return covered
 
 
 def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
@@ -447,11 +494,25 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     (A, v), probe points of A K + v, and require some g in T whose
     eps-thickening of K contains every probe.
 
-    Candidates are ranked by the proxy |A_g - A|_F + |v_g - v| (member
-    rotation A_g, translation v_g), and the AUDIT_SHORTLIST best, drawn from
-    the net's factors (see _shortlist), are tested in one batched membership
-    call; a failed shortlist falls back to one batched call over the rest of
-    the family, so reported failures are real, not search artifacts.
+    Trials run in chunks of at most _FAMILY_CHUNK_POINTS placed probes, so
+    memory stays flat for any trial count. A chunk draws its rotations in
+    one haar_orthogonal call, the same bits as one call per trial, and
+    trial t its translation from rng.child(t + 1). Each trial ranks the
+    members by the proxy |A_g - A|_F + |v_g - v| (see _shortlists), and the
+    members are tested in three stages, each for all of the chunk's trials
+    in one batched membership call (CoverFamily.pair_blocks):
+    1. every trial's least-proxy member;
+    2. the rest of its shortlist, for the trials not yet covered;
+    3. the rest of the family, for the trials still not covered, in member
+       blocks of at most _FAMILY_CHUNK_POINTS mapped points; a trial leaves
+       once covered.
+    A trial is covered when some member holds all its probes, and the
+    three stages together test every member of the family, so their order
+    cannot change which trials fail, only how much projection work is done.
+    (They do change which points share a Dykstra batch, whose last sweep
+    depends on the batch: that can move a decision only for a point within
+    about bodies.PROJECTION_TOL of a member's boundary, as any batching can.)
+    Reported failures are real, not search artifacts.
     """
     from . import bodies as _bodies
 
@@ -459,29 +520,29 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
         raise ValueError("at least one trial required")
     family = _bodies.CoverFamily(k_body, eps, t_net)
     gen = rng.generator()
+    n = k_body.dim
+    base = _bodies.probe_points(k_body, AUDIT_PROBES, rng.child(0))
+    chunk = max(1, _bodies._FAMILY_CHUNK_POINTS // len(base))
     failures = 0
     failure_examples = []
-    base_probes = _bodies.probe_points(k_body, AUDIT_PROBES, rng.child(0))
-    for trial in range(trials):
-        a = haar_orthogonal(k_body.dim, gen, 1)[0]
-        # uniform translation in the window
-        sub = rng.child(trial + 1)
+    for first in range(0, trials, chunk):
+        ids = range(first, min(trials, first + chunk))
+        mats = haar_orthogonal(n, gen, len(ids))
+        # uniform translations in the window
         if v_ball.radius > 0:
-            v = sample_uniform_ball(k_body.dim, v_ball.radius, 1, sub)[0] + v_ball.center
+            shifts = np.array([sample_uniform_ball(n, v_ball.radius, 1, rng.child(t + 1))[0]
+                               for t in ids]) + v_ball.center
         else:
-            v = v_ball.center.copy()
-        placed = base_probes @ a.T + v
-        # the shortlist and the rest together are the whole family, so
-        # their order within does not change `found`
-        found = any(family.contains(placed, part).all(axis=1).any()
-                    for part in _candidates(t_net, a, v) if part.size)
-        if not found:
+            shifts = np.repeat(v_ball.center[None], len(ids), axis=0)
+        placed = base @ mats.transpose(0, 2, 1) + shifts[:, None]
+        covered = _covered(family, placed, _shortlists(t_net, mats, shifts))
+        for k in np.flatnonzero(~covered).tolist():
             failures += 1
             if len(failure_examples) < 5:
                 failure_examples.append({
-                    "trial": trial,
-                    "matrix": a.tolist(),
-                    "translation": v.tolist(),
+                    "trial": ids[k],
+                    "matrix": mats[k].tolist(),
+                    "translation": shifts[k].tolist(),
                 })
     return {
         "trials": int(trials),

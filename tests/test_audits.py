@@ -65,3 +65,24 @@ def test_jung_check_solves_a_handful(monkeypatch):
     report = audits.jung_check(6, RngStream(1001, 0), 300, 16, 1e-6)
     assert report["clouds"]["max_radius"] == 0.5758765903612181
     assert len(calls) <= 8, len(calls)
+
+
+def test_jung_check_skips_coincident_clouds(monkeypatch):
+    # in R^10 the diameter of 16 copies of one point can round to about
+    # 1e-8; such a cloud is skipped by an exact test, not rescaled by 1e8
+    n, cloud_size, rng = 10, 16, RngStream(32, 0)
+    monkeypatch.setattr(audits, "sample_uniform_ball", _degenerate)
+    coincident = [t for t in range(60) if rng.child(t).stream_id % 7 == 0]
+    assert any(diameter(_degenerate(n, 1.0, cloud_size, rng.child(t))) > 0.0 for t in coincident)
+    bounded = []
+    enclosing_radius_ceilings = audits.enclosing_radius_ceilings
+
+    def ceilings(stack, tol):
+        bounded.extend(stack)
+        return enclosing_radius_ceilings(stack, tol)
+
+    monkeypatch.setattr(audits, "enclosing_radius_ceilings", ceilings)
+    report = audits.jung_check(n, rng, 60, cloud_size, 1e-6)
+    assert len(bounded) == 60 - len(coincident)
+    assert not any((cloud == cloud[0]).all() for cloud in bounded)
+    assert report["clouds"] == _every_cloud_solved(n, rng, 60, cloud_size, 1e-6)

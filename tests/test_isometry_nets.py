@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from covercert.bodies import BallBody, CoverFamily, probe_points, thicken
 from covercert.geom_core import Ball, RngStream, sample_uniform_ball
 from covercert.isometry_nets import (
+    AUDIT_PROBES,
     AUDIT_SHORTLIST,
     Isometry,
     IsometryNet,
@@ -24,8 +25,9 @@ from covercert.isometry_nets import (
     haar_orthogonal,
     min_distance_to_net,
     translation_cover_size_floor_log,
-    _candidates,
     _shortlist,
+    _shortlists,
+    _unlisted,
 )
 
 
@@ -403,11 +405,20 @@ def _segment_nets():
             "small": small}
 
 
+def _stages(net, a, v):
+    """The audit's three stages for the one placement (a, v): the least-proxy
+    member, the rest of the shortlist and the members it does not list."""
+    short = _shortlists(net, a[None], v[None])
+    rest = _unlisted(short, np.array([0]), 0, len(net))[1]
+    return [short[0, :1], short[0, 1:], rest]
+
+
 @pytest.mark.parametrize("name", ["cover", "stripped", "few-translations", "small"])
 def test_shortlist_is_a_top_k_of_the_dense_proxy(name):
     # the shortlist drawn from the factors holds AUDIT_SHORTLIST least
-    # values of the proxy summed member by member, and with the rest it is
-    # the whole family once, so the trial's `found` is the dense scan's
+    # values of the proxy summed member by member, in ascending order, and
+    # the audit's stages hold the whole family once, so the trial's `found`
+    # is the dense scan's
     net = _segment_nets()[name]
     body, eps = segment_2d(), 0.2
     family = CoverFamily(body, eps, net)
@@ -418,14 +429,14 @@ def test_shortlist_is_a_top_k_of_the_dense_proxy(name):
     for _ in range(20):
         a = haar_orthogonal(2, gen, 1)[0]
         v = gen.uniform(-0.7, 0.7, 2)  # inside the unit window
-        parts = list(_candidates(net, a, v))
+        parts = _stages(net, a, v)
         assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(net)))
-        if len(net) > AUDIT_SHORTLIST:
-            dense = (np.linalg.norm(mats.reshape(len(net), -1) - a.reshape(1, -1), axis=1)
-                     + np.linalg.norm(trans - v, axis=1))
-            short = _shortlist(net, a, v)
-            assert np.array_equal(parts[0], short) and len(set(short.tolist())) == len(short)
-            assert np.sort(dense[short]).tobytes() == np.sort(dense)[:AUDIT_SHORTLIST].tobytes()
+        dense = (np.linalg.norm(mats.reshape(len(net), -1) - a.reshape(1, -1), axis=1)
+                 + np.linalg.norm(trans - v, axis=1))
+        short = _shortlist(net, a, v)
+        assert np.array_equal(np.concatenate(parts[:2]), short)
+        assert len(short) == min(len(net), AUDIT_SHORTLIST) == len(set(short.tolist()))
+        assert dense[short].tobytes() == np.sort(dense)[:AUDIT_SHORTLIST].tobytes()
         placed = probes @ a.T + v
         found = any(family.contains(placed, part).all(axis=1).any() for part in parts)
         assert found == bool(family.contains(placed).all(axis=1).any())
@@ -446,6 +457,149 @@ def test_audit_shortlist_does_not_change_the_report(monkeypatch, name):
         assert 0 < rep["failures"] < 12
     elif name == "cover":
         assert rep["failures"] == 0
+
+
+def _per_trial_audit(t_net, k_body, v_ball, eps, trials, rng):
+    """The reference audit: one loop round per trial, with one Haar draw,
+    then the shortlist and the rest of the family in one
+    CoverFamily.contains call each."""
+    family = CoverFamily(k_body, eps, t_net)
+    gen = rng.generator()
+    failures = 0
+    failure_examples = []
+    base_probes = probe_points(k_body, AUDIT_PROBES, rng.child(0))
+    for trial in range(trials):
+        a = haar_orthogonal(k_body.dim, gen, 1)[0]
+        sub = rng.child(trial + 1)
+        if v_ball.radius > 0:
+            v = sample_uniform_ball(k_body.dim, v_ball.radius, 1, sub)[0] + v_ball.center
+        else:
+            v = v_ball.center.copy()
+        placed = base_probes @ a.T + v
+        if len(t_net) <= AUDIT_SHORTLIST:
+            parts = [np.arange(len(t_net))]
+        else:
+            short = _shortlist(t_net, a, v)
+            rest = np.ones(len(t_net), dtype=bool)
+            rest[short] = False
+            parts = [short, np.flatnonzero(rest)]
+        if not any(family.contains(placed, part).all(axis=1).any() for part in parts if part.size):
+            failures += 1
+            if len(failure_examples) < 5:
+                failure_examples.append({"trial": trial, "matrix": a.tolist(),
+                                         "translation": v.tolist()})
+    return {"trials": int(trials), "failures": failures,
+            "failure_examples": failure_examples, "pass": failures == 0}
+
+
+def _audit_cases():
+    """(net, base, window) of the audits checked against the reference."""
+    from covercert.bodies import BallIntersectionBody
+
+    unit = Ball(np.zeros(2), 1.0)
+    cases = {name: (net, segment_2d(), unit) for name, net in _segment_nets().items()}
+    empty = IsometryNet(2, 0.1, np.zeros((0, 2, 2)), np.zeros((0, 2)), {})
+    cases["empty"] = (empty, segment_2d(), unit)
+    cases["empty-ball"] = (empty, BallBody(np.zeros(2), 0.3), unit)
+    lens = BallIntersectionBody([Ball(np.array([-0.15, 0.0]), 0.3),
+                                 Ball(np.array([0.15, 0.0]), 0.3)])
+    window = Ball(np.array([0.1, -0.2]), 0.5)
+    cases["lens"] = (build_cover_family(lens, 0.6, window, 0.2), lens, window)
+    ball = BallBody(np.zeros(2), 0.3)
+    cases["ball"] = (build_cover_family(ball, 0.6, unit, 0.2), ball, unit)
+    off = BallBody(np.array([0.1, 0.0]), 0.3)
+    cases["off-centre-ball"] = (build_cover_family(off, 0.8, window, 0.2), off, window)
+    point = Ball(np.array([0.2, -0.1]), 0.0)  # every translation is the window's centre
+    cases["point-window"] = (build_cover_family(segment_2d(), 1.0, point, 0.2), segment_2d(), point)
+    return cases
+
+
+_AUDIT_CASES = ["cover", "stripped", "few-translations", "small", "empty", "empty-ball",
+                "lens", "ball", "off-centre-ball", "point-window"]
+
+
+@pytest.mark.parametrize("trials", [1, 7, 200])
+@pytest.mark.parametrize("name", _AUDIT_CASES)
+def test_staged_audit_equals_the_per_trial_loop(name, trials):
+    net, body, window = _audit_cases()[name]
+    rng = RngStream(30 + trials, 1)
+    want = _per_trial_audit(net, body, window, 0.2, trials, rng)
+    assert audit_cover_family(net, body, window, 0.2, trials, rng) == want
+    if name.startswith("empty"):
+        assert want["failures"] == trials
+    elif name in ("cover", "lens", "ball", "off-centre-ball", "point-window"):
+        assert want["failures"] == 0
+    elif name == "stripped" and trials == 200:
+        assert 0 < want["failures"] < trials
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+@pytest.mark.parametrize("name", _AUDIT_CASES)
+def test_staged_audit_in_small_chunks_equals_the_per_trial_loop(monkeypatch, name, per_chunk):
+    # chunks of one and of three trials; every membership batch shrinks too
+    import covercert.bodies as bodies
+
+    net, body, window = _audit_cases()[name]
+    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_POINTS", per_chunk * AUDIT_PROBES)
+    rng = RngStream(44, 2)
+    want = _per_trial_audit(net, body, window, 0.2, 7, rng)
+    assert audit_cover_family(net, body, window, 0.2, 7, rng) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_draws_and_placements_equal_single_ones(n):
+    # what the batched audit relies on: k Haar draws at once are k single
+    # draws from the same generator, and the stacked placement product is
+    # the per-trial one, bit for bit
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        batch = haar_orthogonal(n, np.random.default_rng(seed), 9)
+        single = np.stack([haar_orthogonal(n, gen, 1)[0] for _ in range(9)])
+        assert batch.tobytes() == single.tobytes()
+        probes = gen.uniform(-1.0, 1.0, (AUDIT_PROBES, n))
+        shifts = gen.uniform(-1.0, 1.0, (9, n))
+        stacked = probes @ batch.transpose(0, 2, 1) + shifts[:, None]
+        looped = np.stack([probes @ a.T + v for a, v in zip(single, shifts)])
+        assert stacked.tobytes() == looped.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cover", "lens", "off-centre-ball"])
+def test_pair_blocks_decide_each_pair_as_contains(monkeypatch, name):
+    # one probe set per pair: every block row is the member's contains row
+    import covercert.bodies as bodies
+
+    net, body, window = _audit_cases()[name]
+    family = CoverFamily(body, 0.2, net)
+    gen = np.random.default_rng(5)
+    probes = gen.uniform(-0.8, 0.8, (6, 5, 2)) + window.center
+    sets = gen.integers(0, 6, 300)
+    members = gen.integers(0, len(net), 300)
+    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_POINTS", 7 * 5)
+    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_ELEMS", 7 * 5)
+    got = np.concatenate([inside for _, inside in family.pair_blocks(probes, sets, members)])
+    want = np.concatenate([family.contains(probes[k], [g]) for k, g in zip(sets, members)])
+    assert got.any() and not got.all()
+    assert np.array_equal(got, want)
+
+
+def test_cover_audit_tests_in_few_membership_calls(monkeypatch):
+    # the CLI's 200-trial cover audit at seed 1001 covers each trial with its
+    # best-ranked member: one chunk, one contains_many call per stage at most
+    import covercert.bodies as bodies
+    from covercert.audits import run_suite
+
+    calls = []
+    contains_many = bodies.ThickenedBody.contains_many
+
+    def counting(self, points):
+        calls.append(len(points))
+        return contains_many(self, points)
+
+    monkeypatch.setattr(bodies.ThickenedBody, "contains_many", counting)
+    report = run_suite("cover", RngStream(1001, 0), 200)
+    chunks = -(-200 // max(1, bodies._FAMILY_CHUNK_POINTS // AUDIT_PROBES))
+    assert report["pass"] and report["report"]["failures"] == 0
+    assert 1 <= len(calls) <= chunks + 2, calls
 
 
 def test_cover_family_direct_placement_guarantee():
