@@ -18,7 +18,7 @@ from .bodies import HalfspaceIntersectionBody
 from .coclique import edge_measure_audit
 from .geom_core import (Ball, RngStream, cap_measure_bounds, cap_measure_exact, diameter,
                         enclosing_radius_ceilings, jung_radius, min_enclosing_ball,
-                        regular_simplex, sample_uniform_ball)
+                        regular_simplex, sample_uniform_balls)
 from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
 
 
@@ -56,17 +56,20 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
     max_radius = 0.0
     batch = max(1, _JUNG_BATCH_ELEMS // (cloud_size * n))
     for start in range(0, clouds, batch):
-        normalized = []
-        for trial in range(start, min(start + batch, clouds)):
-            pts = sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial))
-            if (pts == pts[0]).all():  # a coincident cloud has nothing to normalize
-                continue
-            d = diameter(pts)
+        streams = [rng.child(trial) for trial in range(start, min(start + batch, clouds))]
+        stack = sample_uniform_balls(n, 1.0, cloud_size, streams)
+        keep = np.ones(len(stack), dtype=bool)
+        for k, pts in enumerate(stack):
+            # a coincident cloud has nothing to normalize
+            d = 0.0 if (pts == pts[0]).all() else diameter(pts)
             if d > 0.0:
-                normalized.append(pts / d)
-        if not normalized:
+                pts /= d
+            else:
+                keep[k] = False
+        if not keep.all():
+            stack = stack[keep]
+        if len(stack) == 0:
             continue
-        stack = np.stack(normalized)
         ceilings = enclosing_radius_ceilings(stack, solver_tol)
         for k in np.argsort(-ceilings, kind="stable"):
             if ceilings[k] < max_radius:

@@ -39,8 +39,13 @@ PROJECTION_SWEEP_CAP = 10_000
 BOUND_SLACK = 1e-9
 # ThickenedBody.contains_many decides a point outside without a projection
 # when it lies farther than R + eps + CULL_SLACK (1 + |c| + R + eps) from the
-# centre c of the base's bound ball (c, R); the reasoning is in that method.
+# centre c of the base's bound ball (c, R), or farther than eps plus that
+# slack outside one of the base's halfspaces or balls; the reasoning is in
+# ThickenedBody.near.
 CULL_SLACK = 1e-6
+# ThickenedBody.near bounds the rounding of Dykstra's steps for iterates and
+# increments up to this factor of the body's scale
+INCREMENT_ALLOWANCE = 1e6
 VERTEX_SUBSET_CAP = 10_000  # most n-subsets the halfspace body's vertex check solves
 _FAMILY_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
 _FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
@@ -189,6 +194,16 @@ class HalfspaceIntersectionBody(Body):
         return _dykstra(pts, [lambda x, a=a, b=b: x - np.maximum(x @ a - b, 0.0)[:, None] * a
                               for a, b in zip(self.normals, self.offsets)])
 
+    def within(self, points: np.ndarray, margin: float) -> np.ndarray:
+        """The slab test a_i . p <= b_i + margin for every halfspace i, in
+        float: a point within margin of the body passes it, up to the
+        rounding that ThickenedBody.near bounds."""
+        bounds = self.offsets + margin
+        ok = points @ self.normals[0] <= bounds[0]
+        for a, b in zip(self.normals[1:], bounds[1:]):
+            ok &= points @ a <= b
+        return ok
+
     def to_json_dict(self):
         return {
             "dim": self.dim,
@@ -235,6 +250,16 @@ class BallIntersectionBody(Body):
         pts = as_points(points, self.dim)
         return _dykstra(pts, [lambda x, b=b: _project_onto_ball(x, b) for b in self.balls])
 
+    def within(self, points: np.ndarray, margin: float) -> np.ndarray:
+        """The test |p - c_j| <= r_j + margin for every ball j, in float,
+        compared squared: a point within margin of the body passes it, up to
+        the rounding that ThickenedBody.near bounds."""
+        ok = np.ones(len(points), dtype=bool)
+        for b in self.balls:
+            q = b.radius + margin
+            ok &= sq_norms(points, b.center) <= q * q
+        return ok
+
     def to_json_dict(self):
         return {
             "dim": self.dim,
@@ -245,8 +270,8 @@ class BallIntersectionBody(Body):
 
 class ThickenedBody(Body):
     """base + eps B_n: the points within eps (and PROJECTION_TOL) of the
-    base, found by projecting onto it. Points far outside the base's bound
-    ball are decided without a projection (see contains_many)."""
+    base, found by projecting onto it. Points that fail a cheap necessary
+    test, near, are decided without a projection (see contains_many)."""
 
     kind = "thickened"
 
@@ -260,25 +285,70 @@ class ThickenedBody(Body):
         outer = self.bound.radius
         self.slack = CULL_SLACK * (1.0 + float(np.linalg.norm(self.bound.center)) + outer)
         self.reach = outer + self.slack
-        self._reach_sq = self.reach * self.reach
+        # whether near also tests the base's m sets (halfspaces or balls), and
+        # the largest |b_i|, or |c_j| + r_j, of their data
+        self.slabs, self.slab_scale, sets = False, 0.0, 0
+        if isinstance(base, HalfspaceIntersectionBody):
+            sets, self.slab_scale = len(base.offsets), float(np.abs(base.offsets).max())
+        elif isinstance(base, BallIntersectionBody):
+            sets = len(base.balls)
+            self.slab_scale = max(float(np.linalg.norm(b.center)) + b.radius for b in base.balls)
+        if sets:
+            scale = INCREMENT_ALLOWANCE * (1.0 + float(np.linalg.norm(self.bound.center))
+                                           + self.reach + self.slab_scale)
+            self.slabs = (sets * math.sqrt(self.dim) * PROJECTION_TOL
+                          + 16.0 * self.dim * rounding_gamma(self.dim + 3) * scale
+                          <= 0.5 * self.slack)
+
+    def near(self, points, widen: float = 0.0) -> np.ndarray:
+        """The necessary test of contains_many, widened by `widen`: |p - c|
+        <= reach + widen for the base's bound ball (c, R), reach = R + eps +
+        s and s = slack = CULL_SLACK (1 + |c| + R + eps), and, when slabs is
+        set, the base's own test within(p, eps + s + widen): a_i . p <= b_i +
+        eps + s + widen for each halfspace i, or |p - c_j| <= r_j + eps + s +
+        widen for each ball j. Each comparison is made in float.
+
+        With widen = 0, a point that fails it is rejected by the projection
+        as well, so contains_many keeps its decisions.
+        - Beyond reach: the base lies within R (1 + BOUND_SLACK) of c (the
+          Body contract), so such a point is more than eps + s - R
+          BOUND_SLACK > eps + PROJECTION_TOL from it. The projection agrees:
+          it accepts p only when |p - x| <= eps + PROJECTION_TOL for its
+          result x, and |p - x| >= |p - c| - |x - c|, so x would have to end
+          more than s - PROJECTION_TOL >= 999 PROJECTION_TOL outside the
+          bound ball. Dykstra stops only once a whole sweep moved no point by
+          more than PROJECTION_TOL, so its result is off the base by about
+          that much. |p - c| itself is off by a few ulps of |p| + |c|, far
+          below s.
+        - Failing set i of the base's m sets (halfspace or ball): let
+          g = rounding_gamma(n + 3) and S = INCREMENT_ALLOWANCE (1 + |c| +
+          reach + max_i |b_i|, or max_j |c_j| + r_j). The float test puts p
+          more than eps + s - 2 g S outside set i. In Dykstra's last sweep
+          the step onto set i ended within 8 n g S of it, when its iterate
+          and increment are at most S (a step rounds by a few ulps of
+          them), and each of the m - 1 later steps moved no coordinate by
+          more than PROJECTION_TOL, so the result x by at most sqrt(n)
+          PROJECTION_TOL. So x lies within (m - 1) sqrt(n) PROJECTION_TOL +
+          8 n g S of set i, and |p - x| > eps + s - m sqrt(n)
+          PROJECTION_TOL - 10 n g S. slabs is set only when m sqrt(n)
+          PROJECTION_TOL + 16 n g S <= s / 2; then |p - x| exceeds eps +
+          s / 2, and its float value eps + PROJECTION_TOL: the projection
+          rejects p. A projection that hits PROJECTION_SWEEP_CAP warns, and
+          this argument does not hold for it.
+        CoverFamily.slab_ceilings widens the test to bound counts."""
+        pts = as_points(points, self.dim)
+        reach = self.reach + widen
+        ok = sq_norms(pts, self.bound.center) <= reach * reach
+        if self.slabs:
+            ok &= self.base.within(pts, self.eps + self.slack + widen)
+        return ok
 
     def contains_many(self, points):
         """dist(p, base) <= eps + PROJECTION_TOL, with the distance projected
-        only for the points p with |p - c| <= reach = R + eps + s, where (c, R)
-        is the base's bound ball and s = CULL_SLACK (1 + |c| + R + eps); the
-        rest are outside.
-
-        The base lies within R (1 + BOUND_SLACK) of c (the Body contract), so
-        a point beyond reach is more than eps + s - R BOUND_SLACK > eps +
-        PROJECTION_TOL from it. The projection agrees: it accepts p only
-        when |p - x| <= eps + PROJECTION_TOL for its result x, and
-        |p - x| >= |p - c| - |x - c|, so x would have to end more than
-        s - PROJECTION_TOL >= 999 PROJECTION_TOL outside the bound ball.
-        Dykstra stops only once a whole sweep moved no point by more than
-        PROJECTION_TOL, so its result is off the base by about that much.
-        |p - c| itself is off by a few ulps of |p| + |c|, far below s."""
+        only for the points p that pass near; the rest are outside, as the
+        projection would find (see near)."""
         pts = as_points(points, self.dim)
-        near = sq_norms(pts, self.bound.center) <= self._reach_sq
+        near = self.near(pts)
         inside = np.zeros(len(pts), dtype=bool)
         if near.any():
             inside[near] = self.base.distance_many(pts[near]) <= self.eps + PROJECTION_TOL
@@ -452,6 +522,11 @@ class CoverFamily:
             np.einsum("rij,j->ri", net.rotations, ball.center)[:, None, :]
             + net.translations).reshape(len(net), self.dim)
         self.centers_sq = None if ball is None else sq_norms(self.centers)
+        # g plus the largest entry of |A^T A - I| over the rotations, as
+        # evaluated: how far from orthogonal the net's matrices are
+        rot = net.rotations
+        self._tau = None if ball is not None else rounding_gamma(self.dim + 3) + float(
+            np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(self.dim)).max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.net)
@@ -496,19 +571,62 @@ class CoverFamily:
           (reach + s / 2)^2 >= s reach >= 8 g S^2 by (ii): p is counted.
         """
         body, pts = self.body, as_points(points, self.dim)
-        if not isinstance(body, ThickenedBody):
+        if not (isinstance(body, ThickenedBody) and self._ceilings_hold(pts, 0.0, body.reach)):
             return np.full(len(self), len(pts))
-        n, c, s = self.dim, body.bound.center, body.slack
+        return CoverFamily(BallBody(body.bound.center, body.reach + body.slack), 0.0,
+                           self.net).counts(pts)
+
+    def slab_ceilings(self, points, members) -> np.ndarray:
+        """Upper bounds on counts(points, members), one per listed member:
+        for a ThickenedBody, how many points have a back-image that passes
+        its test near widened by its slack s. Any other thickened base, or
+        points for which the conditions below fail, get the number of
+        points instead.
+
+        Let S = max |p| + max |v| + |c| + reach + s + slab_scale, with g and
+        tau as in count_ceilings; the ceilings are returned when
+        (i) 8 n (g + tau) S <= s / 2 and (ii) 8 g S^2 <= s (eps + s).
+        Member i = (A, v) holds p only if near passed the back-image b with
+        which contains_many decided p; here p maps to b' in another batch.
+        - b and b' each lie within 2 n g S of A^T (p - v) (count_ceilings),
+          so |b - b'| <= 4 n g S.
+        - Bound ball: |b - c| <= reach + g S, so |b' - c| <= reach + s / 2
+          by (i). The float |b' - c|^2 and (reach + s)^2 are each within
+          g S^2 of their values, and (reach + s)^2 - (reach + s / 2)^2 >=
+          s reach >= 8 g S^2 by (ii): b' passes.
+        - Halfspace i (|a_i| within g of 1): b . a_i <= b_i + eps + s + 3 g S,
+          so the float b' . a_i is at most b_i + eps + s + 10 n g S, below
+          the float b_i + eps + 2 s by (i).
+        - Ball j: |b - c_j| <= r_j + eps + s + g S, so |b' - c_j| <= r_j +
+          eps + 3 s / 2, and (r_j + eps + 2 s)^2 - (r_j + eps + 3 s / 2)^2
+          >= s (eps + s) >= 8 g S^2 by (ii), as for the bound ball.
+        """
+        body, pts = self.body, as_points(points, self.dim)
+        members = np.asarray(members, dtype=int)
+        if len(pts) == 0 or not (isinstance(body, ThickenedBody) and self._ceilings_hold(
+                pts, body.slab_scale, body.eps + body.slack)):
+            return np.full(len(members), len(pts))
+        ceilings = np.zeros(len(members), dtype=int)
+        for start, back in self._back_images(pts[None], np.zeros(len(members), dtype=int),
+                                             members):
+            near = body.near(back.reshape(-1, self.dim), widen=body.slack)
+            ceilings[start:start + back.shape[1]] = np.count_nonzero(
+                near.reshape(back.shape[:2]), axis=0)
+        return ceilings
+
+    def _ceilings_hold(self, pts: np.ndarray, extra: float, width: float) -> bool:
+        """The float conditions of count_ceilings and slab_ceilings, for a
+        ThickenedBody member: with S = max |p| + max |v| + |c| + reach + s +
+        extra and g = rounding_gamma(n + 3), (i) 8 n (g + tau) S <= s / 2
+        and (ii) 8 g S^2 <= s width."""
+        body, n = self.body, self.dim
+        s = body.slack
         scale = (math.sqrt(float(sq_norms(pts).max(initial=0.0)))
                  + math.sqrt(float(sq_norms(self.net.translations).max(initial=0.0)))
-                 + float(np.linalg.norm(c)) + body.reach + s)
+                 + float(np.linalg.norm(body.bound.center)) + body.reach + s + extra)
         gamma = rounding_gamma(n + 3)
-        rot = self.net.rotations
-        tau = gamma + float(np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(n)).max(initial=0.0))
-        if not (8.0 * n * (gamma + tau) * scale <= 0.5 * s
-                and 8.0 * gamma * scale * scale <= s * body.reach):
-            return np.full(len(self), len(pts))
-        return CoverFamily(BallBody(c, body.reach + s), 0.0, self.net).counts(pts)
+        return (8.0 * n * (gamma + self._tau) * scale <= 0.5 * s
+                and 8.0 * gamma * scale * scale <= s * width)
 
     def contains(self, points, members=None) -> np.ndarray:
         """Boolean (T, m) matrix: entry (i, j) says member i contains point j.
@@ -558,19 +676,27 @@ class CoverFamily:
                 yield start, in_balls(self.centers[sel], self.radius, probes[at],
                                       self.centers_sq[sel], probes_sq[at])
             return
+        for start, back in self._back_images(probes, sets, members):
+            yield start, self.body.contains_many(back.reshape(-1, n)).reshape(m, -1).T
+
+    def _back_images(self, probes: np.ndarray, sets: np.ndarray, members: np.ndarray):
+        """(start, back) over the pairs of pair_blocks, in blocks of at most
+        _FAMILY_CHUNK_POINTS mapped points: back, point-major (m, b, n),
+        holds A^T (p - v) = p A - v A for the pairs start to start + b - 1,
+        with one matrix product for each run of adjacent pairs that share a
+        probe set."""
+        m, n = probes.shape[1:]
         step = max(1, _FAMILY_CHUNK_POINTS // m)
         for start in range(0, len(members), step):
             at = sets[start:start + step]
             mats, trans = self.net.members(members[start:start + step])
-            # inverse images, point-major (m, pairs, n): one product per run of
-            # adjacent pairs that share a probe set
             back = np.empty((m, len(mats), n))
             cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(), len(at)]
             for a, b in zip(cuts, cuts[1:]):
                 back[:, a:b] = (probes[at[a]] @ mats[a:b].transpose(1, 0, 2).reshape(n, -1)
                                 ).reshape(m, b - a, n)
             back -= np.einsum("tj,tji->ti", trans, mats)
-            yield start, self.body.contains_many(back.reshape(-1, n)).reshape(m, len(mats)).T
+            yield start, back
 
     def _ball_blocks(self, pts: np.ndarray, idx: np.ndarray):
         """_blocks for ball members, output-sensitive: the points are split

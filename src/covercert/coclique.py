@@ -245,7 +245,7 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
                 X=x,
                 retries_used=attempt,
                 edges_found_per_attempt=edges_per_attempt,
-                per_Y_counts=[int(c) for c in counts],
+                per_Y_counts=counts.tolist(),
                 rule=rule,
                 diagnostics={"attempts": attempt_log,
                              "count_threshold": params.count_threshold},
@@ -256,7 +256,7 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
         X=last_x,
         retries_used=params.max_retries,
         edges_found_per_attempt=edges_per_attempt,
-        per_Y_counts=[int(c) for c in last_counts],
+        per_Y_counts=last_counts.tolist(),
         rule=rule,
         diagnostics={"attempts": attempt_log,
                      "count_threshold": params.count_threshold,

@@ -418,16 +418,29 @@ def regular_simplex(n: int) -> np.ndarray:
 
 
 def _gaussian_rows(gen: np.random.Generator, count: int, n: int):
-    """count standard Gaussian rows in R^n and their norms. Zero-norm draws
-    have probability zero; an exact float zero becomes e1 with norm 1."""
+    """count standard Gaussian rows in R^n and their norms."""
     g = gen.standard_normal((count, n))
     norms = row_norms(g)
+    _guard_zero_norms(g, norms)
+    return g, norms
+
+
+def _guard_zero_norms(g: np.ndarray, norms: np.ndarray) -> None:
+    """Zero-norm Gaussian draws have probability zero; an exact float zero
+    becomes e1 with norm 1, in place."""
     bad = norms < 1e-300
     if np.any(bad):
         g[bad] = 0.0
         g[bad, 0] = 1.0
         norms[bad] = 1.0
-    return g, norms
+
+
+def _radial_law(g: np.ndarray, norms: np.ndarray, u: np.ndarray, n: int,
+                radius: float) -> np.ndarray:
+    """Gaussian rows g with their norms and one uniform u per row, as points
+    of radius * B_n: the directions g / |g| at the U^(1/n) radial law."""
+    radial = radius * u ** (1.0 / n)
+    return g * (radial / norms)[:, None]
 
 
 def sample_uniform_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
@@ -447,19 +460,49 @@ def uniform_ball_points(gen: np.random.Generator, n: int, radius: float,
     if count == 0:
         return np.empty((0, n))
     g, norms = _gaussian_rows(gen, count, n)
-    radial = radius * gen.random(count) ** (1.0 / n)
-    return g * (radial / norms)[:, None]
+    return _radial_law(g, norms, gen.random(count), n, radius)
 
 
-def sample_uniform_ball(n: int, radius: float, count: int, rng: RngStream) -> np.ndarray:
-    """count i.i.d. uniform points in radius * B_n, as a (count, n) array;
-    deterministic given rng."""
+def _check_ball_draw(n: int, radius: float, count: int) -> int:
     n = as_dim(n, 1)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    return n
+
+
+def sample_uniform_ball(n: int, radius: float, count: int, rng: RngStream) -> np.ndarray:
+    """count i.i.d. uniform points in radius * B_n, as a (count, n) array;
+    deterministic given rng."""
+    n = _check_ball_draw(n, radius, count)
     return uniform_ball_points(rng.generator(), n, radius, int(count))
+
+
+def sample_uniform_balls(n: int, radius: float, count: int, streams) -> np.ndarray:
+    """sample_uniform_ball(n, radius, count, s) for each stream s, stacked
+    as (len(streams), count, n), bit for bit the separate calls.
+
+    Each stream's generator fills its own slices of two preallocated arrays,
+    standard normals and then uniforms, as a separate call draws them. The
+    norms, the zero-norm guard and the radial law then run once over the
+    whole stack; each is a function of its own row. Below 8 columns so are
+    the norms (row_norms adds the squares in index order at any batch
+    shape); from 8 columns up numpy's order depends on the shape, so there
+    the norms are taken stream by stream, in the separate call's shape."""
+    n, count = _check_ball_draw(n, radius, count), int(count)
+    g = np.empty((len(streams), count, n))
+    u = np.empty((len(streams), count))
+    if count == 0:
+        return g
+    for i, stream in enumerate(streams):
+        gen = stream.generator()
+        gen.standard_normal(out=g[i])
+        gen.random(out=u[i])
+    flat = g.reshape(-1, n)
+    norms = np.concatenate([row_norms(rows) for rows in g]) if n >= 8 else row_norms(flat)
+    _guard_zero_norms(flat, norms)
+    return _radial_law(flat, norms, u.reshape(-1), n, radius).reshape(g.shape)
 
 
 def ball_volume_log(n: int, radius: float = 1.0) -> float:

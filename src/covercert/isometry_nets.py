@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import Ball, RngStream, as_points, ball_volume_log, row_norms, sample_uniform_ball
+from .geom_core import (Ball, RngStream, as_points, ball_volume_log, row_norms,
+                        sample_uniform_balls)
 
 ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-8
@@ -530,8 +531,8 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
         mats = haar_orthogonal(n, gen, len(ids))
         # uniform translations in the window
         if v_ball.radius > 0:
-            shifts = np.array([sample_uniform_ball(n, v_ball.radius, 1, rng.child(t + 1))[0]
-                               for t in ids]) + v_ball.center
+            shifts = sample_uniform_balls(n, v_ball.radius, 1,
+                                          [rng.child(t + 1) for t in ids])[:, 0] + v_ball.center
         else:
             shifts = np.repeat(v_ball.center[None], len(ids), axis=0)
         placed = base @ mats.transpose(0, 2, 1) + shifts[:, None]

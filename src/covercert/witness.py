@@ -144,11 +144,15 @@ def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngS
     r B_n that one member holds.
 
     Only the members that can hold the most are counted exactly. Each
-    member's count has a ceiling (CoverFamily.count_ceilings, where it is
-    proved); members are counted in descending ceiling order, PROBE_BATCH at
-    a time, and the count stops at the first ceiling no larger than the
-    largest count so far: no member left could exceed it, so the maximum is
-    the one a count of every member gives."""
+    member's count has two ceilings, proved where they are computed: a ball
+    ceiling for every member at once (CoverFamily.count_ceilings), and a
+    slab ceiling from the base's own sets (CoverFamily.slab_ceilings).
+    Members are taken in descending ball-ceiling order, PROBE_BATCH at a
+    time, and the count stops at the first ball ceiling no larger than the
+    largest count so far; within a batch, members whose slab ceiling is no
+    larger are dropped before the exact count. No member skipped could
+    exceed the largest count, so the maximum is the one a count of every
+    member gives."""
     probe = uniform_ball_points(rng.generator(), family.dim, r, samples)
     ceilings = family.count_ceilings(probe)
     best = 0
@@ -158,7 +162,9 @@ def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngS
         batch = batch[ceilings[batch] > best]
         if batch.size == 0:
             break
-        best = max(best, int(family.counts(probe, batch).max()))
+        batch = batch[family.slab_ceilings(probe, batch) > best]
+        if batch.size:
+            best = max(best, int(family.counts(probe, batch).max()))
     return {"value": float(best) / samples, "method": "monte-carlo", "samples": samples}
 
 

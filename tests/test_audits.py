@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import covercert.audits as audits
-from covercert.geom_core import RngStream, diameter, min_enclosing_ball, sample_uniform_ball
+from covercert.geom_core import RngStream, diameter, min_enclosing_ball, sample_uniform_balls
 
 
 def _every_cloud_solved(n, rng, clouds, cloud_size, tol):
@@ -13,7 +13,7 @@ def _every_cloud_solved(n, rng, clouds, cloud_size, tol):
     solver_tol = min(1e-8, tol / 10.0)
     max_radius = 0.0
     for trial in range(clouds):
-        pts = audits.sample_uniform_ball(n, 1.0, cloud_size, rng.child(trial))
+        pts = audits.sample_uniform_balls(n, 1.0, cloud_size, [rng.child(trial)])[0]
         d = diameter(pts)
         if d > 0.0:
             max_radius = max(max_radius, min_enclosing_ball(pts / d, tol=solver_tol).radius)
@@ -21,18 +21,19 @@ def _every_cloud_solved(n, rng, clouds, cloud_size, tol):
             "ok": max_radius <= audits.jung_radius(n) + tol}
 
 
-def _degenerate(n, radius, count, rng):
+def _degenerate(n, radius, count, streams):
     """Uniform draws made degenerate by stream: every third cloud repeats
     its first half, every third lies on a line, and one in seven has all
     its points at one place (diameter 0, skipped)."""
-    pts = sample_uniform_ball(n, radius, count, rng)
-    if rng.stream_id % 7 == 0:
-        return np.repeat(pts[:1], count, axis=0)
-    if rng.stream_id % 3 == 0:
-        pts[count - count // 2:] = pts[:count // 2]
-    elif rng.stream_id % 3 == 1:
-        pts = pts[:, :1] * pts[-1] + pts[0]
-    return pts
+    clouds = sample_uniform_balls(n, radius, count, streams)
+    for pts, rng in zip(clouds, streams):
+        if rng.stream_id % 7 == 0:
+            pts[:] = pts[0]
+        elif rng.stream_id % 3 == 0:
+            pts[count - count // 2:] = pts[:count // 2]
+        elif rng.stream_id % 3 == 1:
+            pts[:] = pts[:, :1] * pts[-1] + pts[0]
+    return clouds
 
 
 # Points copied from one draw can get a diameter of about 1e-8 from rounding
@@ -43,8 +44,8 @@ def _degenerate(n, radius, count, rng):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_pruned_jung_check_equals_every_cloud_solved(monkeypatch, n, cloud_size, tol):
     rng = RngStream(40 + n, 0)
-    for sampler in (sample_uniform_ball, _degenerate):
-        monkeypatch.setattr(audits, "sample_uniform_ball", sampler)
+    for sampler in (sample_uniform_balls, _degenerate):
+        monkeypatch.setattr(audits, "sample_uniform_balls", sampler)
         want = _every_cloud_solved(n, rng, 30, cloud_size, tol)
         for batch_elems in (1 << 19, 5 * cloud_size * n):  # one batch; six, maximum carried
             monkeypatch.setattr(audits, "_JUNG_BATCH_ELEMS", batch_elems)
@@ -71,9 +72,10 @@ def test_jung_check_skips_coincident_clouds(monkeypatch):
     # in R^10 the diameter of 16 copies of one point can round to about
     # 1e-8; such a cloud is skipped by an exact test, not rescaled by 1e8
     n, cloud_size, rng = 10, 16, RngStream(32, 0)
-    monkeypatch.setattr(audits, "sample_uniform_ball", _degenerate)
+    monkeypatch.setattr(audits, "sample_uniform_balls", _degenerate)
     coincident = [t for t in range(60) if rng.child(t).stream_id % 7 == 0]
-    assert any(diameter(_degenerate(n, 1.0, cloud_size, rng.child(t))) > 0.0 for t in coincident)
+    assert any(diameter(_degenerate(n, 1.0, cloud_size, [rng.child(t)])[0]) > 0.0
+               for t in coincident)
     bounded = []
     enclosing_radius_ceilings = audits.enclosing_radius_ceilings
 

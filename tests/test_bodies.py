@@ -15,6 +15,7 @@ from covercert.bodies import (
     PROJECTION_TOL,
     VERTEX_SUBSET_CAP,
     BallBody,
+    Body,
     BallIntersectionBody,
     CoverFamily,
     HalfspaceIntersectionBody,
@@ -35,8 +36,9 @@ from covercert.geom_core import (
     in_balls,
     sample_uniform_ball,
     sq_norms,
+    uniform_ball_points,
 )
-from covercert.isometry_nets import Isometry, IsometryNet
+from covercert.isometry_nets import Isometry, IsometryNet, haar_orthogonal
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -394,6 +396,149 @@ def test_cover_family_counts_segment_matches_per_member():
     counts = family.counts(pts)
     assert len(net) > 200 and counts.min() < counts.max()
     assert counts.tolist() == reference.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the slab test of a thickened polytope or lens against the projection it
+# skips, and the slab ceilings of a family
+
+
+def _slab_base(gen, n: int, kind: str) -> Body:
+    """A base centred off the origin, with a bound that holds it: a box of
+    random orientation and half-widths, a segment (one nonzero half-width),
+    a triangle in a random plane (flat in R^3), or a lens of two balls
+    overlapping by at least 0.4."""
+    centre = gen.uniform(-0.5, 0.5, n)
+    if kind == "lens":
+        other = centre + gen.uniform(-0.4, 0.4, n) / math.sqrt(n)
+        return BallIntersectionBody([Ball(centre, float(gen.uniform(0.4, 0.8))),
+                                     Ball(other, float(gen.uniform(0.4, 0.8)))])
+    q = haar_orthogonal(n, gen, 1)[0]
+    if kind == "triangle":
+        corners = gen.uniform(-0.5, 0.5, (3, 2))
+        while abs(np.linalg.det(corners[1:] - corners[0])) < 0.05:
+            corners = gen.uniform(-0.5, 0.5, (3, 2))
+        normals, offsets = [], []
+        for k in range(3):
+            a, b, c = corners[k], corners[(k + 1) % 3], corners[(k + 2) % 3]
+            u = np.array([b[1] - a[1], a[0] - b[0]])
+            u = u if u @ (c - a) < 0.0 else -u
+            normals.append(u @ q[:2])
+            offsets.append(u @ a + normals[-1] @ centre)
+        if n == 3:  # the plane of q[0] and q[1] through the centre
+            normals += [q[2], -q[2]]
+            offsets += [q[2] @ centre, -(q[2] @ centre)]
+        vertices = centre + corners @ q[:2]
+        hub = vertices.mean(axis=0)
+        return HalfspaceIntersectionBody(
+            normals, offsets, Ball(hub, float(np.linalg.norm(vertices - hub, axis=1).max()) + 1e-12))
+    half = gen.uniform(0.05, 0.5, n)
+    if kind == "segment":
+        half[1:] = 0.0
+    return HalfspaceIntersectionBody(np.vstack([q, -q]),
+                                     np.concatenate([q @ centre + half, half - q @ centre]),
+                                     Ball(centre, float(np.linalg.norm(half)) + 1e-12))
+
+
+def _slab_points(gen, base: Body, fat: ThickenedBody) -> np.ndarray:
+    """Points on both sides of each thickened set of the base, from deep
+    inside to beyond it: at a_i . p = b_i + eps + t for a halfspace, or
+    |p - c_j| = r_j + eps + t for a ball, above feet spread over the body,
+    with t = 0, PROJECTION_TOL / 2, and on either side of the slack s."""
+    feet = probe_points(base, 24, RngStream(int(gen.integers(1 << 30)), 0))
+    s = fat.slack
+    steps = [-0.05, -1e-7, 0.0, PROJECTION_TOL / 2.0, s / 2.0, s * (1.0 - 1e-9), s,
+             s * (1.0 + 1e-9), 2.0 * s, 0.05]
+    pts = []
+    for t in steps:
+        if isinstance(base, BallIntersectionBody):
+            for ball in base.balls:
+                d = feet - ball.center
+                d /= np.linalg.norm(d, axis=1)[:, None]
+                pts.append(ball.center + (ball.radius + fat.eps + t) * d)
+        else:
+            for a, b in zip(base.normals, base.offsets):
+                pts.append(feet + (b + fat.eps + t - feet @ a)[:, None] * a)
+    return np.vstack(pts)
+
+
+KINDS = ["box", "segment", "triangle", "lens"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), kind=st.sampled_from(KINDS),
+       eps=st.floats(0.0, 0.5))
+def test_slab_cull_equals_projection(seed, n, kind, eps):
+    # the slab test decides outside only points the projection rejects too,
+    # and it rejects some that the bound ball alone would project
+    gen = np.random.default_rng(seed)
+    base = _slab_base(gen, n, kind)
+    fat = ThickenedBody(base, eps)
+    assert fat.slabs
+    pts = _slab_points(gen, base, fat)
+    assert np.array_equal(fat.contains_many(pts),
+                          base.distance_many(pts) <= eps + PROJECTION_TOL)
+    in_bound = sq_norms(pts, fat.bound.center) <= fat.reach ** 2
+    assert not (fat.near(pts) & ~in_bound).any()
+    if kind != "lens":
+        assert (in_bound & ~fat.near(pts)).any()
+
+
+def test_slab_test_falls_back_to_the_bound_ball():
+    # near skips the slabs when m sqrt(n) PROJECTION_TOL plus the rounding
+    # bound exceeds s / 2: 600 halfspaces in R^1 (the first term), or a
+    # square with a redundant halfspace 1e3 out (the rounding bound)
+    many = HalfspaceIntersectionBody([[1.0], [-1.0]] * 300,
+                                     0.05 + np.repeat(np.arange(300), 2) * 1e-3,
+                                     Ball(np.zeros(1), 0.05))
+    square = unit_square()
+    far = HalfspaceIntersectionBody(np.vstack([square.normals, [[1.0, 1.0]]]),
+                                    np.append(square.offsets, 1e3), square.bound)
+    assert ThickenedBody(_segment(0.3, 0.3), 0.4).slabs
+    assert ThickenedBody(square, 0.1).slabs
+    for base in (many, far):
+        fat = ThickenedBody(base, 0.1)
+        assert not fat.slabs
+        c, n = base.bound.center, base.dim
+        pts = c + np.random.default_rng(7).uniform(-2.0, 2.0, (300, n)) * fat.reach
+        assert np.array_equal(fat.near(pts), sq_norms(pts, c) <= fat.reach ** 2)
+        inside = fat.contains_many(pts)
+        assert 0 < inside.sum() < len(pts)
+        assert np.array_equal(inside, base.distance_many(pts) <= 0.1 + PROJECTION_TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), kind=st.sampled_from(KINDS))
+def test_slab_ceilings_are_the_widened_test(seed, n, kind):
+    # every slab ceiling holds its member's count, and it is the stated
+    # test of the back-images, evaluated here with margins s / 2 below and
+    # above the ones it uses: no set is left out, and none is tightened
+    gen = np.random.default_rng(seed)
+    base = _slab_base(gen, n, kind)
+    net = IsometryNet(n, 0.1, haar_orthogonal(n, gen, 3), gen.uniform(-1.0, 1.0, (5, n)), {})
+    family = CoverFamily(base, float(gen.uniform(0.05, 0.5)), net)
+    fat, members = family.body, np.arange(len(family))
+    probe = uniform_ball_points(gen, n, 1.0, 400)
+    ceilings = family.slab_ceilings(probe, members)
+    assert np.all(ceilings >= family.counts(probe))
+    s = fat.slack
+
+    def stated(extra):
+        counts = []
+        for a, v in zip(*net.members(members)):
+            b = (probe - v) @ a
+            ok = np.linalg.norm(b - fat.bound.center, axis=1) <= fat.reach + s + extra
+            if kind == "lens":
+                for ball in base.balls:
+                    ok &= np.linalg.norm(b - ball.center, axis=1) <= (
+                        ball.radius + fat.eps + 2.0 * s + extra)
+            else:
+                ok &= np.all(b @ base.normals.T <= base.offsets + fat.eps + 2.0 * s + extra,
+                             axis=1)
+            counts.append(np.count_nonzero(ok))
+        return np.array(counts)
+
+    assert np.all(stated(-s / 2.0) <= ceilings) and np.all(ceilings <= stated(s / 2.0))
 
 
 # ---------------------------------------------------------------------------

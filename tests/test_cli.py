@@ -145,7 +145,7 @@ def test_jung_check_samples_limit(monkeypatch, capsys):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_balls", no_clouds)
     assert main(["jung-check", "--n", "3", "--seed", "0", "--samples", "65537"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --samples is at most 65536 ") and err.count("\n") == 1
@@ -157,7 +157,7 @@ def test_jung_check_nonpositive_samples_exits_2(monkeypatch, capsys, samples):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_balls", no_clouds)
     capsys.readouterr()
     assert main(["jung-check", "--n", "3", "--seed", "1", "--samples", samples]) == 2
     assert "--samples must be positive" in _one_line_error(capsys)
@@ -168,7 +168,7 @@ def test_jung_check_tol_must_be_finite_and_positive(monkeypatch, capsys, tol):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_balls", no_clouds)
     capsys.readouterr()
     assert main(["jung-check", "--n", "3", "--seed", "1", "--tol", tol]) == 2
     assert "--tol must be finite and positive" in _one_line_error(capsys)
@@ -181,7 +181,7 @@ def test_jung_check_tol_floor(monkeypatch, capsys, tol):
     def no_clouds(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(audits, "sample_uniform_ball", no_clouds)
+    monkeypatch.setattr(audits, "sample_uniform_balls", no_clouds)
     capsys.readouterr()
     assert main(["jung-check", "--n", "3", "--seed", "1", "--tol", tol]) == 2
     assert "--tol is at least 1e-12" in _one_line_error(capsys)
@@ -708,6 +708,52 @@ def test_cover_audit_is_pinned(tmp_path, flags, digest):
     rc, _ = run(["audit", "--suite", "cover", "--seed", "1", *flags], out)
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# The benchmark's segment-body calls at CLI seeds 1002-1005, pinned with the
+# bytes they gave before ThickenedBody culled points by the base's slabs. The
+# cull changes which points share a Dykstra batch, and a Dykstra result can
+# depend on its batch, so these guard the decisions near member boundaries.
+SEGMENT_BODY_PINS = {
+    1002: {"witness": "730059956368e90837152ae6c5d4510bfb062ec5037b67f1e9f5e612f7e94af1",
+           "verify": "a33466310e48c917bc379b6b48f3066025e7c2cf5101bc3329d48c413e0d5944",
+           "cover": "f027a3e9ecc5f9fc07a0f44b0bc56a56d8015d0201602032fe3234d98aeb06f2",
+           "fault": "e8fbd3b856af78a74771d3b138e5aad69d480d2266d0d226ddcf6432636aaa25"},
+    1003: {"witness": "e5a6b12fb05cec48b18538ab257939a2a70f94646c80134bd58c8b70428bbfda",
+           "verify": "15cd552fcc06cc3a3fb243651f34bac81f8d884d6648ff28d86afd6d944077c9",
+           "cover": "dae685ae39cc65e653b304566cc3b4fecac5e8bc90bad07262e00e278f16a634",
+           "fault": "76636b4ad4500b5c0a79ef2e08600802d0ba09a0304537611e28840eb4ff72e3"},
+    1004: {"witness": "c7727042c94f4b426bb85ddee330643933d47f13f3299ace9dc0835631ec7253",
+           "verify": "d8f53d7fcd3eddbd0bc5fd8d022f136d78b531091f3f15bdb4123fc0b67eebc0",
+           "cover": "495ab1316248d901b6edd6b23adfc4dd9a0585f763b1f28dca1d7b2bb1c2d438",
+           "fault": "9235eaf9ab6982f8f219d55a5ab3ec997d1e7d91de8bd676f458cd458a6a8994"},
+    1005: {"witness": "ace5bd68a8e30bb2eb55b709def99c450a934db01b928fd597558cd35cf9bd4e",
+           "verify": "d80748fb8e1e4880641edc36463b43af46d5e3fe50967d8ce62d755eb3f3e7a3",
+           "cover": "d48a5d48066c8e99c7197d2b185759bc275685b432234b65e7d6664e41b8c393",
+           "fault": "93d18f4509c1d299f847e8399e106d1b32cc71bc058303011a968b90ae8030bc"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEGMENT_BODY_PINS))
+def test_segment_body_outputs_are_pinned(tmp_path, seed):
+    (tmp_path / "segment.json").write_text(json.dumps(SEGMENT_BODY))
+    calls = {
+        "witness": ["witness", "--seed", str(seed), "--body", "segment.json", "--eps", "0.4",
+                    "--samples", "500"],
+        "verify": ["witness", "--verify-cert", f"witness-{seed}.json"],
+        "cover": ["audit", "--suite", "cover", "--seed", str(seed), "--samples", "200"],
+        "fault": ["audit", "--suite", "cover", "--seed", str(seed), "--samples", "20",
+                  "--expect-fail"],
+    }
+    digests = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        for name, argv in calls.items():
+            out = tmp_path / f"{name}-{seed}.json"
+            rc, _ = run(argv, out)
+            assert rc == 0, name
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == SEGMENT_BODY_PINS[seed]
 
 
 @pytest.mark.parametrize("fault", ["bound-too-small", "unbounded"])

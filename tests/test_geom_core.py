@@ -26,6 +26,7 @@ from covercert.geom_core import (
     regular_simplex,
     row_norms,
     sample_uniform_ball,
+    sample_uniform_balls,
     sample_uniform_sphere,
     sq_norms,
     uniform_ball_points,
@@ -469,6 +470,23 @@ def test_ball_sampler_edge_cases():
         sample_uniform_ball(3, 0.0, 5, RngStream(0, 0))
     with pytest.raises(ValueError):
         sample_uniform_ball(3, 1.0, -1, RngStream(0, 0))
+    assert sample_uniform_balls(3, 1.0, 0, [RngStream(0, 0)] * 2).shape == (2, 0, 3)
+    assert sample_uniform_balls(3, 1.0, 4, []).shape == (0, 4, 3)
+    for radius, count in ((0.0, 5), (1.0, -1)):
+        with pytest.raises(ValueError):
+            sample_uniform_balls(3, radius, count, [RngStream(0, 0)])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_ball_draws_are_the_separate_draws(n):
+    # one sample_uniform_ball call per stream, bit for bit, at counts under
+    # and over row_norms' 128-row switch and on both sides of 8 columns
+    rng = RngStream(50 + n, 0)
+    for count, streams in ((1, 200), (16, 9), (130, 3)):
+        children = [rng.child(t) for t in range(streams)]
+        got = sample_uniform_balls(n, 0.7, count, children)
+        want = np.stack([sample_uniform_ball(n, 0.7, count, c) for c in children])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

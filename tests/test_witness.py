@@ -16,6 +16,7 @@ from covercert.bodies import (
     BallIntersectionBody,
     CoverFamily,
     HalfspaceIntersectionBody,
+    ThickenedBody,
     body_from_json_dict,
 )
 from covercert.coclique import family_counts
@@ -143,8 +144,9 @@ def _box(gen, n: int) -> HalfspaceIntersectionBody:
 def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, translations,
                                                   samples):
     # bases whose bound centre is off the origin, so that the rotations
-    # move the ceilings: every ceiling holds its member's count, and the
-    # pruned maximum is the maximum of a count of every member
+    # move the ceilings: every ball and slab ceiling holds its member's
+    # count, and the maximum pruned by both is the maximum of a count of
+    # every member
     gen = np.random.default_rng(seed)
     if kind == "box":
         base = _box(gen, n)
@@ -163,6 +165,7 @@ def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, tran
     exact = family.counts(probe)
     ceilings = family.count_ceilings(probe)
     assert np.all(ceilings >= exact)
+    assert np.all(family.slab_ceilings(probe, np.arange(len(family))) >= exact)
     for batch in (1, witness.PROBE_BATCH):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(witness, "PROBE_BATCH", batch)
@@ -193,5 +196,40 @@ def test_member_probe_counts_few_members_of_a_segment_family(monkeypatch):
     rng = RngStream(1001, 2)
     entry = witness._member_measure_probe(family, 0.55, 500, rng)
     assert len(family) == 4598 and sum(counted) < 500
+    probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
+    assert entry["value"] == float(counts(probe).max()) / 500
+
+
+def test_member_probe_of_the_bench_segment_counts_few_members():
+    # the benchmark's witness at CLI seed 1001 (the probe stream of
+    # search_witness): the slab ceilings leave at most 64 of the 4,598
+    # members to count exactly, and fewer than 20,000 mapped points to
+    # project (a ball ceiling alone left 152 members and 69,654 points)
+    segment = body_from_json_dict({
+        "dim": 2, "kind": "halfspaces", "exact_volume": None,
+        "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
+                       {"normal": [-1.0, 0.0], "offset": 0.3},
+                       {"normal": [0.0, 1.0], "offset": 0.0},
+                       {"normal": [0.0, -1.0], "offset": 0.0}],
+        "bound": {"center": [0.0, 0.0], "radius": 0.3}})
+    family = witness.witness_family(segment, 0.55, 0.4)
+    counted, projected = [], []
+    counts, project = family.counts, segment.project
+
+    def counting(points, members=None):
+        counted.append(len(family) if members is None else len(members))
+        return counts(points, members)
+
+    def projecting(points):
+        projected.append(len(points))
+        return project(points)
+
+    rng = RngStream(1001, 0).child(2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(family, "counts", counting)
+        patch.setattr(segment, "project", projecting)
+        entry = witness._member_measure_probe(family, 0.55, 500, rng)
+    assert isinstance(family.body, ThickenedBody) and family.body.slabs
+    assert len(family) == 4598 and sum(counted) <= 64 and sum(projected) < 20_000
     probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
     assert entry["value"] == float(counts(probe).max()) / 500
