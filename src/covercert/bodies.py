@@ -287,29 +287,29 @@ class ThickenedBody(Body):
         self.reach = outer + self.slack
         # whether near also tests the base's m sets (halfspaces or balls), and
         # the largest |b_i|, or |c_j| + r_j, of their data
-        self.slabs, self.slab_scale, sets = False, 0.0, 0
+        self.slabs, slab_scale, sets = False, 0.0, 0
         if isinstance(base, HalfspaceIntersectionBody):
-            sets, self.slab_scale = len(base.offsets), float(np.abs(base.offsets).max())
+            sets, slab_scale = len(base.offsets), float(np.abs(base.offsets).max())
         elif isinstance(base, BallIntersectionBody):
             sets = len(base.balls)
-            self.slab_scale = max(float(np.linalg.norm(b.center)) + b.radius for b in base.balls)
+            slab_scale = max(float(np.linalg.norm(b.center)) + b.radius for b in base.balls)
         if sets:
             scale = INCREMENT_ALLOWANCE * (1.0 + float(np.linalg.norm(self.bound.center))
-                                           + self.reach + self.slab_scale)
+                                           + self.reach + slab_scale)
             self.slabs = (sets * math.sqrt(self.dim) * PROJECTION_TOL
                           + 16.0 * self.dim * rounding_gamma(self.dim + 3) * scale
                           <= 0.5 * self.slack)
 
-    def near(self, points, widen: float = 0.0) -> np.ndarray:
-        """The necessary test of contains_many, widened by `widen`: |p - c|
-        <= reach + widen for the base's bound ball (c, R), reach = R + eps +
-        s and s = slack = CULL_SLACK (1 + |c| + R + eps), and, when slabs is
-        set, the base's own test within(p, eps + s + widen): a_i . p <= b_i +
-        eps + s + widen for each halfspace i, or |p - c_j| <= r_j + eps + s +
-        widen for each ball j. Each comparison is made in float.
+    def near(self, points) -> np.ndarray:
+        """The necessary test of contains_many: |p - c| <= reach for the
+        base's bound ball (c, R), reach = R + eps + s and s = slack =
+        CULL_SLACK (1 + |c| + R + eps), and, when slabs is set, the base's
+        own test within(p, eps + s): a_i . p <= b_i + eps + s for each
+        halfspace i, or |p - c_j| <= r_j + eps + s for each ball j. Each
+        comparison is made in float.
 
-        With widen = 0, a point that fails it is rejected by the projection
-        as well, so contains_many keeps its decisions.
+        A point that fails any float evaluation of it is rejected by the
+        projection as well, so contains_many keeps its decisions.
         - Beyond reach: the base lies within R (1 + BOUND_SLACK) of c (the
           Body contract), so such a point is more than eps + s - R
           BOUND_SLACK > eps + PROJECTION_TOL from it. The projection agrees:
@@ -334,13 +334,11 @@ class ThickenedBody(Body):
           PROJECTION_TOL + 16 n g S <= s / 2; then |p - x| exceeds eps +
           s / 2, and its float value eps + PROJECTION_TOL: the projection
           rejects p. A projection that hits PROJECTION_SWEEP_CAP warns, and
-          this argument does not hold for it.
-        CoverFamily.slab_ceilings widens the test to bound counts."""
+          this argument does not hold for it."""
         pts = as_points(points, self.dim)
-        reach = self.reach + widen
-        ok = sq_norms(pts, self.bound.center) <= reach * reach
+        ok = sq_norms(pts, self.bound.center) <= self.reach * self.reach
         if self.slabs:
-            ok &= self.base.within(pts, self.eps + self.slack + widen)
+            ok &= self.base.within(pts, self.eps + self.slack)
         return ok
 
     def contains_many(self, points):
@@ -570,63 +568,43 @@ class CoverFamily:
           with |c'| + |p| + reach + s <= 2 S; and (reach + s)^2 -
           (reach + s / 2)^2 >= s reach >= 8 g S^2 by (ii): p is counted.
         """
-        body, pts = self.body, as_points(points, self.dim)
-        if not (isinstance(body, ThickenedBody) and self._ceilings_hold(pts, 0.0, body.reach)):
-            return np.full(len(self), len(pts))
-        return CoverFamily(BallBody(body.bound.center, body.reach + body.slack), 0.0,
-                           self.net).counts(pts)
+        body, pts, n = self.body, as_points(points, self.dim), self.dim
+        if isinstance(body, ThickenedBody):
+            s, gamma = body.slack, rounding_gamma(n + 3)
+            scale = (math.sqrt(float(sq_norms(pts).max(initial=0.0)))
+                     + math.sqrt(float(sq_norms(self.net.translations).max(initial=0.0)))
+                     + float(np.linalg.norm(body.bound.center)) + body.reach + s)
+            if (8.0 * n * (gamma + self._tau) * scale <= 0.5 * s
+                    and 8.0 * gamma * scale * scale <= s * body.reach):
+                return CoverFamily(BallBody(body.bound.center, body.reach + s), 0.0,
+                                   self.net).counts(pts)
+        return np.full(len(self), len(pts))
 
-    def slab_ceilings(self, points, members) -> np.ndarray:
-        """Upper bounds on counts(points, members), one per listed member:
-        for a ThickenedBody, how many points have a back-image that passes
-        its test near widened by its slack s. Any other thickened base, or
-        points for which the conditions below fail, get the number of
-        points instead.
+    def max_count(self, points, members, floor: int) -> int:
+        """max(floor, counts(points, members).max()) for a family whose
+        thickened base is a ThickenedBody: the largest number of the points
+        that one listed member holds, or floor when none holds more. Each
+        block of back-images is tested by near once, the members with at
+        most floor (or the largest count so far) passing points are dropped,
+        and contains_many decides the rest.
 
-        Let S = max |p| + max |v| + |c| + reach + s + slab_scale, with g and
-        tau as in count_ceilings; the ceilings are returned when
-        (i) 8 n (g + tau) S <= s / 2 and (ii) 8 g S^2 <= s (eps + s).
-        Member i = (A, v) holds p only if near passed the back-image b with
-        which contains_many decided p; here p maps to b' in another batch.
-        - b and b' each lie within 2 n g S of A^T (p - v) (count_ceilings),
-          so |b - b'| <= 4 n g S.
-        - Bound ball: |b - c| <= reach + g S, so |b' - c| <= reach + s / 2
-          by (i). The float |b' - c|^2 and (reach + s)^2 are each within
-          g S^2 of their values, and (reach + s)^2 - (reach + s / 2)^2 >=
-          s reach >= 8 g S^2 by (ii): b' passes.
-        - Halfspace i (|a_i| within g of 1): b . a_i <= b_i + eps + s + 3 g S,
-          so the float b' . a_i is at most b_i + eps + s + 10 n g S, below
-          the float b_i + eps + 2 s by (i).
-        - Ball j: |b - c_j| <= r_j + eps + s + g S, so |b' - c_j| <= r_j +
-          eps + 3 s / 2, and (r_j + eps + 2 s)^2 - (r_j + eps + 3 s / 2)^2
-          >= s (eps + s) >= 8 g S^2 by (ii), as for the bound ball.
-        """
-        body, pts = self.body, as_points(points, self.dim)
+        No dropped member could hold more: a point that contains_many holds
+        passes its own evaluation of near, and a point that fails any float
+        evaluation of near is rejected by the projection as well (see
+        ThickenedBody.near), so no exact count exceeds the near-count it is
+        pruned by."""
+        body, n, best = self.body, self.dim, floor
         members = np.asarray(members, dtype=int)
-        if len(pts) == 0 or not (isinstance(body, ThickenedBody) and self._ceilings_hold(
-                pts, body.slab_scale, body.eps + body.slack)):
-            return np.full(len(members), len(pts))
-        ceilings = np.zeros(len(members), dtype=int)
-        for start, back in self._back_images(pts[None], np.zeros(len(members), dtype=int),
-                                             members):
-            near = body.near(back.reshape(-1, self.dim), widen=body.slack)
-            ceilings[start:start + back.shape[1]] = np.count_nonzero(
-                near.reshape(back.shape[:2]), axis=0)
-        return ceilings
-
-    def _ceilings_hold(self, pts: np.ndarray, extra: float, width: float) -> bool:
-        """The float conditions of count_ceilings and slab_ceilings, for a
-        ThickenedBody member: with S = max |p| + max |v| + |c| + reach + s +
-        extra and g = rounding_gamma(n + 3), (i) 8 n (g + tau) S <= s / 2
-        and (ii) 8 g S^2 <= s width."""
-        body, n = self.body, self.dim
-        s = body.slack
-        scale = (math.sqrt(float(sq_norms(pts).max(initial=0.0)))
-                 + math.sqrt(float(sq_norms(self.net.translations).max(initial=0.0)))
-                 + float(np.linalg.norm(body.bound.center)) + body.reach + s + extra)
-        gamma = rounding_gamma(n + 3)
-        return (8.0 * n * (gamma + self._tau) * scale <= 0.5 * s
-                and 8.0 * gamma * scale * scale <= s * width)
+        for _, back in self._back_images(as_points(points, n)[None],
+                                         np.zeros(len(members), dtype=int), members):
+            keep = np.count_nonzero(body.near(back.reshape(-1, n)).reshape(back.shape[:2]),
+                                    axis=0) > best
+            if not keep.all():
+                back = back[:, keep]
+            if back.shape[1]:
+                inside = body.contains_many(back.reshape(-1, n)).reshape(back.shape[:2])
+                best = max(best, int(np.count_nonzero(inside, axis=0).max()))
+        return best
 
     def contains(self, points, members=None) -> np.ndarray:
         """Boolean (T, m) matrix: entry (i, j) says member i contains point j.

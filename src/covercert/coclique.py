@@ -217,6 +217,7 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
     last_counts = np.zeros(len(spec.family), dtype=int)
     rule = "per-member-counts" if accept is None else "custom-accept"
 
+    success = False
     for attempt in range(params.max_retries):
         gen = rng.child(attempt).generator()
         z = spec.sample(gen, params.M)
@@ -233,34 +234,26 @@ def build_coclique(spec: MeasurableGraphSpec, params: CocliqueParams,
         counts = family_counts(spec.family, x)
         last_x, last_counts = x, counts
         if accept is None:
-            ok = bool(np.all(counts < params.count_threshold)) if counts.size else True
+            success = bool(np.all(counts < params.count_threshold)) if counts.size else True
         else:
-            ok = bool(accept(x, counts))
+            success = bool(accept(x, counts))
         attempt_log.append({"attempt": attempt, "edges": edge_count,
                             "survivors": int(len(x)),
-                            "outcome": "accepted" if ok else "rejected"})
-        if ok:
-            return CocliqueResult(
-                success=True,
-                X=x,
-                retries_used=attempt,
-                edges_found_per_attempt=edges_per_attempt,
-                per_Y_counts=counts.tolist(),
-                rule=rule,
-                diagnostics={"attempts": attempt_log,
-                             "count_threshold": params.count_threshold},
-            )
+                            "outcome": "accepted" if success else "rejected"})
+        if success:
+            break
 
+    diagnostics = {"attempts": attempt_log, "count_threshold": params.count_threshold}
+    if not success:
+        diagnostics["note"] = "retries exhausted"
     return CocliqueResult(
-        success=False,
+        success=success,
         X=last_x,
-        retries_used=params.max_retries,
+        retries_used=attempt if success else params.max_retries,
         edges_found_per_attempt=edges_per_attempt,
         per_Y_counts=last_counts.tolist(),
         rule=rule,
-        diagnostics={"attempts": attempt_log,
-                     "count_threshold": params.count_threshold,
-                     "note": "retries exhausted"},
+        diagnostics=diagnostics,
     )
 
 

@@ -448,11 +448,6 @@ def _shortlists(net: IsometryNet, mats: np.ndarray, shifts: np.ndarray) -> np.nd
     return np.concatenate(out)
 
 
-def _shortlist(net: IsometryNet, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The shortlist (see _shortlists) of the one placement (a, v)."""
-    return _shortlists(net, a[None], v[None])[0]
-
-
 def _unlisted(short: np.ndarray, trials: np.ndarray, start: int, stop: int):
     """(trial, member) pairs of every trial in `trials` with each member in
     start .. stop - 1 that the trial's row of `short` does not list."""

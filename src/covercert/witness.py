@@ -143,16 +143,14 @@ def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngS
     estimates entry: the largest fraction of a `samples`-point probe of
     r B_n that one member holds.
 
-    Only the members that can hold the most are counted exactly. Each
-    member's count has two ceilings, proved where they are computed: a ball
-    ceiling for every member at once (CoverFamily.count_ceilings), and a
-    slab ceiling from the base's own sets (CoverFamily.slab_ceilings).
-    Members are taken in descending ball-ceiling order, PROBE_BATCH at a
-    time, and the count stops at the first ball ceiling no larger than the
-    largest count so far; within a batch, members whose slab ceiling is no
-    larger are dropped before the exact count. No member skipped could
-    exceed the largest count, so the maximum is the one a count of every
-    member gives."""
+    Only the members that can hold the most are counted exactly. A ball
+    ceiling bounds every member's count at once (CoverFamily.count_ceilings,
+    proved there). Members are taken in descending ceiling order,
+    PROBE_BATCH at a time, and the count stops at the first ceiling no
+    larger than the largest count so far; within a batch,
+    CoverFamily.max_count decides exactly only the members whose back-images
+    can beat that count. No member skipped could exceed the largest count,
+    so the maximum is the one a count of every member gives."""
     probe = uniform_ball_points(rng.generator(), family.dim, r, samples)
     ceilings = family.count_ceilings(probe)
     best = 0
@@ -162,9 +160,7 @@ def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngS
         batch = batch[ceilings[batch] > best]
         if batch.size == 0:
             break
-        batch = batch[family.slab_ceilings(probe, batch) > best]
-        if batch.size:
-            best = max(best, int(family.counts(probe, batch).max()))
+        best = family.max_count(probe, batch, best)
     return {"value": float(best) / samples, "method": "monte-carlo", "samples": samples}
 
 

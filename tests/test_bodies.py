@@ -509,36 +509,34 @@ def test_slab_test_falls_back_to_the_bound_ball():
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), kind=st.sampled_from(KINDS))
-def test_slab_ceilings_are_the_widened_test(seed, n, kind):
-    # every slab ceiling holds its member's count, and it is the stated
-    # test of the back-images, evaluated here with margins s / 2 below and
-    # above the ones it uses: no set is left out, and none is tightened
+def test_max_count_decides_only_members_that_can_beat_the_floor(seed, n, kind):
+    # max_count is the largest count of the listed members, or the floor
+    # when none holds more, and a member whose back-images pass near at most
+    # floor times never reaches contains_many
     gen = np.random.default_rng(seed)
     base = _slab_base(gen, n, kind)
     net = IsometryNet(n, 0.1, haar_orthogonal(n, gen, 3), gen.uniform(-1.0, 1.0, (5, n)), {})
     family = CoverFamily(base, float(gen.uniform(0.05, 0.5)), net)
-    fat, members = family.body, np.arange(len(family))
+    fat, members = family.body, gen.permutation(len(family))
     probe = uniform_ball_points(gen, n, 1.0, 400)
-    ceilings = family.slab_ceilings(probe, members)
-    assert np.all(ceilings >= family.counts(probe))
-    s = fat.slack
+    top = int(family.counts(probe)[members].max())
+    back = [probe @ a - v @ a for a, v in zip(*net.members(members))]
+    near = np.array([np.count_nonzero(fat.near(b)) for b in back])
+    decided, contains_many = [], fat.contains_many
 
-    def stated(extra):
-        counts = []
-        for a, v in zip(*net.members(members)):
-            b = (probe - v) @ a
-            ok = np.linalg.norm(b - fat.bound.center, axis=1) <= fat.reach + s + extra
-            if kind == "lens":
-                for ball in base.balls:
-                    ok &= np.linalg.norm(b - ball.center, axis=1) <= (
-                        ball.radius + fat.eps + 2.0 * s + extra)
-            else:
-                ok &= np.all(b @ base.normals.T <= base.offsets + fat.eps + 2.0 * s + extra,
-                             axis=1)
-            counts.append(np.count_nonzero(ok))
-        return np.array(counts)
+    def spying(points):
+        decided.append(points.reshape(len(probe), -1, n))
+        return contains_many(points)
 
-    assert np.all(stated(-s / 2.0) <= ceilings) and np.all(ceilings <= stated(s / 2.0))
+    for floor in (0, top - 1, top, top + 3):
+        decided.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fat, "contains_many", spying)
+            assert family.max_count(probe, members, floor) == max(floor, top)
+        reached = [i for block in decided for j in range(block.shape[1])
+                   for i in range(len(back)) if np.allclose(block[:, j], back[i], atol=1e-9)]
+        assert len(reached) == sum(block.shape[1] for block in decided)
+        assert np.all(near[reached] > floor) and (reached or top <= floor)
 
 
 # ---------------------------------------------------------------------------

@@ -849,6 +849,23 @@ def test_witness_bad_parameters_exit_2_before_the_family(monkeypatch, capsys, fl
     assert message in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--suite", "edges", "--seed", "1", "--samples", "100000000000000000"],
+    ["jung-check", "--n", "2", "--seed", "1", "--samples", "1",
+     "--cloud-size", "100000000000000000"],
+    ["witness", "--seed", "1", "--n", "2", "--body", "segment.json", "--eps", "0.4",
+     "--samples", "100000000000000000"],
+], ids=["audit-edges", "jung-check", "witness"])
+def test_refused_allocation_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # 10^17 rows of float64 ask for 1.4 EiB, more than any address space,
+    # so numpy refuses them before it touches memory
+    (tmp_path / "segment.json").write_text(json.dumps(SEGMENT_BODY))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "Unable to allocate" in _one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # audit suites
 
@@ -1068,19 +1085,14 @@ UNCALLED_BY_DESIGN = {
 }
 
 
-def test_every_public_name_has_a_caller():
-    """Each module-level public def or class of src/covercert is named in
-    some src module other than __init__.py (outside its own body, and not
-    only by an import), is wrapped by bench/tracer.py, is imported by the
-    acceptance tests, or is listed in UNCALLED_BY_DESIGN."""
+def _src_trees_and_callers() -> tuple[dict, set]:
+    """The parsed modules of src/covercert by file name, and the names
+    loaded or read as attributes by each top-level statement of every module
+    but __init__.py, less the statement's own name: a definition and its
+    recursion are no caller."""
     root = Path(__file__).resolve().parents[1]
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((root / "src" / "covercert").glob("*.py"))}
-    public = {node.name: module for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
-    # names loaded or read as attributes by each top-level statement, less
-    # the statement's own name: a definition and its recursion are no caller
     called = set()
     for module, tree in trees.items():
         if module != "__init__.py":
@@ -1089,6 +1101,19 @@ def test_every_public_name_has_a_caller():
                            for node in ast.walk(stmt)
                            if isinstance(node, (ast.Name, ast.Attribute))
                            } - {getattr(stmt, "name", None)}
+    return trees, called
+
+
+def test_every_public_name_has_a_caller():
+    """Each module-level public def or class of src/covercert is named in
+    some src module other than __init__.py (outside its own body, and not
+    only by an import), is wrapped by bench/tracer.py, is imported by the
+    acceptance tests, or is listed in UNCALLED_BY_DESIGN."""
+    root = Path(__file__).resolve().parents[1]
+    trees, called = _src_trees_and_callers()
+    public = {node.name: module for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
     tracer = ast.parse((root / "bench" / "tracer.py").read_text(encoding="utf-8"))
     wrapped = {node.elts[1].value for node in ast.walk(tracer)
                if isinstance(node, ast.Tuple) and len(node.elts) == 4
@@ -1102,6 +1127,16 @@ def test_every_public_name_has_a_caller():
     assert unreached == []
     # an exception that gains a caller leaves the list
     assert set(UNCALLED_BY_DESIGN) <= set(public) - called - wrapped - imported
+
+
+def test_every_private_helper_has_a_src_caller():
+    """Each module-level private def of src/covercert is named in src
+    outside its own body: a helper that only the tests call is dead code."""
+    trees, called = _src_trees_and_callers()
+    private = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    assert len(private) > 30
+    assert [name for name in private if name.split(":")[1] not in called] == []
 
 
 def test_row_norms_are_computed_in_one_place():

@@ -25,7 +25,6 @@ from covercert.isometry_nets import (
     haar_orthogonal,
     min_distance_to_net,
     translation_cover_size_floor_log,
-    _shortlist,
     _shortlists,
     _unlisted,
 )
@@ -433,7 +432,7 @@ def test_shortlist_is_a_top_k_of_the_dense_proxy(name):
         assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(net)))
         dense = (np.linalg.norm(mats.reshape(len(net), -1) - a.reshape(1, -1), axis=1)
                  + np.linalg.norm(trans - v, axis=1))
-        short = _shortlist(net, a, v)
+        short = _shortlists(net, a[None], v[None])[0]
         assert np.array_equal(np.concatenate(parts[:2]), short)
         assert len(short) == min(len(net), AUDIT_SHORTLIST) == len(set(short.tolist()))
         assert dense[short].tobytes() == np.sort(dense)[:AUDIT_SHORTLIST].tobytes()
@@ -479,7 +478,7 @@ def _per_trial_audit(t_net, k_body, v_ball, eps, trials, rng):
         if len(t_net) <= AUDIT_SHORTLIST:
             parts = [np.arange(len(t_net))]
         else:
-            short = _shortlist(t_net, a, v)
+            short = _shortlists(t_net, a[None], v[None])[0]
             rest = np.ones(len(t_net), dtype=bool)
             rest[short] = False
             parts = [short, np.flatnonzero(rest)]

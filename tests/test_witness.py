@@ -144,9 +144,9 @@ def _box(gen, n: int) -> HalfspaceIntersectionBody:
 def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, translations,
                                                   samples):
     # bases whose bound centre is off the origin, so that the rotations
-    # move the ceilings: every ball and slab ceiling holds its member's
-    # count, and the maximum pruned by both is the maximum of a count of
-    # every member
+    # move the ceilings: every ball ceiling holds its member's count,
+    # max_count is the largest count or the floor, and the maximum pruned
+    # by both is the maximum of a count of every member
     gen = np.random.default_rng(seed)
     if kind == "box":
         base = _box(gen, n)
@@ -165,7 +165,9 @@ def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, tran
     exact = family.counts(probe)
     ceilings = family.count_ceilings(probe)
     assert np.all(ceilings >= exact)
-    assert np.all(family.slab_ceilings(probe, np.arange(len(family))) >= exact)
+    top = int(exact.max())
+    for floor in (0, top - 1, top, top + 3):
+        assert family.max_count(probe, np.arange(len(family)), floor) == max(floor, top)
     for batch in (1, witness.PROBE_BATCH):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(witness, "PROBE_BATCH", batch)
@@ -174,9 +176,9 @@ def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, tran
                          "samples": samples}
 
 
-def test_member_probe_counts_few_members_of_a_segment_family(monkeypatch):
+def test_member_probe_counts_few_members_of_a_segment_family():
     # the benchmark's segment of length 0.6 at eps 0.4: 4,598 members, of
-    # which the ceilings leave a few hundred to count
+    # which the ceilings leave a few hundred to decide exactly
     segment = body_from_json_dict({
         "dim": 2, "kind": "halfspaces", "exact_volume": None,
         "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
@@ -185,25 +187,25 @@ def test_member_probe_counts_few_members_of_a_segment_family(monkeypatch):
                        {"normal": [0.0, -1.0], "offset": 0.0}],
         "bound": {"center": [0.0, 0.0], "radius": 0.3}})
     family = witness.witness_family(segment, 0.55, 0.4)
-    counted = []
-    counts = family.counts
+    decided, contains_many = [], family.body.contains_many
 
-    def recording(points, members=None):
-        counted.append(len(family) if members is None else len(members))
-        return counts(points, members)
+    def recording(points):
+        decided.append(len(points) // 500)
+        return contains_many(points)
 
-    monkeypatch.setattr(family, "counts", recording)
     rng = RngStream(1001, 2)
-    entry = witness._member_measure_probe(family, 0.55, 500, rng)
-    assert len(family) == 4598 and sum(counted) < 500
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(family.body, "contains_many", recording)
+        entry = witness._member_measure_probe(family, 0.55, 500, rng)
+    assert len(family) == 4598 and 0 < sum(decided) < 500
     probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
-    assert entry["value"] == float(counts(probe).max()) / 500
+    assert entry["value"] == float(family.counts(probe).max()) / 500
 
 
 def test_member_probe_of_the_bench_segment_counts_few_members():
     # the benchmark's witness at CLI seed 1001 (the probe stream of
-    # search_witness): the slab ceilings leave at most 64 of the 4,598
-    # members to count exactly, and fewer than 20,000 mapped points to
+    # search_witness): the one-pass probe sends at most 64 of the 4,598
+    # members to contains_many, and fewer than 20,000 mapped points to
     # project (a ball ceiling alone left 152 members and 69,654 points)
     segment = body_from_json_dict({
         "dim": 2, "kind": "halfspaces", "exact_volume": None,
@@ -213,12 +215,12 @@ def test_member_probe_of_the_bench_segment_counts_few_members():
                        {"normal": [0.0, -1.0], "offset": 0.0}],
         "bound": {"center": [0.0, 0.0], "radius": 0.3}})
     family = witness.witness_family(segment, 0.55, 0.4)
-    counted, projected = [], []
-    counts, project = family.counts, segment.project
+    decided, projected = [], []
+    contains_many, project = family.body.contains_many, segment.project
 
-    def counting(points, members=None):
-        counted.append(len(family) if members is None else len(members))
-        return counts(points, members)
+    def deciding(points):
+        decided.append(len(points) // 500)
+        return contains_many(points)
 
     def projecting(points):
         projected.append(len(points))
@@ -226,10 +228,10 @@ def test_member_probe_of_the_bench_segment_counts_few_members():
 
     rng = RngStream(1001, 0).child(2)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(family, "counts", counting)
+        patch.setattr(family.body, "contains_many", deciding)
         patch.setattr(segment, "project", projecting)
         entry = witness._member_measure_probe(family, 0.55, 500, rng)
     assert isinstance(family.body, ThickenedBody) and family.body.slabs
-    assert len(family) == 4598 and sum(counted) <= 64 and sum(projected) < 20_000
+    assert len(family) == 4598 and 0 < sum(decided) <= 64 and sum(projected) < 20_000
     probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
-    assert entry["value"] == float(counts(probe).max()) / 500
+    assert entry["value"] == float(family.counts(probe).max()) / 500
