@@ -1,5 +1,5 @@
-"""Measurable bodies: membership oracles with bounding balls, isometric
-transforms and Minkowski thickening.
+"""Measurable bodies: membership oracles with bounding balls, rigid motions
+(Isometry) and the images of bodies under them, and Minkowski thickening.
 
 Supported kinds: ball, halfspace intersection, ball intersection, thickened
 body, transformed body, finite union. Thickening relies on a projection
@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +24,12 @@ from .geom_core import (
     RngStream,
     as_points,
     as_vector,
-    in_balls,
     min_enclosing_ball,
     rounding_gamma,
     row_norms,
     sample_uniform_ball,
     sq_norms,
 )
-from .isometry_nets import Isometry, IsometryNet
 
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEP_CAP = 10_000
@@ -47,9 +46,68 @@ CULL_SLACK = 1e-6
 # increments up to this factor of the body's scale
 INCREMENT_ALLOWANCE = 1e6
 VERTEX_SUBSET_CAP = 10_000  # most n-subsets the halfspace body's vertex check solves
-_FAMILY_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
-_FAMILY_CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
-_FAMILY_LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
+ORTHOGONALITY_TOL = 1e-10
+DET_TOL = 1e-8
+
+
+def check_isometries(matrices, translations=None, name: str = "isometry matrix"):
+    """Validate T rigid motions at once: finite matrices (T, n, n), orthogonal
+    within ORTHOGONALITY_TOL and of determinant +-1 within DET_TOL, and finite
+    translations (T, n), zero if omitted. Raises naming the first bad one."""
+    m = np.asarray(matrices, dtype=float)
+    v = np.zeros(m.shape[:2]) if translations is None else np.asarray(translations, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"{name} must be square and non-empty")
+    if v.shape != m.shape[:2]:
+        raise ValueError("translation dimension mismatch")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+        raise ValueError("isometry entries must be finite")
+    gram_err = np.abs(m.transpose(0, 2, 1) @ m - np.eye(m.shape[1])).max(
+        axis=(1, 2), initial=0.0)
+    for bad, what in ((gram_err > ORTHOGONALITY_TOL, f"orthogonal within {ORTHOGONALITY_TOL}"),
+                      (np.abs(np.abs(np.linalg.det(m)) - 1.0) > DET_TOL,
+                       f"of determinant +-1 within {DET_TOL}")):
+        if bad.any():
+            where = f" {np.argmax(bad)}" if len(m) > 1 else ""
+            raise ValueError(f"{name}{where} is not {what}")
+    return m, v
+
+
+@dataclass(frozen=True)
+class Isometry:
+    """Rigid motion x -> matrix @ x + translation."""
+
+    matrix: np.ndarray
+    translation: np.ndarray
+
+    def __post_init__(self):
+        m, v = check_isometries(np.asarray(self.matrix, dtype=float)[None],
+                                np.asarray(self.translation, dtype=float)[None])
+        object.__setattr__(self, "matrix", m[0])
+        object.__setattr__(self, "translation", v[0])
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        pts = as_points(points, self.dim)
+        return pts @ self.matrix.T + self.translation
+
+    def inverse(self) -> "Isometry":
+        return Isometry(self.matrix.T, -(self.matrix.T @ self.translation))
+
+    def compose(self, other: "Isometry") -> "Isometry":
+        """self after other: x -> self(other(x))."""
+        return Isometry(self.matrix @ other.matrix,
+                        self.matrix @ other.translation + self.translation)
+
+    def to_json_dict(self) -> dict:
+        return {"matrix": self.matrix.tolist(), "translation": self.translation.tolist()}
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "Isometry":
+        return Isometry(d["matrix"], d["translation"])
 
 
 class Body:
@@ -111,21 +169,39 @@ def _project_onto_ball(x: np.ndarray, ball: Ball) -> np.ndarray:
 
 def _dykstra(points: np.ndarray, projectors: list, tol: float = PROJECTION_TOL,
              sweep_cap: int = PROJECTION_SWEEP_CAP) -> np.ndarray:
-    """Batch Dykstra projection onto an intersection of convex sets."""
-    x = points.copy()
+    """Batch Dykstra projection onto an intersection of convex sets, given
+    by projectors that each return a new array. Each point's result is its
+    iterate after its first sweep that moved none of its coordinates by
+    more than tol, so it depends on that point alone, not on the batch it
+    came in."""
+    x = points
     increments = [np.zeros_like(points) for _ in projectors]
+    out = live = None  # the results so far and the unsettled points, once one settles
     for _ in range(sweep_cap):
-        move = 0.0
-        for i, proj in enumerate(projectors):
-            y = proj(x + increments[i])
-            increments[i] = x + increments[i] - y
-            move = max(move, float(np.abs(y - x).max(initial=0.0)))
+        move = np.zeros(len(x))  # each point's largest coordinate move
+        for increment, proj in zip(increments, projectors):
+            increment += x  # z = x + increment, projected to y; the new increment is z - y
+            y = proj(increment)
+            increment -= y
+            step = y - x
+            for column in np.abs(step, out=step).T:
+                np.maximum(move, column, out=move)
             x = y
-        if move <= tol:
-            return x
-    warnings.warn("Dykstra projection hit the sweep cap without converging "
-                  f"to tolerance {tol}", RuntimeWarning)
-    return x
+        if move.max(initial=0.0) <= tol:  # every point settles in this sweep
+            break
+        moved = move > tol
+        if live is not None:
+            np.copyto(out, x, where=live[:, None])
+            live &= moved
+        elif not moved.all():
+            out, live = x.copy(), moved
+    else:
+        warnings.warn("Dykstra projection hit the sweep cap without converging "
+                      f"to tolerance {tol}", RuntimeWarning)
+    if live is None:
+        return x
+    np.copyto(out, x, where=live[:, None])
+    return out
 
 
 class HalfspaceIntersectionBody(Body):
@@ -316,14 +392,14 @@ class ThickenedBody(Body):
           it accepts p only when |p - x| <= eps + PROJECTION_TOL for its
           result x, and |p - x| >= |p - c| - |x - c|, so x would have to end
           more than s - PROJECTION_TOL >= 999 PROJECTION_TOL outside the
-          bound ball. Dykstra stops only once a whole sweep moved no point by
-          more than PROJECTION_TOL, so its result is off the base by about
-          that much. |p - c| itself is off by a few ulps of |p| + |c|, far
-          below s.
+          bound ball. Dykstra stops a point only after a whole sweep that
+          moved none of its coordinates by more than PROJECTION_TOL, so its
+          result is off the base by about that much. |p - c| itself is off
+          by a few ulps of |p| + |c|, far below s.
         - Failing set i of the base's m sets (halfspace or ball): let
           g = rounding_gamma(n + 3) and S = INCREMENT_ALLOWANCE (1 + |c| +
           reach + max_i |b_i|, or max_j |c_j| + r_j). The float test puts p
-          more than eps + s - 2 g S outside set i. In Dykstra's last sweep
+          more than eps + s - 2 g S outside set i. In p's last Dykstra sweep
           the step onto set i ended within 8 n g S of it, when its iterate
           and increment are at most S (a step rounds by a few ulps of
           them), and each of the m - 1 later steps moved no coordinate by
@@ -486,273 +562,6 @@ def reduce_to_ball(b: Body) -> Ball | None:
             return Ball(b.isometry.apply(inner.center.reshape(1, -1))[0], inner.radius)
         return None
     return None
-
-
-class CoverFamily:
-    """The finite family g(thicken(base, eps)) for g in net, kept as the base
-    body, eps and the net's two factors: no member is built as an object,
-    and no array holds a matrix per member.
-
-    Member i, with A = rotations[i // T] and v = translations[i % T],
-    contains p iff thicken(base, eps) contains A^T (p - v). When the
-    thickened base is a BallBody (centre c, radius r), members are the balls
-    of centres A c + v, one row per member, decided by in_balls, the rule of
-    BallBody; balls that provably hold none or all of a group of points skip
-    the pair-by-pair test (see _cull). Otherwise the points are mapped back
-    by a block of members at once and the thickened base decides them in one
-    batch; it projects only the mapped points near its bounding ball (see
-    ThickenedBody.contains_many), so a member far from a point costs no
-    Dykstra sweep. pair_blocks decides (probe set, member) pairs the same
-    way, for callers with one probe set per member.
-    """
-
-    def __init__(self, base: Body, eps: float, net: IsometryNet):
-        if net.dim != base.dim:
-            raise ValueError("net dimension does not match the base body")
-        self.base = base
-        self.eps = float(eps)
-        self.net = net
-        self.dim = base.dim
-        self.body = thicken(base, self.eps)
-        ball = self.body.ball if isinstance(self.body, BallBody) else None
-        self.radius = None if ball is None else ball.radius
-        self.centers = None if ball is None else (
-            np.einsum("rij,j->ri", net.rotations, ball.center)[:, None, :]
-            + net.translations).reshape(len(net), self.dim)
-        self.centers_sq = None if ball is None else sq_norms(self.centers)
-        # g plus the largest entry of |A^T A - I| over the rotations, as
-        # evaluated: how far from orthogonal the net's matrices are
-        rot = net.rotations
-        self._tau = None if ball is not None else rounding_gamma(self.dim + 3) + float(
-            np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(self.dim)).max(initial=0.0))
-
-    def __len__(self) -> int:
-        return len(self.net)
-
-    def counts(self, points, members=None) -> np.ndarray:
-        """How many of the points each member contains, shape (T,);
-        `members` restricts the count to those net indices, in that order."""
-        idx = np.arange(len(self)) if members is None else np.asarray(members, dtype=int)
-        counts = np.zeros(len(idx), dtype=int)
-        for rows, cols, inside in self._blocks(as_points(points, self.dim), idx):
-            counts[rows] += len(cols) if inside is None else np.count_nonzero(inside, axis=1)
-        return counts
-
-    def count_ceilings(self, points) -> np.ndarray:
-        """Upper bounds on counts(points), one per member. For a
-        ThickenedBody with bound centre c, cull slack s and reach
-        R + eps + s, member i = (A, v) holds p only if in_balls puts p in
-        the ball of centre A c + v and radius reach + s, and those balls are
-        counted as a ball family. Any other thickened base, or points for
-        which the conditions below fail, get the number of points instead.
-
-        Let g = rounding_gamma(n + 3), tau = g plus the largest entry of
-        |A^T A - I| over the net's rotations, as evaluated (an n-term sum,
-        off by less than g), and S = max |p| + max |v| + |c| + reach + s;
-        the ball counts are returned when
-        (i) 8 n (g + tau) S <= s / 2 and (ii) 8 g S^2 <= s reach.
-        - Member i holds p only if ThickenedBody.contains_many finds the
-          mapped-back point b = fl(p A - v A) near, so its float |b - c|^2
-          is at most fl(reach^2), and |b - c| <= reach + g S.
-        - Each coordinate of b is two n-term dot products of p and v with a
-          column of A, of norm at most 1 + tau, and one difference: b lies
-          within 2 n g S of A^T (p - v).
-        - The entries of A^T A are within tau of I, so |A^T A - I|_op is at
-          most n tau. With x = p - v - A c, |A^T x| is at most
-          |A^T (p - v) - c| + n tau |c|, and |x| <= (1 + n tau) |A^T x|; so
-          |x| <= reach + 4 n g S + 2 n tau S.
-        - The float centre c' = fl(A c + v) lies within n g S of A c + v, so
-          |p - c'| <= reach + 5 n g S + 2 n tau S <= reach + s / 2 by (i).
-        - in_balls evaluates |p - c'|^2 and its threshold
-          (reach + s)^2 + PREDICATE_TOL each within 4 g S^2, as in _cull
-          with |c'| + |p| + reach + s <= 2 S; and (reach + s)^2 -
-          (reach + s / 2)^2 >= s reach >= 8 g S^2 by (ii): p is counted.
-        """
-        body, pts, n = self.body, as_points(points, self.dim), self.dim
-        if isinstance(body, ThickenedBody):
-            s, gamma = body.slack, rounding_gamma(n + 3)
-            scale = (math.sqrt(float(sq_norms(pts).max(initial=0.0)))
-                     + math.sqrt(float(sq_norms(self.net.translations).max(initial=0.0)))
-                     + float(np.linalg.norm(body.bound.center)) + body.reach + s)
-            if (8.0 * n * (gamma + self._tau) * scale <= 0.5 * s
-                    and 8.0 * gamma * scale * scale <= s * body.reach):
-                return CoverFamily(BallBody(body.bound.center, body.reach + s), 0.0,
-                                   self.net).counts(pts)
-        return np.full(len(self), len(pts))
-
-    def max_count(self, points, members, floor: int) -> int:
-        """max(floor, counts(points, members).max()) for a family whose
-        thickened base is a ThickenedBody: the largest number of the points
-        that one listed member holds, or floor when none holds more. Each
-        block of back-images is tested by near once, the members with at
-        most floor (or the largest count so far) passing points are dropped,
-        and contains_many decides the rest.
-
-        No dropped member could hold more: a point that contains_many holds
-        passes its own evaluation of near, and a point that fails any float
-        evaluation of near is rejected by the projection as well (see
-        ThickenedBody.near), so no exact count exceeds the near-count it is
-        pruned by."""
-        body, n, best = self.body, self.dim, floor
-        members = np.asarray(members, dtype=int)
-        for _, back in self._back_images(as_points(points, n)[None],
-                                         np.zeros(len(members), dtype=int), members):
-            keep = np.count_nonzero(body.near(back.reshape(-1, n)).reshape(back.shape[:2]),
-                                    axis=0) > best
-            if not keep.all():
-                back = back[:, keep]
-            if back.shape[1]:
-                inside = body.contains_many(back.reshape(-1, n)).reshape(back.shape[:2])
-                best = max(best, int(np.count_nonzero(inside, axis=0).max()))
-        return best
-
-    def contains(self, points, members=None) -> np.ndarray:
-        """Boolean (T, m) matrix: entry (i, j) says member i contains point j.
-        `members` restricts the rows to those net indices, in that order."""
-        pts = as_points(points, self.dim)
-        idx = np.arange(len(self)) if members is None else np.asarray(members, dtype=int)
-        out = np.zeros((len(idx), len(pts)), dtype=bool)
-        for rows, cols, inside in self._blocks(pts, idx):
-            out[np.ix_(rows, cols)] = True if inside is None else inside
-        return out
-
-    def _blocks(self, pts: np.ndarray, idx: np.ndarray):
-        """(rows, cols, membership block) triples over the members idx; rows
-        index idx and cols index pts. A block of None says that every pair
-        is inside, and a pair no block names is outside. A block holds at
-        most _FAMILY_CHUNK_ELEMS centre-point pairs of ball members, or
-        _FAMILY_CHUNK_POINTS mapped points otherwise."""
-        if len(pts) == 0 or len(idx) == 0:
-            return
-        if self.centers is not None:
-            yield from self._ball_blocks(pts, idx)
-            return
-        for start, inside in self.pair_blocks(pts[None], np.zeros(len(idx), dtype=int), idx):
-            yield np.arange(start, start + len(inside)), np.arange(len(pts)), inside
-
-    def pair_blocks(self, probes: np.ndarray, sets: np.ndarray, members: np.ndarray):
-        """Membership of (probe set, member) pairs: probes is a stack
-        (s, m, n) of m >= 1 points each, and pair k asks which points of
-        probes[sets[k]] member members[k] holds. Yields (start, inside), in
-        order, with inside the boolean (b, m) block of pairs start to
-        start + b - 1.
-
-        Ball members are decided by in_balls over the gathered centres, each
-        entry a function of its own pair, so the booleans are those of
-        _ball_blocks; a block holds at most _FAMILY_CHUNK_ELEMS centre-point
-        pairs. Otherwise the points are mapped back, A^T (p - v) = p A - v A,
-        with one matrix product for each run of adjacent pairs that share a
-        probe set (so callers list the pairs of one set together), and the
-        thickened base decides at most _FAMILY_CHUNK_POINTS of them in one
-        contains_many call, point by point across the block's pairs."""
-        m, n = probes.shape[1:]
-        if self.centers is not None:
-            probes_sq = sq_norms(probes)
-            step = max(1, _FAMILY_CHUNK_ELEMS // m)
-            for start in range(0, len(members), step):
-                sel, at = members[start:start + step], sets[start:start + step]
-                yield start, in_balls(self.centers[sel], self.radius, probes[at],
-                                      self.centers_sq[sel], probes_sq[at])
-            return
-        for start, back in self._back_images(probes, sets, members):
-            yield start, self.body.contains_many(back.reshape(-1, n)).reshape(m, -1).T
-
-    def _back_images(self, probes: np.ndarray, sets: np.ndarray, members: np.ndarray):
-        """(start, back) over the pairs of pair_blocks, in blocks of at most
-        _FAMILY_CHUNK_POINTS mapped points: back, point-major (m, b, n),
-        holds A^T (p - v) = p A - v A for the pairs start to start + b - 1,
-        with one matrix product for each run of adjacent pairs that share a
-        probe set."""
-        m, n = probes.shape[1:]
-        step = max(1, _FAMILY_CHUNK_POINTS // m)
-        for start in range(0, len(members), step):
-            at = sets[start:start + step]
-            mats, trans = self.net.members(members[start:start + step])
-            back = np.empty((m, len(mats), n))
-            cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(), len(at)]
-            for a, b in zip(cuts, cuts[1:]):
-                back[:, a:b] = (probes[at[a]] @ mats[a:b].transpose(1, 0, 2).reshape(n, -1)
-                                ).reshape(m, b - a, n)
-            back -= np.einsum("tj,tji->ti", trans, mats)
-            yield start, back
-
-    def _ball_blocks(self, pts: np.ndarray, idx: np.ndarray):
-        """_blocks for ball members, output-sensitive: the points are split
-        k-d style (at the median of the widest coordinate) down to groups of
-        _FAMILY_LEAF_POINTS. Each node sorts the balls its parent left
-        undecided by _cull: those that hold none of its points are dropped,
-        those that hold all of them are one all-inside block, and in_balls
-        decides the rest pair by pair at the leaves."""
-        pts_sq = sq_norms(pts)
-        center_norm = math.sqrt(float(self.centers_sq[idx].max()))
-        stack = [(np.arange(len(pts)), np.arange(len(idx)))]
-        while stack:
-            cols, rows = stack.pop()
-            group, group_sq = pts[cols], pts_sq[cols]
-            near, full = _cull(self.centers[idx[rows]], center_norm, self.radius, group, group_sq)
-            if full.any():
-                yield rows[near[full]], cols, None
-            rows = rows[near[~full]]
-            if len(rows) == 0:
-                continue
-            if len(cols) > _FAMILY_LEAF_POINTS:
-                half = len(cols) // 2
-                order = np.argpartition(group[:, int(np.argmax(np.ptp(group, axis=0)))], half)
-                stack += [(cols[order[half:]], rows), (cols[order[:half]], rows)]
-                continue
-            step = max(1, _FAMILY_CHUNK_ELEMS // len(cols))
-            for start in range(0, len(rows), step):
-                sel = idx[rows[start:start + step]]
-                yield rows[start:start + step], cols, in_balls(
-                    self.centers[sel], self.radius, group, self.centers_sq[sel], group_sq)
-
-
-def _cull(centers: np.ndarray, center_norm: float, radius: float,
-          pts: np.ndarray, pts_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(near, full): the indices of the balls (centers, radius) that may hold
-    a point of pts under in_balls, and a mask over near of those that hold
-    every point; the other balls hold none. center_norm is at least max |c|,
-    and pts_sq is sq_norms(pts).
-
-    Let h be the midpoint of the points' bounding box, rho their largest
-    distance from h, q = sqrt(R^2 + tol) for the radius R and
-    tol = PREDICATE_TOL, u = 2^-53 and g_k = k u / (1 - k u). With
-
-        S = center_norm + max|p| + |h| + R + 1,   g = g_{n+3},
-        delta = 2 sqrt(g) S,   eta = 2 g S^2 / q,
-
-    a ball is near when |c - h| <= q + rho + delta, and full when also
-    |c - h| <= q - rho - delta - eta.
-
-    in_balls evaluates d^2 = |c - p|^2 as fl(fl(|c|^2 + |p|^2) - 2 fl(c.p))
-    with n-term sums, so its error is at most g_{n+2} (|c| + |p|)^2 <= g S^2,
-    and its threshold fl(fl(R R) + tol) is within g_2 q^2 <= g S^2 of q^2.
-    The tests themselves (rho, the bounds, |c - h|, compared squared) are
-    off by less than 15 g S < delta/2 in float. So, for every point p:
-    - a ball that is not near has d >= |c - h| - rho > q + delta/2, so the
-      evaluated d^2 exceeds d^2 - g S^2 > q^2 + q delta, above the
-      threshold: p fails the rule;
-    - a full ball has d <= |c - h| + rho <= q - eta < q, so the evaluated
-      d^2 is at most d^2 + g S^2 <= q^2 - q eta + g S^2 = q^2 - g S^2, not
-      above the threshold: p passes it.
-    Inputs for which S^2 is not finite leave every ball near and none full.
-    """
-    n = pts.shape[1]
-    h = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    rho = math.sqrt(float(sq_norms(pts, h).max()))
-    scale = center_norm + math.sqrt(float(pts_sq.max())) + float(np.linalg.norm(h)) + radius + 1.0
-    if not math.isfinite(scale * scale):
-        return np.arange(len(centers)), np.zeros(len(centers), dtype=bool)
-    gamma = rounding_gamma(n + 3)
-    q = math.sqrt(radius * radius + PREDICATE_TOL)
-    delta = 2.0 * math.sqrt(gamma) * scale
-    offsets = centers - h
-    offsets *= offsets
-    dist_sq = offsets.sum(axis=1)
-    near = np.flatnonzero(dist_sq <= (q + rho + delta) ** 2)
-    inner = q - rho - delta - 2.0 * gamma * scale * scale / q
-    full = dist_sq[near] <= inner * inner if inner > 0.0 else np.zeros(len(near), dtype=bool)
-    return near, full
 
 
 def probe_points(b: Body, count: int, rng: RngStream) -> np.ndarray:

@@ -37,7 +37,7 @@ EDGE_MEASURE_NODES = 32
 class MeasurableGraphSpec:
     """Sampling law, symmetric irreflexive edge predicate, and a finite
     family: a list of membership oracles (objects exposing contains_many)
-    or a bodies.CoverFamily."""
+    or a families.CoverFamily."""
 
     dim: int
     sampler: Callable[[np.random.Generator, int], np.ndarray]
@@ -172,7 +172,7 @@ def check_hypotheses(params: CocliqueParams, family_size: int,
 
 def family_counts(family, points: np.ndarray) -> np.ndarray:
     """How many of the points each member contains. An array family
-    (bodies.CoverFamily) counts all members at once; a list of oracles is
+    (families.CoverFamily) counts all members at once; a list of oracles is
     asked member by member."""
     if hasattr(family, "counts"):
         return family.counts(points)

@@ -15,77 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import (Ball, RngStream, as_points, ball_volume_log, row_norms,
-                        sample_uniform_balls)
+from . import families
+from .bodies import check_isometries, probe_points, reduce_to_ball
+from .geom_core import Ball, RngStream, ball_volume_log, row_norms, sample_uniform_balls
 
-ORTHOGONALITY_TOL = 1e-10
-DET_TOL = 1e-8
 COVER_SLACK = 1e-9  # float slack when comparing distances against delta
 MAX_NET_DIM = 3  # nets are deterministic, certified grids up to here
 AUDIT_PROBES = 16  # probe points of the body per audit_cover_family trial
 AUDIT_SHORTLIST = 32  # nearest family members tested before the rest in each trial
 _NET_DISTANCE_CHUNK = 2048  # probe matrices per block in min_distance_to_net
 _RANK_CHUNK_ELEMS = 1 << 15  # proxy terms per _shortlists block (256 KB of float64)
-
-
-def _check_isometries(matrices, translations=None, name: str = "isometry matrix"):
-    """Validate T rigid motions at once: finite matrices (T, n, n), orthogonal
-    within ORTHOGONALITY_TOL and of determinant +-1 within DET_TOL, and finite
-    translations (T, n), zero if omitted. Raises naming the first bad one."""
-    m = np.asarray(matrices, dtype=float)
-    v = np.zeros(m.shape[:2]) if translations is None else np.asarray(translations, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
-        raise ValueError(f"{name} must be square and non-empty")
-    if v.shape != m.shape[:2]:
-        raise ValueError("translation dimension mismatch")
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
-        raise ValueError("isometry entries must be finite")
-    gram_err = np.abs(m.transpose(0, 2, 1) @ m - np.eye(m.shape[1])).max(
-        axis=(1, 2), initial=0.0)
-    for bad, what in ((gram_err > ORTHOGONALITY_TOL, f"orthogonal within {ORTHOGONALITY_TOL}"),
-                      (np.abs(np.abs(np.linalg.det(m)) - 1.0) > DET_TOL,
-                       f"of determinant +-1 within {DET_TOL}")):
-        if bad.any():
-            where = f" {np.argmax(bad)}" if len(m) > 1 else ""
-            raise ValueError(f"{name}{where} is not {what}")
-    return m, v
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """Rigid motion x -> matrix @ x + translation."""
-
-    matrix: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        m, v = _check_isometries(np.asarray(self.matrix, dtype=float)[None],
-                                 np.asarray(self.translation, dtype=float)[None])
-        object.__setattr__(self, "matrix", m[0])
-        object.__setattr__(self, "translation", v[0])
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = as_points(points, self.dim)
-        return pts @ self.matrix.T + self.translation
-
-    def inverse(self) -> "Isometry":
-        return Isometry(self.matrix.T, -(self.matrix.T @ self.translation))
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other: x -> self(other(x))."""
-        return Isometry(self.matrix @ other.matrix,
-                        self.matrix @ other.translation + self.translation)
-
-    def to_json_dict(self) -> dict:
-        return {"matrix": self.matrix.tolist(), "translation": self.translation.tolist()}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Isometry":
-        return Isometry(d["matrix"], d["translation"])
 
 
 @dataclass
@@ -136,7 +75,7 @@ class IsometryNet:
         except ValueError:
             raise ValueError("net elements must share one shape: an n x n "
                              "matrix and an n-vector translation") from None
-        mats, trans = _check_isometries(mats, trans, "net element matrix")
+        mats, trans = check_isometries(mats, trans, "net element matrix")
         if mats.shape[1] != dim:
             raise ValueError(f"net elements have dimension {mats.shape[1]}, not {dim}")
         # the translation count T divides the element count and is at most
@@ -355,8 +294,6 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     translation grid (T, n); member i is rotation i // T with translation
     i % T, and no member array is built.
     """
-    from . import bodies as _bodies
-
     if eps <= 0:
         raise ValueError("eps must be positive")
     if d_bound <= 0:
@@ -372,7 +309,7 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
         raise ValueError(f"the orthogonal net radius eps / (2 D) = {delta} is not finite and "
                          f"positive (eps = {eps}, diameter bound D = {d_bound})")
     rho = eps / (2.0 * max(d_bound, 1.0))
-    ball_form = _bodies.reduce_to_ball(k_body)
+    ball_form = reduce_to_ball(k_body)
     symmetric = ball_form is not None and float(np.linalg.norm(ball_form.center)) <= 1e-12
     # grid nets (n = 2, 3) have a known size and O(1)'s net at least one
     # element; build_orthogonal_net refuses n > MAX_NET_DIM before the
@@ -463,8 +400,6 @@ def _covered(family, placed: np.ndarray, short: np.ndarray) -> np.ndarray:
     """Whether some member of the CoverFamily holds every point of placed[i],
     for each probe set i, tested in the stages of audit_cover_family; row i
     of `short` is set i's shortlist."""
-    from . import bodies as _bodies
-
     covered = np.zeros(len(placed), dtype=bool)
 
     def test(sets, members):
@@ -478,7 +413,7 @@ def _covered(family, placed: np.ndarray, short: np.ndarray) -> np.ndarray:
     start, size, m = 0, len(family), placed.shape[1]
     while start < size and not covered.all():
         left = np.flatnonzero(~covered)
-        stop = min(size, start + max(1, _bodies._FAMILY_CHUNK_POINTS // (m * len(left))))
+        stop = min(size, start + max(1, families.CHUNK_POINTS // (m * len(left))))
         test(*_unlisted(short, left, start, stop))
         start = stop
     return covered
@@ -490,7 +425,7 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     (A, v), probe points of A K + v, and require some g in T whose
     eps-thickening of K contains every probe.
 
-    Trials run in chunks of at most _FAMILY_CHUNK_POINTS placed probes, so
+    Trials run in chunks of at most families.CHUNK_POINTS placed probes, so
     memory stays flat for any trial count. A chunk draws its rotations in
     one haar_orthogonal call, the same bits as one call per trial, and
     trial t its translation from rng.child(t + 1). Each trial ranks the
@@ -500,25 +435,22 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     1. every trial's least-proxy member;
     2. the rest of its shortlist, for the trials not yet covered;
     3. the rest of the family, for the trials still not covered, in member
-       blocks of at most _FAMILY_CHUNK_POINTS mapped points; a trial leaves
+       blocks of at most families.CHUNK_POINTS mapped points; a trial leaves
        once covered.
     A trial is covered when some member holds all its probes, and the
     three stages together test every member of the family, so their order
     cannot change which trials fail, only how much projection work is done.
-    (They do change which points share a Dykstra batch, whose last sweep
-    depends on the batch: that can move a decision only for a point within
-    about bodies.PROJECTION_TOL of a member's boundary, as any batching can.)
-    Reported failures are real, not search artifacts.
+    Nor can the Dykstra batch a mapped point shares: each point stops on its
+    own moves (see bodies._dykstra). Reported failures are real, not search
+    artifacts.
     """
-    from . import bodies as _bodies
-
     if trials < 1:
         raise ValueError("at least one trial required")
-    family = _bodies.CoverFamily(k_body, eps, t_net)
+    family = families.CoverFamily(k_body, eps, t_net)
     gen = rng.generator()
     n = k_body.dim
-    base = _bodies.probe_points(k_body, AUDIT_PROBES, rng.child(0))
-    chunk = max(1, _bodies._FAMILY_CHUNK_POINTS // len(base))
+    base = probe_points(k_body, AUDIT_PROBES, rng.child(0))
+    chunk = max(1, families.CHUNK_POINTS // len(base))
     failures = 0
     failure_examples = []
     for first in range(0, trials, chunk):

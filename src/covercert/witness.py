@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .bodies import Body, CoverFamily, body_from_json_dict
+from .bodies import Body, body_from_json_dict
 from .coclique import (
     EDGE_MEASURE_NODES,
     CocliqueParams,
@@ -25,6 +25,7 @@ from .coclique import (
     family_counts,
     geometric_spec,
 )
+from .families import CoverFamily
 from .geom_core import (
     PREDICATE_TOL,
     Ball,
@@ -39,7 +40,6 @@ from .isometry_nets import IsometryNet, build_cover_family
 SCHEMA_VERSION = 2  # of certificates and their verification reports
 ENUMERATION_CAP = 1_000_000  # k-subsets enumerated exhaustively below this
 FAMILY_CAP = 10**7  # most members a search builds; larger families are refused unbuilt
-PROBE_BATCH = 32  # members counted exactly between ceiling checks of the member probe
 # orthogonal nets are deterministic grids here, so families regenerate exactly
 WITNESS_DIMS = (2, 3)
 # the family each certificate schema names, by its rule
@@ -141,27 +141,10 @@ def _exact_estimates(family: CoverFamily, r: float, threshold: float) -> dict:
 def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngStream) -> dict:
     """The largest measure on r B_n of a member without a closed form, as an
     estimates entry: the largest fraction of a `samples`-point probe of
-    r B_n that one member holds.
-
-    Only the members that can hold the most are counted exactly. A ball
-    ceiling bounds every member's count at once (CoverFamily.count_ceilings,
-    proved there). Members are taken in descending ceiling order,
-    PROBE_BATCH at a time, and the count stops at the first ceiling no
-    larger than the largest count so far; within a batch,
-    CoverFamily.max_count decides exactly only the members whose back-images
-    can beat that count. No member skipped could exceed the largest count,
-    so the maximum is the one a count of every member gives."""
+    r B_n that one member holds, counted exactly (CoverFamily.max_count)."""
     probe = uniform_ball_points(rng.generator(), family.dim, r, samples)
-    ceilings = family.count_ceilings(probe)
-    best = 0
-    order = np.argsort(-ceilings, kind="stable")
-    for start in range(0, len(order), PROBE_BATCH):
-        batch = order[start:start + PROBE_BATCH]
-        batch = batch[ceilings[batch] > best]
-        if batch.size == 0:
-            break
-        best = family.max_count(probe, batch, best)
-    return {"value": float(best) / samples, "method": "monte-carlo", "samples": samples}
+    return {"value": float(family.max_count(probe)) / samples, "method": "monte-carlo",
+            "samples": samples}
 
 
 def _estimates_check(estimates: dict, family: CoverFamily, r: float, threshold: float) -> dict:
@@ -187,9 +170,10 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
     if samples < 1:
         raise ValueError("samples must be positive")
     n = base.dim
+    check_witness_dim(n)
     rng = RngStream(seed, 0)
-    # the parameter checks (M, k, p, retries, alpha, the unit-diameter edge
-    # threshold) all run before the family is built
+    # the parameter checks (n, M, k, p, retries, alpha, the unit-diameter
+    # edge threshold) all run before the family is built
     params = CocliqueParams(M=M, k=k, p=p, max_retries=max_retries)
     spec = geometric_spec(n, r, alpha, unit_diameter=True)
     family = spec.family = witness_family(base, r, eps, max_size=FAMILY_CAP)

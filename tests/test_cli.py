@@ -1104,6 +1104,52 @@ def _src_trees_and_callers() -> tuple[dict, set]:
     return trees, called
 
 
+def _package_imports(trees: dict) -> list:
+    """(module, imported module, name, bound as, statement) for every name
+    that an import statement in src/covercert binds from a covercert
+    module; name is None when the statement binds the module itself."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(module, a.name.split(".")[1] + ".py", None, a.asname, node)
+                          for a in node.names if a.name.startswith("covercert.")]
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "covercert"
+                                                        or node.module.startswith("covercert.")):
+                source = (node.module or "").removeprefix("covercert").lstrip(".")
+                found += [(module, f"{source}.py", a.name, a.asname or a.name, node) if source
+                          else (module, f"{a.name}.py", None, a.asname or a.name, node)
+                          for a in node.names]
+    return found
+
+
+def test_package_imports_run_one_way():
+    """Within src/covercert: no function body imports from the package,
+    the imports between modules form a DAG, and no module imports or reads
+    another module's private (_name) attribute."""
+    trees, _ = _src_trees_and_callers()
+    imports = _package_imports(trees)
+    nested = sorted({f"{module}:{node.lineno}" for module, _, _, _, node in imports
+                     if node not in trees[module].body})
+    private = [f"{module}:{node.lineno}: {source} {name}" for module, source, name, _, node
+               in imports if name is not None and name.startswith("_")]
+    for module, source, bound in {(m, s, b) for m, s, name, b, _ in imports if name is None}:
+        private += [f"{module}:{node.lineno}: {source} {node.attr}"
+                    for node in ast.walk(trees[module])
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == bound and node.attr.startswith("_")
+                    and not node.attr.startswith("__")]
+    graph = {module: set() for module in trees}
+    for module, source, _, _, _ in imports:
+        graph[module].add(source)
+    order = []
+    while ready := [m for m in graph if m not in order and graph[m] <= set(order)]:
+        order += ready
+    # the modules on an import cycle or importing one
+    cyclic = sorted(set(graph) - set(order))
+    assert (nested, sorted(private), cyclic) == ([], [], [])
+
+
 def test_every_public_name_has_a_caller():
     """Each module-level public def or class of src/covercert is named in
     some src module other than __init__.py (outside its own body, and not

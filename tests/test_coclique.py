@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covercert.bodies as bodies
 import covercert.coclique as coclique
-from covercert.bodies import BallBody, CoverFamily, thicken, transform
+import covercert.families as families
+from covercert.bodies import BallBody, Isometry, thicken, transform
 from covercert.coclique import (
     CocliqueParams,
     MeasurableGraphSpec,
@@ -28,7 +28,8 @@ from covercert.coclique import (
     geometric_spec,
 )
 from covercert.geom_core import Ball, RngStream, uniform_ball_points
-from covercert.isometry_nets import Isometry, IsometryNet, build_cover_family, haar_orthogonal
+from covercert.families import CoverFamily
+from covercert.isometry_nets import IsometryNet, build_cover_family, haar_orthogonal
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +271,10 @@ def test_family_counts_chunked(monkeypatch):
     pts = gen.normal(size=(50, 2))
     whole_counts, whole_masks = family.counts(pts), family.contains(pts)
     # 3 * 50 + 1 pairs per block: three members per block, the last block short
-    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_ELEMS", 151)
+    monkeypatch.setattr(families, "_CHUNK_ELEMS", 151)
     assert np.array_equal(family.counts(pts), whole_counts)
     assert np.array_equal(family.contains(pts), whole_masks)
     assert np.array_equal(whole_counts, family_counts(_members(family), pts))
-    rows = [8, 0, 5, 3]
-    assert np.array_equal(family.contains(pts, rows), whole_masks[rows])
 
 
 @pytest.mark.parametrize("budget", [None, 7 * 40 + 3], ids=["whole", "chunked"])
@@ -289,7 +288,7 @@ def test_cover_family_segment_matches_generic(monkeypatch, budget):
     if budget is not None:
         # seven members per stacked batch; the net size is not a multiple of 7
         assert len(net) % 7
-        monkeypatch.setattr(bodies, "_FAMILY_CHUNK_POINTS", budget)
+        monkeypatch.setattr(families, "CHUNK_POINTS", budget)
     pts = np.random.default_rng(34).uniform(-0.9, 0.9, size=(40, 2))
     members = _members(family)
     masks = family.contains(pts)

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercert.bodies import BallBody, CoverFamily, probe_points, thicken
+import covercert.families as families
+from covercert.bodies import BallBody, Isometry, probe_points, thicken
+from covercert.families import CoverFamily
 from covercert.geom_core import Ball, RngStream, sample_uniform_ball
 from covercert.isometry_nets import (
     AUDIT_PROBES,
     AUDIT_SHORTLIST,
-    Isometry,
     IsometryNet,
     audit_cover_family,
     audit_orthogonal_net,
@@ -437,8 +438,9 @@ def test_shortlist_is_a_top_k_of_the_dense_proxy(name):
         assert len(short) == min(len(net), AUDIT_SHORTLIST) == len(set(short.tolist()))
         assert dense[short].tobytes() == np.sort(dense)[:AUDIT_SHORTLIST].tobytes()
         placed = probes @ a.T + v
-        found = any(family.contains(placed, part).all(axis=1).any() for part in parts)
-        assert found == bool(family.contains(placed).all(axis=1).any())
+        masks = family.contains(placed)
+        found = any(masks[part].all(axis=1).any() for part in parts)
+        assert found == bool(masks.all(axis=1).any())
         outcomes.add(found)
     assert outcomes == {True} if name == "cover" else False in outcomes
 
@@ -482,7 +484,8 @@ def _per_trial_audit(t_net, k_body, v_ball, eps, trials, rng):
             rest = np.ones(len(t_net), dtype=bool)
             rest[short] = False
             parts = [short, np.flatnonzero(rest)]
-        if not any(family.contains(placed, part).all(axis=1).any() for part in parts if part.size):
+        masks = family.contains(placed)
+        if not any(masks[part].all(axis=1).any() for part in parts if part.size):
             failures += 1
             if len(failure_examples) < 5:
                 failure_examples.append({"trial": trial, "matrix": a.tolist(),
@@ -536,10 +539,8 @@ def test_staged_audit_equals_the_per_trial_loop(name, trials):
 @pytest.mark.parametrize("name", _AUDIT_CASES)
 def test_staged_audit_in_small_chunks_equals_the_per_trial_loop(monkeypatch, name, per_chunk):
     # chunks of one and of three trials; every membership batch shrinks too
-    import covercert.bodies as bodies
-
     net, body, window = _audit_cases()[name]
-    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_POINTS", per_chunk * AUDIT_PROBES)
+    monkeypatch.setattr(families, "CHUNK_POINTS", per_chunk * AUDIT_PROBES)
     rng = RngStream(44, 2)
     want = _per_trial_audit(net, body, window, 0.2, 7, rng)
     assert audit_cover_family(net, body, window, 0.2, 7, rng) == want
@@ -565,18 +566,17 @@ def test_batched_draws_and_placements_equal_single_ones(n):
 @pytest.mark.parametrize("name", ["cover", "lens", "off-centre-ball"])
 def test_pair_blocks_decide_each_pair_as_contains(monkeypatch, name):
     # one probe set per pair: every block row is the member's contains row
-    import covercert.bodies as bodies
-
     net, body, window = _audit_cases()[name]
     family = CoverFamily(body, 0.2, net)
     gen = np.random.default_rng(5)
     probes = gen.uniform(-0.8, 0.8, (6, 5, 2)) + window.center
     sets = gen.integers(0, 6, 300)
     members = gen.integers(0, len(net), 300)
-    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_POINTS", 7 * 5)
-    monkeypatch.setattr(bodies, "_FAMILY_CHUNK_ELEMS", 7 * 5)
+    monkeypatch.setattr(families, "CHUNK_POINTS", 7 * 5)
+    monkeypatch.setattr(families, "_CHUNK_ELEMS", 7 * 5)
     got = np.concatenate([inside for _, inside in family.pair_blocks(probes, sets, members)])
-    want = np.concatenate([family.contains(probes[k], [g]) for k, g in zip(sets, members)])
+    rows = [family.contains(p) for p in probes]
+    want = np.stack([rows[k][g] for k, g in zip(sets, members)])
     assert got.any() and not got.all()
     assert np.array_equal(got, want)
 
@@ -596,7 +596,7 @@ def test_cover_audit_tests_in_few_membership_calls(monkeypatch):
 
     monkeypatch.setattr(bodies.ThickenedBody, "contains_many", counting)
     report = run_suite("cover", RngStream(1001, 0), 200)
-    chunks = -(-200 // max(1, bodies._FAMILY_CHUNK_POINTS // AUDIT_PROBES))
+    chunks = -(-200 // max(1, families.CHUNK_POINTS // AUDIT_PROBES))
     assert report["pass"] and report["report"]["failures"] == 0
     assert 1 <= len(calls) <= chunks + 2, calls
 

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covercert.families as families
 import covercert.witness as witness
 from covercert.bodies import (
     BallBody,
     BallIntersectionBody,
-    CoverFamily,
     HalfspaceIntersectionBody,
     ThickenedBody,
     body_from_json_dict,
 )
 from covercert.coclique import family_counts
+from covercert.families import CoverFamily
 from covercert.geom_core import Ball, RngStream, uniform_ball_points
 from covercert.isometry_nets import IsometryNet, haar_orthogonal
 from covercert.witness import verdict
@@ -144,9 +145,9 @@ def _box(gen, n: int) -> HalfspaceIntersectionBody:
 def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, translations,
                                                   samples):
     # bases whose bound centre is off the origin, so that the rotations
-    # move the ceilings: every ball ceiling holds its member's count,
-    # max_count is the largest count or the floor, and the maximum pruned
-    # by both is the maximum of a count of every member
+    # move the ceilings: every ball ceiling holds its member's count, and
+    # the maximum pruned by the ceilings and the near-counts is the maximum
+    # of a count of every member, for blocks of 1, 7 or every member
     gen = np.random.default_rng(seed)
     if kind == "box":
         base = _box(gen, n)
@@ -165,12 +166,9 @@ def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, tran
     exact = family.counts(probe)
     ceilings = family.count_ceilings(probe)
     assert np.all(ceilings >= exact)
-    top = int(exact.max())
-    for floor in (0, top - 1, top, top + 3):
-        assert family.max_count(probe, np.arange(len(family)), floor) == max(floor, top)
-    for batch in (1, witness.PROBE_BATCH):
+    for per_block in (1, 7, len(family)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(witness, "PROBE_BATCH", batch)
+            patch.setattr(families, "CHUNK_POINTS", per_block * samples)
             entry = witness._member_measure_probe(family, r, samples, rng)
         assert entry == {"value": float(exact.max()) / samples, "method": "monte-carlo",
                          "samples": samples}
@@ -235,3 +233,16 @@ def test_member_probe_of_the_bench_segment_counts_few_members():
     assert len(family) == 4598 and 0 < sum(decided) <= 64 and sum(projected) < 20_000
     probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
     assert entry["value"] == float(family.counts(probe).max()) / 500
+
+
+def test_search_refuses_a_dimension_its_verifier_refuses(monkeypatch):
+    # the library search checks the witness domain before it builds the
+    # family, as the verifier does: n = 4 would otherwise build 5,065
+    # members and emit a certificate that cannot be verified
+    def never(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(witness, "build_cover_family", never)
+    with pytest.raises(ValueError, match="n = 4 is outside the witness domain"):
+        witness.search_witness(BallBody(np.zeros(4), 0.05), 1, 0.3, 1.0, 1, 0.3, 16, 0.05,
+                               64, 100, {})
