@@ -17,14 +17,12 @@ import numpy as np
 
 from . import families
 from .bodies import check_isometries, probe_points, reduce_to_ball
-from .geom_core import Ball, RngStream, ball_volume_log, row_norms, sample_uniform_balls
+from .geom_core import Ball, RngStream, ball_volume_log, row_norms, sample_uniform_balls, sq_norms
 
 COVER_SLACK = 1e-9  # float slack when comparing distances against delta
 MAX_NET_DIM = 3  # nets are deterministic, certified grids up to here
 AUDIT_PROBES = 16  # probe points of the body per audit_cover_family trial
-AUDIT_SHORTLIST = 32  # nearest family members tested before the rest in each trial
-_NET_DISTANCE_CHUNK = 2048  # probe matrices per block in min_distance_to_net
-_RANK_CHUNK_ELEMS = 1 << 15  # proxy terms per _shortlists block (256 KB of float64)
+_BLOCK_PRODUCTS = 1 << 15  # inner products per block of matrices or shifts (256 KB of float64)
 
 
 @dataclass
@@ -139,8 +137,9 @@ def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray) -> np.ndarray:
         if rows.size == 0 or cols.size == 0:
             continue
         fe = flat_e[cols]
-        for start in range(0, rows.size, _NET_DISTANCE_CHUNK):
-            idx = rows[start:start + _NET_DISTANCE_CHUNK]
+        step = max(1, _BLOCK_PRODUCTS // cols.size)
+        for start in range(0, rows.size, step):
+            idx = rows[start:start + step]
             # |A - E|_op = sqrt(n - <A, E>) for proper/improper pairs, with
             # <A, E> the Frobenius inner product (n = 1: equal, so 0)
             best = (mats[idx].reshape(len(idx), n * n) @ fe.T).max(axis=1)
@@ -345,76 +344,46 @@ def build_cover_family(k_body, d_bound: float, v_ball: Ball, eps: float,
     return IsometryNet(n, delta + rho, rotations, translations, cert)
 
 
-def _best(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of k least values along the last axis, by a partition; all
-    of them when there are no more than k."""
-    if values.shape[-1] > k:
-        return np.argpartition(values, k, axis=-1)[..., :k]
-    return np.broadcast_to(np.arange(values.shape[-1]), values.shape)
-
-
-def _shortlists(net: IsometryNet, mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Row i: the min(AUDIT_SHORTLIST, len(net)) = k members g = (A_g, v_g)
-    of least proxy |A_g - A|_F + |v_g - v| for the placement (A, v) =
-    (mats[i], shifts[i]), a rotation term plus a translation term, in
-    ascending order of proxy. A member whose rotation is not among the k
-    best has a sum no less than the k members that pair one of those with
-    its translation, and likewise for translations: so k least sums of the
-    product lie among the k best rotations times the k best translations.
-    A block of placements forms at most _RANK_CHUNK_ELEMS coordinate
-    differences and candidate sums at once."""
-    k, n = AUDIT_SHORTLIST, net.dim
-    r, t = len(net.rotations), len(net.translations)
-    rot_flat = net.rotations.reshape(r, n * n)
-    step = max(1, _RANK_CHUNK_ELEMS // (rot_flat.size + net.translations.size + k * k))
-    out = []
+def _nearest(net: IsometryNet, mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """For each placement (A, v) = (mats[i], shifts[i]), the member
+    g = (A_g, v_g) of a non-empty net of least |A_g - A|_F + |v_g - v|. A sum
+    over the product is least at the least term of each factor: the
+    rotation of largest <A_g, A>, since |A_g - A|_F^2 = 2n - 2 <A_g, A> for
+    orthogonal matrices, with the translation of least |v_g|^2 - 2 v.v_g.
+    This is the member the covering guarantee names when the net has
+    delta < sqrt(2): for n <= 3, |A_g - A|_op = sqrt(n - <A_g, A>) within a
+    determinant class (see min_distance_to_net), so a same-class rotation
+    within delta has <A_g, A> > n - 2, more than the other class reaches.
+    Blocks of placements form at most _BLOCK_PRODUCTS inner products."""
+    n, r, t = net.dim, len(net.rotations), len(net.translations)
+    rot_flat, trans = net.rotations.reshape(r, n * n).T, net.translations.T
+    trans_sq = sq_norms(net.translations)
+    step = max(1, _BLOCK_PRODUCTS // max(r, t))
+    out = np.empty(len(mats), dtype=np.intp)
     for start in range(0, len(mats), step):
-        a = mats[start:start + step].reshape(-1, 1, n * n)
-        v = shifts[start:start + step, None]
-        count = len(a)
-        rot = row_norms((rot_flat - a).reshape(-1, n * n)).reshape(count, r)
-        trans = row_norms((net.translations - v).reshape(-1, n)).reshape(count, t)
-        rows, cols = _best(rot, k), _best(trans, k)
-        sums = (np.take_along_axis(rot, rows, 1)[:, :, None]
-                + np.take_along_axis(trans, cols, 1)[:, None, :]).reshape(count, -1)
-        pick = _best(sums, k)
-        pick = np.take_along_axis(pick, np.argsort(np.take_along_axis(sums, pick, 1), axis=1,
-                                                   kind="stable"), 1)
-        out.append(np.take_along_axis(rows, pick // cols.shape[1], 1) * t
-                   + np.take_along_axis(cols, pick % cols.shape[1], 1))
-    return np.concatenate(out)
+        block = slice(start, start + step)
+        rot = np.argmax(mats[block].reshape(-1, n * n) @ rot_flat, axis=1)
+        out[block] = rot * t + np.argmin(trans_sq - 2.0 * (shifts[block] @ trans), axis=1)
+    return out
 
 
-def _unlisted(short: np.ndarray, trials: np.ndarray, start: int, stop: int):
-    """(trial, member) pairs of every trial in `trials` with each member in
-    start .. stop - 1 that the trial's row of `short` does not list."""
-    listed = short[trials]
-    keep = np.ones((len(trials), stop - start), dtype=bool)
-    r, c = np.nonzero((listed >= start) & (listed < stop))
-    keep[r, listed[r, c] - start] = False
-    r, c = np.nonzero(keep)
-    return trials[r], start + c
-
-
-def _covered(family, placed: np.ndarray, short: np.ndarray) -> np.ndarray:
+def _covered(family, placed: np.ndarray, mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Whether some member of the CoverFamily holds every point of placed[i],
-    for each probe set i, tested in the stages of audit_cover_family; row i
-    of `short` is set i's shortlist."""
+    the probes placed by (mats[i], shifts[i]), in audit_cover_family's stages."""
     covered = np.zeros(len(placed), dtype=bool)
+    if len(family) == 0:
+        return covered
 
     def test(sets, members):
         for start, inside in family.pair_blocks(placed, sets, members):
             covered[sets[start:start + len(inside)][inside.all(axis=1)]] = True
 
-    for part in (slice(0, 1), slice(1, None)):  # the best member, then the shortlist's rest
-        left = np.flatnonzero(~covered)
-        listed = short[left, part]
-        test(np.repeat(left, listed.shape[1]), listed.ravel())
+    test(np.arange(len(placed)), _nearest(family.net, mats, shifts))
     start, size, m = 0, len(family), placed.shape[1]
     while start < size and not covered.all():
         left = np.flatnonzero(~covered)
         stop = min(size, start + max(1, families.CHUNK_POINTS // (m * len(left))))
-        test(*_unlisted(short, left, start, stop))
+        test(np.repeat(left, stop - start), np.tile(np.arange(start, stop), len(left)))
         start = stop
     return covered
 
@@ -428,24 +397,25 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     Trials run in chunks of at most families.CHUNK_POINTS placed probes, so
     memory stays flat for any trial count. A chunk draws its rotations in
     one haar_orthogonal call, the same bits as one call per trial, and
-    trial t its translation from rng.child(t + 1). Each trial ranks the
-    members by the proxy |A_g - A|_F + |v_g - v| (see _shortlists), and the
-    members are tested in three stages, each for all of the chunk's trials
-    in one batched membership call (CoverFamily.pair_blocks):
-    1. every trial's least-proxy member;
-    2. the rest of its shortlist, for the trials not yet covered;
-    3. the rest of the family, for the trials still not covered, in member
-       blocks of at most families.CHUNK_POINTS mapped points; a trial leaves
-       once covered.
-    A trial is covered when some member holds all its probes, and the
-    three stages together test every member of the family, so their order
-    cannot change which trials fail, only how much projection work is done.
-    Nor can the Dykstra batch a mapped point shares: each point stops on its
-    own moves (see bodies._dykstra). Reported failures are real, not search
-    artifacts.
+    trial t its translation from rng.child(t + 1), so at most
+    RngStream.CHILD_LIMIT - 1 trials run. The members are tested in two
+    stages, each for all of the chunk's trials in batched membership calls
+    (CoverFamily.pair_blocks):
+    1. every trial's nearest member (see _nearest): the net rotation nearest
+       A times the grid translation nearest v, the member the covering
+       guarantee names;
+    2. the whole family, for the trials not yet covered, in member blocks
+       of at most families.CHUNK_POINTS mapped points; a trial leaves once
+       covered.
+    A trial is covered when some member holds all its probes, and stage 2
+    tests every member, so the stage-1 choice cannot change which trials
+    fail, only how much projection work is done. Nor can the Dykstra batch
+    a mapped point shares: each point stops on its own moves (see
+    bodies._dykstra). Reported failures are real, not search artifacts.
     """
-    if trials < 1:
-        raise ValueError("at least one trial required")
+    if not 1 <= trials < RngStream.CHILD_LIMIT:
+        raise ValueError(f"a cover audit runs 1 to {RngStream.CHILD_LIMIT - 1:,} trials "
+                         f"(trial t draws from substream t + 1), not {trials}")
     family = families.CoverFamily(k_body, eps, t_net)
     gen = rng.generator()
     n = k_body.dim
@@ -463,7 +433,7 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
         else:
             shifts = np.repeat(v_ball.center[None], len(ids), axis=0)
         placed = base @ mats.transpose(0, 2, 1) + shifts[:, None]
-        covered = _covered(family, placed, _shortlists(t_net, mats, shifts))
+        covered = _covered(family, placed, mats, shifts)
         for k in np.flatnonzero(~covered).tolist():
             failures += 1
             if len(failure_examples) < 5:

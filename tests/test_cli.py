@@ -908,6 +908,25 @@ def test_audit_nonpositive_samples_exits_2(monkeypatch, capsys, suite, samples):
     assert "--samples must be positive" in _one_line_error(capsys)
 
 
+def test_cover_audit_trial_limit(monkeypatch, capsys, tmp_path):
+    # trial t draws its translation from rng.child(t + 1), so past
+    # CHILD_LIMIT - 1 trials the audit is refused before any placement is drawn
+    from covercert.geom_core import RngStream
+
+    monkeypatch.setattr(RngStream, "CHILD_LIMIT", 8)
+    rc, doc = run(["audit", "--suite", "cover", "--seed", "1", "--samples", "7"],
+                  tmp_path / "cover.json")
+    assert rc == 0 and doc["report"]["trials"] == 7
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a placement was drawn")
+
+    monkeypatch.setattr(isometry_nets, "haar_orthogonal", no_draws)
+    capsys.readouterr()
+    assert main(["audit", "--suite", "cover", "--seed", "1", "--samples", "8"]) == 2
+    assert "runs 1 to 7 trials" in _one_line_error(capsys)
+
+
 def test_audit_default_samples_echo(monkeypatch, tmp_path):
     # without --samples each suite runs its default count; the echo says None
     seen = {}

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covercert.families as families
+import covercert.isometry_nets as isometry_nets
 from covercert.bodies import BallBody, Isometry, probe_points, thicken
 from covercert.families import CoverFamily
 from covercert.geom_core import Ball, RngStream, sample_uniform_ball
 from covercert.isometry_nets import (
     AUDIT_PROBES,
-    AUDIT_SHORTLIST,
     IsometryNet,
     audit_cover_family,
     audit_orthogonal_net,
@@ -26,8 +26,7 @@ from covercert.isometry_nets import (
     haar_orthogonal,
     min_distance_to_net,
     translation_cover_size_floor_log,
-    _shortlists,
-    _unlisted,
+    _nearest,
 )
 
 
@@ -83,6 +82,17 @@ def test_min_distance_trace_formula_matches_svd():
             for p in probes
         ])
         assert np.allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, delta", [(2, 0.05), (3, 0.5)])
+def test_min_distance_in_small_blocks(monkeypatch, n, delta):
+    # blocks of one or three probe matrices give the distances of one block
+    net = build_orthogonal_net(n, delta).rotations
+    probes = haar_orthogonal(n, np.random.default_rng(3), 50)
+    want = min_distance_to_net(probes, net)
+    for products in (1, 3 * len(net) // 2):
+        monkeypatch.setattr(isometry_nets, "_BLOCK_PRODUCTS", products)
+        assert np.allclose(min_distance_to_net(probes, net), want, rtol=0.0, atol=1e-12)
 
 
 def test_min_distance_opposite_class_is_two():
@@ -280,8 +290,6 @@ def test_cover_family_max_size_admits_its_own_size(body, window, eps):
 
 
 def test_cover_family_max_size_refuses_before_building(monkeypatch):
-    import covercert.isometry_nets as isometry_nets
-
     def never(*args, **kwargs):
         raise AssertionError("a net was built")
 
@@ -339,8 +347,6 @@ def test_cover_family_validation():
 
 
 def test_cover_family_beyond_net_dims(monkeypatch):
-    import covercert.isometry_nets as isometry_nets
-
     def never(*args, **kwargs):
         raise AssertionError("a translation grid was built")
 
@@ -393,77 +399,100 @@ def test_cover_family_audit_fails_every_trial_on_an_empty_net(body):
 
 def _segment_nets():
     """The audit's segment net, its rotation-stripped copy, its rotations
-    with three translations and a net of fewer members than AUDIT_SHORTLIST."""
+    with three translations and a net of a few members."""
     from covercert.audits import strip_rotations
 
     net = build_cover_family(segment_2d(), 1.0, Ball(np.zeros(2), 1.0), 0.2)
     small = IsometryNet(2, net.delta, net.rotations[::20], net.translations[::100], {})
-    assert 1 < len(small) < AUDIT_SHORTLIST
+    assert 1 < len(small) < 20
     few = IsometryNet(2, net.delta, net.rotations, net.translations[::70], {})
     assert len(few.translations) == 3
     return {"cover": net, "stripped": strip_rotations(net), "few-translations": few,
             "small": small}
 
 
-def _stages(net, a, v):
-    """The audit's three stages for the one placement (a, v): the least-proxy
-    member, the rest of the shortlist and the members it does not list."""
-    short = _shortlists(net, a[None], v[None])
-    rest = _unlisted(short, np.array([0]), 0, len(net))[1]
-    return [short[0, :1], short[0, 1:], rest]
+@pytest.mark.parametrize("name", ["cover", "stripped", "few-translations", "small", "3-d"])
+def test_nearest_is_least_in_the_dense_proxy(monkeypatch, name):
+    # the member drawn from the factors has the least rotation term
+    # |A_g - A|_F and the least translation term |v_g - v| of a member by
+    # member scan, so the least proxy sum, also in blocks of one placement;
+    # compared by value, so ties may go either way
+    if name == "3-d":  # 13,754 members of an off-centre ball base
+        net = build_cover_family(BallBody(np.array([0.1, 0.0, 0.0]), 0.2), 0.6,
+                                 Ball(np.zeros(3), 0.15), 0.5)
+    else:
+        net = _segment_nets()[name]
+    mats, trans = net.members(np.arange(len(net)))
+    gen = np.random.default_rng(21)
+    a = haar_orthogonal(net.dim, gen, 20)
+    v = gen.uniform(-0.1, 0.1, (20, net.dim))  # inside both windows
+    picks = [_nearest(net, a, v)]
+    with monkeypatch.context() as m:
+        m.setattr(isometry_nets, "_BLOCK_PRODUCTS", 1)
+        picks.append(_nearest(net, a, v))
+    for got in picks:
+        for g, a_i, v_i in zip(got, a, v):
+            rot = np.linalg.norm(mats.reshape(len(net), -1) - a_i.reshape(1, -1), axis=1)
+            shift = np.linalg.norm(trans - v_i, axis=1)
+            assert rot[g] <= rot.min() + 1e-12 and shift[g] <= shift.min() + 1e-12
+            assert rot[g] + shift[g] <= (rot + shift).min() + 1e-12
+
+
+@pytest.mark.parametrize("n, delta", [(2, 0.3), (2, 1.2), (3, 0.5), (3, 1.3)])
+def test_nearest_rotation_is_the_operator_nearest(n, delta):
+    # for n <= 3 and a net of delta < sqrt(2) the rotation of largest
+    # <A_g, A> is the one the covering guarantee names: none lies nearer
+    # to A in the operator norm
+    net = build_orthogonal_net(n, delta)
+    a = haar_orthogonal(n, np.random.default_rng(13), 200)
+    got = net.rotations[_nearest(net, a, np.zeros((200, n)))]
+    want = min_distance_to_net(a, net.rotations)
+    dist = np.array([min_distance_to_net(a_i[None], g[None])[0] for a_i, g in zip(a, got)])
+    assert np.allclose(dist, want, rtol=0.0, atol=1e-9)
+    assert want.max() <= delta + 1e-9
 
 
 @pytest.mark.parametrize("name", ["cover", "stripped", "few-translations", "small"])
-def test_shortlist_is_a_top_k_of_the_dense_proxy(name):
-    # the shortlist drawn from the factors holds AUDIT_SHORTLIST least
-    # values of the proxy summed member by member, in ascending order, and
-    # the audit's stages hold the whole family once, so the trial's `found`
-    # is the dense scan's
-    net = _segment_nets()[name]
-    body, eps = segment_2d(), 0.2
-    family = CoverFamily(body, eps, net)
-    mats, trans = net.members(np.arange(len(net)))
-    probes = probe_points(body, 16, RngStream(4, 0))
-    gen = np.random.default_rng(21)
-    outcomes = set()
-    for _ in range(20):
-        a = haar_orthogonal(2, gen, 1)[0]
-        v = gen.uniform(-0.7, 0.7, 2)  # inside the unit window
-        parts = _stages(net, a, v)
-        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(net)))
-        dense = (np.linalg.norm(mats.reshape(len(net), -1) - a.reshape(1, -1), axis=1)
-                 + np.linalg.norm(trans - v, axis=1))
-        short = _shortlists(net, a[None], v[None])[0]
-        assert np.array_equal(np.concatenate(parts[:2]), short)
-        assert len(short) == min(len(net), AUDIT_SHORTLIST) == len(set(short.tolist()))
-        assert dense[short].tobytes() == np.sort(dense)[:AUDIT_SHORTLIST].tobytes()
-        placed = probes @ a.T + v
-        masks = family.contains(placed)
-        found = any(masks[part].all(axis=1).any() for part in parts)
-        assert found == bool(masks.all(axis=1).any())
-        outcomes.add(found)
-    assert outcomes == {True} if name == "cover" else False in outcomes
-
-
-@pytest.mark.parametrize("name", ["cover", "stripped", "small"])
-def test_audit_shortlist_does_not_change_the_report(monkeypatch, name):
-    # with no shortlist every trial tests the whole family at once
-    import covercert.isometry_nets as isometry_nets
-
+def test_audit_stage_one_choice_does_not_change_the_report(monkeypatch, name):
+    # stage 2 tests every member of the family for each open trial, so a
+    # stage 1 that tests a far member leaves the report as it was
     net, body, window = _segment_nets()[name], segment_2d(), Ball(np.zeros(2), 1.0)
     rep = audit_cover_family(net, body, window, 0.2, trials=12, rng=RngStream(8, 0))
-    monkeypatch.setattr(isometry_nets, "AUDIT_SHORTLIST", 0)
+    calls = []
+
+    def far(net, mats, shifts):
+        calls.append(len(mats))
+        return (_nearest(net, mats, shifts) + len(net) // 2) % len(net)
+
+    monkeypatch.setattr(isometry_nets, "_nearest", far)
     assert audit_cover_family(net, body, window, 0.2, trials=12, rng=RngStream(8, 0)) == rep
+    assert calls == [12]
     if name == "stripped":
         assert 0 < rep["failures"] < 12
     elif name == "cover":
         assert rep["failures"] == 0
 
 
+def test_audit_stage_two_reaches_the_last_member(monkeypatch):
+    # stage 1 is sent to member 0, which misses; of the five rotations
+    # only the last, the identity, keeps the segment within eps, and stage
+    # 2 tests one member per block here, so it must reach its last block
+    rotations = np.stack([_rot(k * math.pi / 8) for k in (2, 3, 5, 6, 0)])
+    window = Ball(np.array([0.1, 0.0]), 0.0)
+    monkeypatch.setattr(isometry_nets, "haar_orthogonal",
+                        lambda n, gen, count: np.repeat(np.eye(n)[None], count, axis=0))
+    monkeypatch.setattr(isometry_nets, "_nearest",
+                        lambda net, mats, shifts: np.zeros(len(mats), dtype=int))
+    monkeypatch.setattr(families, "CHUNK_POINTS", AUDIT_PROBES)
+    for count, failures in ((5, 0), (4, 3)):
+        net = IsometryNet(2, 0.1, rotations[:count], window.center[None], {})
+        rep = audit_cover_family(net, segment_2d(), window, 0.2, 3, RngStream(8, 0))
+        assert rep["failures"] == failures
+
+
 def _per_trial_audit(t_net, k_body, v_ball, eps, trials, rng):
     """The reference audit: one loop round per trial, with one Haar draw,
-    then the shortlist and the rest of the family in one
-    CoverFamily.contains call each."""
+    and the whole family in one CoverFamily.contains call."""
     family = CoverFamily(k_body, eps, t_net)
     gen = rng.generator()
     failures = 0
@@ -477,15 +506,7 @@ def _per_trial_audit(t_net, k_body, v_ball, eps, trials, rng):
         else:
             v = v_ball.center.copy()
         placed = base_probes @ a.T + v
-        if len(t_net) <= AUDIT_SHORTLIST:
-            parts = [np.arange(len(t_net))]
-        else:
-            short = _shortlists(t_net, a[None], v[None])[0]
-            rest = np.ones(len(t_net), dtype=bool)
-            rest[short] = False
-            parts = [short, np.flatnonzero(rest)]
-        masks = family.contains(placed)
-        if not any(masks[part].all(axis=1).any() for part in parts if part.size):
+        if not family.contains(placed).all(axis=1).any():
             failures += 1
             if len(failure_examples) < 5:
                 failure_examples.append({"trial": trial, "matrix": a.tolist(),
@@ -539,10 +560,12 @@ def test_staged_audit_equals_the_per_trial_loop(name, trials):
 @pytest.mark.parametrize("name", _AUDIT_CASES)
 def test_staged_audit_in_small_chunks_equals_the_per_trial_loop(monkeypatch, name, per_chunk):
     # chunks of one and of three trials; every membership batch shrinks too
+    # (the reference runs first, at the full chunk: its decisions do not
+    # depend on the batch, and blocks of one to three members are slow)
     net, body, window = _audit_cases()[name]
-    monkeypatch.setattr(families, "CHUNK_POINTS", per_chunk * AUDIT_PROBES)
     rng = RngStream(44, 2)
     want = _per_trial_audit(net, body, window, 0.2, 7, rng)
+    monkeypatch.setattr(families, "CHUNK_POINTS", per_chunk * AUDIT_PROBES)
     assert audit_cover_family(net, body, window, 0.2, 7, rng) == want
 
 
@@ -572,10 +595,10 @@ def test_pair_blocks_decide_each_pair_as_contains(monkeypatch, name):
     probes = gen.uniform(-0.8, 0.8, (6, 5, 2)) + window.center
     sets = gen.integers(0, 6, 300)
     members = gen.integers(0, len(net), 300)
+    rows = [family.contains(p) for p in probes]  # at the full chunk, as it is faster
     monkeypatch.setattr(families, "CHUNK_POINTS", 7 * 5)
     monkeypatch.setattr(families, "_CHUNK_ELEMS", 7 * 5)
     got = np.concatenate([inside for _, inside in family.pair_blocks(probes, sets, members)])
-    rows = [family.contains(p) for p in probes]
     want = np.stack([rows[k][g] for k, g in zip(sets, members)])
     assert got.any() and not got.all()
     assert np.array_equal(got, want)
@@ -583,7 +606,7 @@ def test_pair_blocks_decide_each_pair_as_contains(monkeypatch, name):
 
 def test_cover_audit_tests_in_few_membership_calls(monkeypatch):
     # the CLI's 200-trial cover audit at seed 1001 covers each trial with its
-    # best-ranked member: one chunk, one contains_many call per stage at most
+    # nearest member: one chunk, one contains_many call per stage at most
     import covercert.bodies as bodies
     from covercert.audits import run_suite
 
