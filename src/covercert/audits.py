@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds as _bounds
+from . import geom_core
 from .bodies import HalfspaceIntersectionBody
 from .coclique import edge_measure_audit
 from .geom_core import (Ball, RngStream, cap_measure_bounds, cap_measure_exact, diameter,
@@ -23,7 +24,6 @@ from .isometry_nets import IsometryNet, audit_cover_family, build_cover_family
 
 
 TOL_FLOOR = 1e-12  # smallest jung_check tol: its solves at tol / 10 still certify
-_JUNG_BATCH_ELEMS = 1 << 19  # cloud coordinates bounded per batch (4 MB of float64)
 
 
 def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float) -> dict:
@@ -34,8 +34,8 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
     set it are solved. Cloud `trial` is drawn from rng.child(trial) and
     rescaled by its diameter; a coincident cloud (every row equal to the
     first, an exact test: diameter() may give it a few 1e-8 from rounding)
-    or one of float diameter 0 is skipped. Batches of at
-    most _JUNG_BATCH_ELEMS coordinates get ceilings from
+    or one of float diameter 0 is skipped. Batches of at most
+    geom_core.BLOCK_ELEMS coordinates (one cloud at least) get ceilings from
     enclosing_radius_ceilings at the solver tolerance t = min(1e-8, tol/10):
 
         C = b (1 + t)(1 + 32 g) + 32 u S,
@@ -54,7 +54,7 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
     simplex_ok = abs(simplex_radius - r_n) <= tol
 
     max_radius = 0.0
-    batch = max(1, _JUNG_BATCH_ELEMS // (cloud_size * n))
+    batch = max(1, geom_core.BLOCK_ELEMS // (cloud_size * n))
     for start in range(0, clouds, batch):
         streams = [rng.child(trial) for trial in range(start, min(start + batch, clouds))]
         stack = sample_uniform_balls(n, 1.0, cloud_size, streams)

@@ -167,17 +167,16 @@ def _project_onto_ball(x: np.ndarray, ball: Ball) -> np.ndarray:
     return ball.center + rel * scale[:, None]
 
 
-def _dykstra(points: np.ndarray, projectors: list, tol: float = PROJECTION_TOL,
-             sweep_cap: int = PROJECTION_SWEEP_CAP) -> np.ndarray:
+def _dykstra(points: np.ndarray, projectors: list) -> np.ndarray:
     """Batch Dykstra projection onto an intersection of convex sets, given
     by projectors that each return a new array. Each point's result is its
     iterate after its first sweep that moved none of its coordinates by
-    more than tol, so it depends on that point alone, not on the batch it
-    came in."""
+    more than PROJECTION_TOL, so it depends on that point alone, not on the
+    batch it came in. At most PROJECTION_SWEEP_CAP sweeps run."""
     x = points
     increments = [np.zeros_like(points) for _ in projectors]
     out = live = None  # the results so far and the unsettled points, once one settles
-    for _ in range(sweep_cap):
+    for _ in range(PROJECTION_SWEEP_CAP):
         move = np.zeros(len(x))  # each point's largest coordinate move
         for increment, proj in zip(increments, projectors):
             increment += x  # z = x + increment, projected to y; the new increment is z - y
@@ -187,9 +186,9 @@ def _dykstra(points: np.ndarray, projectors: list, tol: float = PROJECTION_TOL,
             for column in np.abs(step, out=step).T:
                 np.maximum(move, column, out=move)
             x = y
-        if move.max(initial=0.0) <= tol:  # every point settles in this sweep
+        if move.max(initial=0.0) <= PROJECTION_TOL:  # every point settles in this sweep
             break
-        moved = move > tol
+        moved = move > PROJECTION_TOL
         if live is not None:
             np.copyto(out, x, where=live[:, None])
             live &= moved
@@ -197,7 +196,7 @@ def _dykstra(points: np.ndarray, projectors: list, tol: float = PROJECTION_TOL,
             out, live = x.copy(), moved
     else:
         warnings.warn("Dykstra projection hit the sweep cap without converging "
-                      f"to tolerance {tol}", RuntimeWarning)
+                      f"to tolerance {PROJECTION_TOL}", RuntimeWarning)
     if live is None:
         return x
     np.copyto(out, x, where=live[:, None])

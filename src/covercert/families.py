@@ -9,11 +9,10 @@ import math
 
 import numpy as np
 
+from . import geom_core
 from .bodies import BallBody, Body, ThickenedBody, thicken
 from .geom_core import PREDICATE_TOL, as_points, in_balls, rounding_gamma, sq_norms
 
-CHUNK_POINTS = 16_384  # mapped points per stacked membership batch
-_CHUNK_ELEMS = 32_768  # centre-point pairs per distance block (256 KB of float64)
 _LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
 
 
@@ -116,12 +115,12 @@ class CoverFamily:
 
         Members are taken in descending order of count_ceilings, which
         bounds every member's count (proved there), in blocks of
-        CHUNK_POINTS // len(points). Each block first drops the members
-        whose ceiling is at most the largest count so far, and the count
-        stops at the first block left empty: every later ceiling is no
-        larger. The block's back-images are tested by near once, the
-        members with at most that largest count of passing points are
-        dropped, and contains_many decides the rest.
+        geom_core.BLOCK_ELEMS // (m n) for m points in R^n. Each block
+        first drops the members whose ceiling is at most the largest count
+        so far, and the count stops at the first block left empty: every
+        later ceiling is no larger. The block's back-images are tested by
+        near once, the members with at most that largest count of passing
+        points are dropped, and contains_many decides the rest.
 
         No dropped member could hold more: a point that contains_many holds
         passes its own evaluation of near, and a point that fails any float
@@ -132,13 +131,13 @@ class CoverFamily:
         body, pts, n = self.body, as_points(points, self.dim), self.dim
         ceilings = self.count_ceilings(pts)
         order = np.argsort(-ceilings, kind="stable")
-        step, best = max(1, CHUNK_POINTS // len(pts)), 0
+        step, best = max(1, geom_core.BLOCK_ELEMS // pts.size), 0
         for start in range(0, len(order), step):
             block = order[start:start + step]
             block = block[ceilings[block] > best]
             if block.size == 0:
                 break
-            _, back = next(self._back_images(pts[None], np.zeros(len(block), dtype=int), block))
+            back = self._back_images(pts[None], block)
             keep = np.count_nonzero(body.near(back.reshape(-1, n)).reshape(back.shape[:2]),
                                     axis=0) > best
             if not keep.all():
@@ -159,9 +158,10 @@ class CoverFamily:
     def _blocks(self, pts: np.ndarray):
         """(rows, cols, membership block) triples; rows index the members
         and cols index pts. A block of None says that every pair is inside,
-        and a pair no block names is outside. A block holds at most
-        _CHUNK_ELEMS centre-point pairs of ball members, or CHUNK_POINTS
-        mapped points otherwise."""
+        and a pair no block names is outside. A block holds
+        geom_core.BLOCK_ELEMS // len(cols) ball members, or otherwise
+        geom_core.BLOCK_ELEMS // (m n) members for m points in R^n, and one
+        member at least."""
         if len(pts) == 0 or len(self) == 0:
             return
         if self.centers is not None:
@@ -176,46 +176,38 @@ class CoverFamily:
         (s, m, n) of m >= 1 points each, and pair k asks which points of
         probes[sets[k]] member members[k] holds. Yields (start, inside), in
         order, with inside the boolean (b, m) block of pairs start to
-        start + b - 1.
+        start + b - 1; a block holds geom_core.BLOCK_ELEMS // (m n) pairs,
+        and one at least.
 
         Ball members are decided by in_balls over the gathered centres, each
         entry a function of its own pair, so the booleans are those of
-        _ball_blocks; a block holds at most _CHUNK_ELEMS centre-point pairs.
-        Otherwise the points are mapped back, A^T (p - v) = p A - v A, with
-        one matrix product for each run of adjacent pairs that share a
-        probe set (so callers list the pairs of one set together), and the
-        thickened base decides at most CHUNK_POINTS of them in one
-        contains_many call, point by point across the block's pairs."""
+        _ball_blocks. Otherwise the points are mapped back (see
+        _back_images) and the thickened base decides the block's mapped
+        points in one contains_many call, point by point across its pairs."""
         m, n = probes.shape[1:]
-        if self.centers is not None:
-            probes_sq = sq_norms(probes)
-            step = max(1, _CHUNK_ELEMS // m)
-            for start in range(0, len(members), step):
-                sel, at = members[start:start + step], sets[start:start + step]
+        probes_sq = None if self.centers is None else sq_norms(probes)
+        step = max(1, geom_core.BLOCK_ELEMS // (m * n))
+        for start in range(0, len(members), step):
+            sel, at = members[start:start + step], sets[start:start + step]
+            if probes_sq is None:
+                back = self._back_images(probes if len(probes) == 1 else probes[at], sel)
+                yield start, self.body.contains_many(back.reshape(-1, n)).reshape(m, -1).T
+            else:
                 yield start, in_balls(self.centers[sel], self.radius, probes[at],
                                       self.centers_sq[sel], probes_sq[at])
-            return
-        for start, back in self._back_images(probes, sets, members):
-            yield start, self.body.contains_many(back.reshape(-1, n)).reshape(m, -1).T
 
-    def _back_images(self, probes: np.ndarray, sets: np.ndarray, members: np.ndarray):
-        """(start, back) over the pairs of pair_blocks, in blocks of at most
-        CHUNK_POINTS mapped points: back, point-major (m, b, n), holds
-        A^T (p - v) = p A - v A for the pairs start to start + b - 1, with
-        one matrix product for each run of adjacent pairs that share a
-        probe set."""
-        m, n = probes.shape[1:]
-        step = max(1, CHUNK_POINTS // m)
-        for start in range(0, len(members), step):
-            at = sets[start:start + step]
-            mats, trans = self.net.members(members[start:start + step])
-            back = np.empty((m, len(mats), n))
-            cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(), len(at)]
-            for a, b in zip(cuts, cuts[1:]):
-                back[:, a:b] = (probes[at[a]] @ mats[a:b].transpose(1, 0, 2).reshape(n, -1)
-                                ).reshape(m, b - a, n)
-            back -= np.einsum("tj,tji->ti", trans, mats)
-            yield start, back
+    def _back_images(self, placed: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Point-major (m, b, n) back-images A^T (p - v) = p A - v A of the
+        points of placed, a stack (b, m, n) with one probe set per member or
+        (1, m, n) with one for all, under each member (A, v) of members. One
+        stacked product computes each (probe set, member) pair on its own,
+        so a back-image depends only on its point and its member, not on the
+        other points or members of the block."""
+        mats, trans = self.net.members(members)
+        back = np.empty((placed.shape[1], len(members), self.dim))
+        np.matmul(placed, mats, out=back.transpose(1, 0, 2))
+        back -= np.einsum("tj,tji->ti", trans, mats)
+        return back
 
     def _ball_blocks(self, pts: np.ndarray):
         """_blocks for ball members, output-sensitive: the points are split
@@ -241,7 +233,7 @@ class CoverFamily:
                 order = np.argpartition(group[:, int(np.argmax(np.ptp(group, axis=0)))], half)
                 stack += [(cols[order[half:]], rows), (cols[order[:half]], rows)]
                 continue
-            step = max(1, _CHUNK_ELEMS // len(cols))
+            step = max(1, geom_core.BLOCK_ELEMS // len(cols))
             for start in range(0, len(rows), step):
                 sel = rows[start:start + step]
                 yield sel, cols, in_balls(

@@ -40,6 +40,10 @@ _BETA_CF_TERMS = 1000
 # ulp or two; 100 steps without that are an error
 _LEGENDRE_ROOT_TOL = 1e-15
 _LEGENDRE_NEWTON_STEPS = 100
+_MEB_PIVOT_CAP = 100_000  # min_enclosing_ball's pivots; uncertified after them, it warns
+# float64 elements (256 KB) per block of every blocked loop; each loop divides
+# it by the elements in one unit of its work, and reads it here when it runs
+BLOCK_ELEMS = 1 << 15
 
 
 def as_vector(x) -> Vector:
@@ -240,8 +244,7 @@ def _set_rows(e: np.ndarray, t: np.ndarray, h: np.ndarray, start: int) -> None:
         t[i, i] = 1.0 / d
 
 
-def min_enclosing_ball(points: np.ndarray, tol: float = SOLVER_TOL,
-                       max_iterations: int = 100_000) -> Ball:
+def min_enclosing_ball(points: np.ndarray, tol: float = SOLVER_TOL) -> Ball:
     """Smallest enclosing ball of an (m, n) point array up to a (1+tol)
     radius factor.
 
@@ -276,7 +279,7 @@ def min_enclosing_ball(points: np.ndarray, tol: float = SOLVER_TOL,
       weight reaches 0; that point leaves S and j joins it.
 
     The inputs are centred and scaled to unit spread first, which leaves
-    the weights unchanged. max_iterations caps the pivots. The returned
+    the weights unchanged. _MEB_PIVOT_CAP caps the pivots. The returned
     radius is the exact maximum distance from the final center, hence
     containment of the inputs is exact regardless of tol.
     """
@@ -304,7 +307,7 @@ def min_enclosing_ball(points: np.ndarray, tol: float = SOLVER_TOL,
     e, t = np.zeros((2, pts.shape[1] + 1, pts.shape[1] + 1))  # e[:k] = t[:k, :k] @ h[support]
     _set_rows(e, t, h[support], 0)
     certified = False
-    for _ in range(max_iterations):
+    for _ in range(_MEB_PIVOT_CAP):
         k = len(support)
         tk = t[:k, :k]
         # lam = G^-1 (sx_S - kappa) / 2, G^-1 = tk' tk, kappa set by sum lam = 1
@@ -417,30 +420,21 @@ def regular_simplex(n: int) -> np.ndarray:
     return v @ h.T
 
 
-def _gaussian_rows(gen: np.random.Generator, count: int, n: int):
-    """count standard Gaussian rows in R^n and their norms."""
-    g = gen.standard_normal((count, n))
-    norms = row_norms(g)
-    _guard_zero_norms(g, norms)
-    return g, norms
-
-
-def _guard_zero_norms(g: np.ndarray, norms: np.ndarray) -> None:
-    """Zero-norm Gaussian draws have probability zero; an exact float zero
-    becomes e1 with norm 1, in place."""
+def _guarded_norms(g: np.ndarray) -> np.ndarray:
+    """The row norms of a stack (k, count, n) of Gaussian draws, flattened.
+    Below 8 columns row_norms adds the squares in index order at any batch
+    shape; from 8 columns up numpy's order depends on the shape, so there
+    the norms are taken draw by draw, in the shape (count, n) of one draw.
+    Zero-norm rows have probability zero; an exact float zero becomes e1
+    with norm 1, in place."""
+    flat = g.reshape(-1, g.shape[-1])
+    norms = row_norms(flat) if flat.shape[1] < 8 else np.concatenate([row_norms(r) for r in g])
     bad = norms < 1e-300
     if np.any(bad):
-        g[bad] = 0.0
-        g[bad, 0] = 1.0
+        flat[bad] = 0.0
+        flat[bad, 0] = 1.0
         norms[bad] = 1.0
-
-
-def _radial_law(g: np.ndarray, norms: np.ndarray, u: np.ndarray, n: int,
-                radius: float) -> np.ndarray:
-    """Gaussian rows g with their norms and one uniform u per row, as points
-    of radius * B_n: the directions g / |g| at the U^(1/n) radial law."""
-    radial = radius * u ** (1.0 / n)
-    return g * (radial / norms)[:, None]
+    return norms
 
 
 def sample_uniform_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
@@ -449,60 +443,55 @@ def sample_uniform_sphere(n: int, rng: RngStream, count: int) -> np.ndarray:
     n = as_dim(n, 1)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    g, norms = _gaussian_rows(rng.generator(), int(count), n)
-    return g / norms[:, None]
+    g = rng.generator().standard_normal((int(count), n))
+    return g / _guarded_norms(g[None])[:, None]
+
+
+def _ball_draws(gens, size: int, n: int, radius: float, count: int) -> np.ndarray:
+    """count uniform points of radius * B_n from each of the size generators
+    that the iterable gens yields, stacked as (size, count, n): Gaussian
+    directions g / |g| at the U^(1/n) radial law, the one implementation of
+    the ball draw. Each generator fills its own slices of two preallocated
+    arrays, standard normals and then uniforms, and is taken from gens only
+    then, so that the generators (3 KB each) are not all alive at once. The
+    norms (see _guarded_norms) and the radial law then run once over the
+    whole stack, each row on its own."""
+    g = np.empty((size, count, n))
+    u = np.empty((size, count))
+    if g.size == 0:
+        return g
+    for i, gen in enumerate(gens):
+        gen.standard_normal(out=g[i])
+        gen.random(out=u[i])
+    norms = _guarded_norms(g)
+    flat = g.reshape(-1, n)
+    flat *= (radius * u.reshape(-1) ** (1.0 / n) / norms)[:, None]
+    return g
 
 
 def uniform_ball_points(gen: np.random.Generator, n: int, radius: float,
                         count: int) -> np.ndarray:
-    """Generator-level core of sample_uniform_ball: Gaussian directions with
-    the U^(1/n) radial law."""
-    if count == 0:
-        return np.empty((0, n))
-    g, norms = _gaussian_rows(gen, count, n)
-    return _radial_law(g, norms, gen.random(count), n, radius)
-
-
-def _check_ball_draw(n: int, radius: float, count: int) -> int:
-    n = as_dim(n, 1)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return n
+    """Generator-level form of sample_uniform_ball: count uniform points of
+    radius * B_n drawn from gen, as a (count, n) array."""
+    return _ball_draws([gen], 1, n, radius, count)[0]
 
 
 def sample_uniform_ball(n: int, radius: float, count: int, rng: RngStream) -> np.ndarray:
     """count i.i.d. uniform points in radius * B_n, as a (count, n) array;
     deterministic given rng."""
-    n = _check_ball_draw(n, radius, count)
-    return uniform_ball_points(rng.generator(), n, radius, int(count))
+    return sample_uniform_balls(n, radius, count, [rng])[0]
 
 
 def sample_uniform_balls(n: int, radius: float, count: int, streams) -> np.ndarray:
     """sample_uniform_ball(n, radius, count, s) for each stream s, stacked
-    as (len(streams), count, n), bit for bit the separate calls.
-
-    Each stream's generator fills its own slices of two preallocated arrays,
-    standard normals and then uniforms, as a separate call draws them. The
-    norms, the zero-norm guard and the radial law then run once over the
-    whole stack; each is a function of its own row. Below 8 columns so are
-    the norms (row_norms adds the squares in index order at any batch
-    shape); from 8 columns up numpy's order depends on the shape, so there
-    the norms are taken stream by stream, in the separate call's shape."""
-    n, count = _check_ball_draw(n, radius, count), int(count)
-    g = np.empty((len(streams), count, n))
-    u = np.empty((len(streams), count))
-    if count == 0:
-        return g
-    for i, stream in enumerate(streams):
-        gen = stream.generator()
-        gen.standard_normal(out=g[i])
-        gen.random(out=u[i])
-    flat = g.reshape(-1, n)
-    norms = np.concatenate([row_norms(rows) for rows in g]) if n >= 8 else row_norms(flat)
-    _guard_zero_norms(flat, norms)
-    return _radial_law(flat, norms, u.reshape(-1), n, radius).reshape(g.shape)
+    as (len(streams), count, n); each row is its stream's draw alone (see
+    _ball_draws)."""
+    n = as_dim(n, 1)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return _ball_draws(map(RngStream.generator, streams), len(streams), n, radius, int(count))
 
 
 def ball_volume_log(n: int, radius: float = 1.0) -> float:

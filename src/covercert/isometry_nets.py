@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families
+from . import families, geom_core
 from .bodies import check_isometries, probe_points, reduce_to_ball
 from .geom_core import Ball, RngStream, ball_volume_log, row_norms, sample_uniform_balls, sq_norms
 
 COVER_SLACK = 1e-9  # float slack when comparing distances against delta
 MAX_NET_DIM = 3  # nets are deterministic, certified grids up to here
 AUDIT_PROBES = 16  # probe points of the body per audit_cover_family trial
-_BLOCK_PRODUCTS = 1 << 15  # inner products per block of matrices or shifts (256 KB of float64)
 
 
 @dataclass
@@ -137,7 +136,7 @@ def min_distance_to_net(mats: np.ndarray, net_mats: np.ndarray) -> np.ndarray:
         if rows.size == 0 or cols.size == 0:
             continue
         fe = flat_e[cols]
-        step = max(1, _BLOCK_PRODUCTS // cols.size)
+        step = max(1, geom_core.BLOCK_ELEMS // cols.size)
         for start in range(0, rows.size, step):
             idx = rows[start:start + step]
             # |A - E|_op = sqrt(n - <A, E>) for proper/improper pairs, with
@@ -354,11 +353,12 @@ def _nearest(net: IsometryNet, mats: np.ndarray, shifts: np.ndarray) -> np.ndarr
     delta < sqrt(2): for n <= 3, |A_g - A|_op = sqrt(n - <A_g, A>) within a
     determinant class (see min_distance_to_net), so a same-class rotation
     within delta has <A_g, A> > n - 2, more than the other class reaches.
-    Blocks of placements form at most _BLOCK_PRODUCTS inner products."""
+    Blocks of placements form at most geom_core.BLOCK_ELEMS inner products
+    with either factor."""
     n, r, t = net.dim, len(net.rotations), len(net.translations)
     rot_flat, trans = net.rotations.reshape(r, n * n).T, net.translations.T
     trans_sq = sq_norms(net.translations)
-    step = max(1, _BLOCK_PRODUCTS // max(r, t))
+    step = max(1, geom_core.BLOCK_ELEMS // max(r, t))
     out = np.empty(len(mats), dtype=np.intp)
     for start in range(0, len(mats), step):
         block = slice(start, start + step)
@@ -379,10 +379,10 @@ def _covered(family, placed: np.ndarray, mats: np.ndarray, shifts: np.ndarray) -
             covered[sets[start:start + len(inside)][inside.all(axis=1)]] = True
 
     test(np.arange(len(placed)), _nearest(family.net, mats, shifts))
-    start, size, m = 0, len(family), placed.shape[1]
+    start, size = 0, len(family)
     while start < size and not covered.all():
         left = np.flatnonzero(~covered)
-        stop = min(size, start + max(1, families.CHUNK_POINTS // (m * len(left))))
+        stop = min(size, start + max(1, geom_core.BLOCK_ELEMS // (placed[0].size * len(left))))
         test(np.repeat(left, stop - start), np.tile(np.arange(start, stop), len(left)))
         start = stop
     return covered
@@ -394,19 +394,19 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     (A, v), probe points of A K + v, and require some g in T whose
     eps-thickening of K contains every probe.
 
-    Trials run in chunks of at most families.CHUNK_POINTS placed probes, so
-    memory stays flat for any trial count. A chunk draws its rotations in
-    one haar_orthogonal call, the same bits as one call per trial, and
-    trial t its translation from rng.child(t + 1), so at most
-    RngStream.CHILD_LIMIT - 1 trials run. The members are tested in two
+    Trials run in chunks of at most geom_core.BLOCK_ELEMS placed probe
+    coordinates, so memory stays flat for any trial count. A chunk draws
+    its rotations in one haar_orthogonal call, the same bits as one call
+    per trial, and trial t its translation from rng.child(t + 1), so at
+    most RngStream.CHILD_LIMIT - 1 trials run. The members are tested in two
     stages, each for all of the chunk's trials in batched membership calls
     (CoverFamily.pair_blocks):
     1. every trial's nearest member (see _nearest): the net rotation nearest
        A times the grid translation nearest v, the member the covering
        guarantee names;
     2. the whole family, for the trials not yet covered, in member blocks
-       of at most families.CHUNK_POINTS mapped points; a trial leaves once
-       covered.
+       of at most geom_core.BLOCK_ELEMS mapped coordinates; a trial leaves
+       once covered.
     A trial is covered when some member holds all its probes, and stage 2
     tests every member, so the stage-1 choice cannot change which trials
     fail, only how much projection work is done. Nor can the Dykstra batch
@@ -420,7 +420,7 @@ def audit_cover_family(t_net: IsometryNet, k_body, v_ball: Ball, eps: float,
     gen = rng.generator()
     n = k_body.dim
     base = probe_points(k_body, AUDIT_PROBES, rng.child(0))
-    chunk = max(1, families.CHUNK_POINTS // len(base))
+    chunk = max(1, geom_core.BLOCK_ELEMS // base.size)
     failures = 0
     failure_examples = []
     for first in range(0, trials, chunk):

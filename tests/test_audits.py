@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import covercert.audits as audits
+import covercert.geom_core as geom_core
 from covercert.geom_core import RngStream, diameter, min_enclosing_ball, sample_uniform_balls
 
 
@@ -48,7 +49,7 @@ def test_pruned_jung_check_equals_every_cloud_solved(monkeypatch, n, cloud_size,
         monkeypatch.setattr(audits, "sample_uniform_balls", sampler)
         want = _every_cloud_solved(n, rng, 30, cloud_size, tol)
         for batch_elems in (1 << 19, 5 * cloud_size * n):  # one batch; six, maximum carried
-            monkeypatch.setattr(audits, "_JUNG_BATCH_ELEMS", batch_elems)
+            monkeypatch.setattr(geom_core, "BLOCK_ELEMS", batch_elems)
             got = audits.jung_check(n, rng, 30, cloud_size, tol)["clouds"]
             assert got == want and repr(got["max_radius"]) == repr(want["max_radius"])
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import covercert.families as families
+import covercert.geom_core as geom_core
 from covercert.bodies import (
     BOUND_SLACK,
     CULL_SLACK,
@@ -563,7 +563,7 @@ def test_max_count_decides_only_members_that_can_beat_the_floor(seed, n, kind):
     for per_block in (1, 7, len(family)):
         decided.clear()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(families, "CHUNK_POINTS", per_block * len(probe))
+            patch.setattr(geom_core, "BLOCK_ELEMS", per_block * n * len(probe))
             patch.setattr(fat, "contains_many", spying)
             assert family.max_count(probe) == exact.max()
         want, floor = [], 0

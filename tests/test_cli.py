@@ -1204,6 +1204,23 @@ def test_every_private_helper_has_a_src_caller():
     assert [name for name in private if name.split(":")[1] not in called] == []
 
 
+def test_one_block_budget_sizes_every_blocked_loop():
+    """geom_core.BLOCK_ELEMS is the only module-level name of src/covercert
+    that holds a block, batch or chunk size, and no module imports it by
+    name: a bound copy would keep its value when geom_core.BLOCK_ELEMS is
+    set, and the loop reading it would miss the setting."""
+    trees, _ = _src_trees_and_callers()
+    sizes = sorted(
+        f"{module}:{name}" for module, tree in trees.items() for stmt in tree.body
+        for name in ([stmt.name] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else
+                     [node.id for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)])
+        if any(word in name for word in ("CHUNK", "BATCH", "BLOCK", "ELEMS")))
+    imported = [f"{module}:{node.lineno}" for module, _, name, _, node in _package_imports(trees)
+                if name == "BLOCK_ELEMS"]
+    assert (sizes, imported) == (["geom_core.py:BLOCK_ELEMS"], [])
+
+
 def test_row_norms_are_computed_in_one_place():
     """No np.linalg.norm(..., axis=...) in src/covercert outside
     geom_core.row_norms: every row norm goes through it, so one rule gives

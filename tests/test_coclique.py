@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covercert.coclique as coclique
-import covercert.families as families
+import covercert.geom_core as geom_core
 from covercert.bodies import BallBody, Isometry, thicken, transform
 from covercert.coclique import (
     CocliqueParams,
@@ -271,7 +271,7 @@ def test_family_counts_chunked(monkeypatch):
     pts = gen.normal(size=(50, 2))
     whole_counts, whole_masks = family.counts(pts), family.contains(pts)
     # 3 * 50 + 1 pairs per block: three members per block, the last block short
-    monkeypatch.setattr(families, "_CHUNK_ELEMS", 151)
+    monkeypatch.setattr(geom_core, "BLOCK_ELEMS", 151)
     assert np.array_equal(family.counts(pts), whole_counts)
     assert np.array_equal(family.contains(pts), whole_masks)
     assert np.array_equal(whole_counts, family_counts(_members(family), pts))
@@ -288,7 +288,7 @@ def test_cover_family_segment_matches_generic(monkeypatch, budget):
     if budget is not None:
         # seven members per stacked batch; the net size is not a multiple of 7
         assert len(net) % 7
-        monkeypatch.setattr(families, "CHUNK_POINTS", budget)
+        monkeypatch.setattr(geom_core, "BLOCK_ELEMS", 2 * budget)  # mapped points in R^2
     pts = np.random.default_rng(34).uniform(-0.9, 0.9, size=(40, 2))
     members = _members(family)
     masks = family.contains(pts)

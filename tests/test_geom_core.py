@@ -420,12 +420,13 @@ def test_enclosing_radius_ceilings_take_a_stack():
             enclosing_radius_ceilings(bad, 1e-8)
 
 
-def test_meb_iteration_cap_warns_and_encloses():
+def test_meb_iteration_cap_warns_and_encloses(monkeypatch):
     # bench/worker.py counts this warning prefix as geom_core.meb_uncertified
     pts = np.random.default_rng(4).normal(size=(16, 6))
+    monkeypatch.setattr(geom_core, "_MEB_PIVOT_CAP", 1)
     with pytest.warns(RuntimeWarning,
                       match=r"^min_enclosing_ball stopped at the iteration cap"):
-        ball = min_enclosing_ball(pts, tol=1e-8, max_iterations=1)
+        ball = min_enclosing_ball(pts, tol=1e-8)
     assert np.all(ball.contains_points(pts))
 
 
@@ -471,7 +472,8 @@ def test_ball_sampler_edge_cases():
     with pytest.raises(ValueError):
         sample_uniform_ball(3, 1.0, -1, RngStream(0, 0))
     assert sample_uniform_balls(3, 1.0, 0, [RngStream(0, 0)] * 2).shape == (2, 0, 3)
-    assert sample_uniform_balls(3, 1.0, 4, []).shape == (0, 4, 3)
+    for n in (3, 9):  # either side of the 8-column norm switch
+        assert sample_uniform_balls(n, 1.0, 4, []).shape == (0, 4, n)
     for radius, count in ((0.0, 5), (1.0, -1)):
         with pytest.raises(ValueError):
             sample_uniform_balls(3, radius, count, [RngStream(0, 0)])
@@ -487,6 +489,52 @@ def test_stacked_ball_draws_are_the_separate_draws(n):
         got = sample_uniform_balls(n, 0.7, count, children)
         want = np.stack([sample_uniform_ball(n, 0.7, count, c) for c in children])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _reference_ball_draw(gen, n, radius, count):
+    """The ball draw written out without geom_core: Gaussian rows, their
+    np.linalg.norm, an exact zero row made e1, then the U^(1/n) radial law."""
+    g = gen.standard_normal((count, n))
+    norms = np.linalg.norm(g, axis=1)
+    zero = norms < 1e-300
+    g[zero], norms[zero] = 0.0, 1.0
+    g[zero, 0] = 1.0
+    return g * (radius * gen.random(count) ** (1.0 / n) / norms)[:, None]
+
+
+class _ZeroRowGenerator:
+    """A generator whose standard normal draws have every third row exactly
+    zero, so that the zero-norm guard runs."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+
+    def standard_normal(self, size=None, out=None):
+        g = self.gen.standard_normal(size, out=out)
+        g[::3] = 0.0
+        return g
+
+    def random(self, size=None, out=None):
+        return self.gen.random(size, out=out)
+
+
+@pytest.mark.parametrize("count", [0, 1, 127, 128, 500])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ball_draws_equal_the_reference_formula(n, count):
+    # both sides of the 8-column norm switch and of row_norms' 128 rows
+    want = _reference_ball_draw(np.random.default_rng(n), n, 0.7, count)
+    got = uniform_ball_points(np.random.default_rng(n), n, 0.7, count)
+    assert got.shape == want.shape == (count, n) and got.tobytes() == want.tobytes()
+    zero = _reference_ball_draw(_ZeroRowGenerator(n), n, 0.7, count)
+    assert zero.tobytes() == uniform_ball_points(_ZeroRowGenerator(n), n, 0.7, count).tobytes()
+    assert not zero[::3, 1:].any() and np.all(zero[::3, 0] > 0.0)  # guarded rows: e1
+    rng = RngStream(60 + n, 0)
+    streams = [rng.child(t) for t in range(3)]
+    stacked = sample_uniform_balls(n, 0.7, count, streams)
+    for stream, rows in zip(streams, stacked):
+        want = _reference_ball_draw(stream.generator(), n, 0.7, count)
+        assert rows.tobytes() == want.tobytes()
+        assert sample_uniform_ball(n, 0.7, count, stream).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

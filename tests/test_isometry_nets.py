@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covercert.families as families
+import covercert.geom_core as geom_core
 import covercert.isometry_nets as isometry_nets
 from covercert.bodies import BallBody, Isometry, probe_points, thicken
 from covercert.families import CoverFamily
@@ -91,7 +91,7 @@ def test_min_distance_in_small_blocks(monkeypatch, n, delta):
     probes = haar_orthogonal(n, np.random.default_rng(3), 50)
     want = min_distance_to_net(probes, net)
     for products in (1, 3 * len(net) // 2):
-        monkeypatch.setattr(isometry_nets, "_BLOCK_PRODUCTS", products)
+        monkeypatch.setattr(geom_core, "BLOCK_ELEMS", products)
         assert np.allclose(min_distance_to_net(probes, net), want, rtol=0.0, atol=1e-12)
 
 
@@ -428,7 +428,7 @@ def test_nearest_is_least_in_the_dense_proxy(monkeypatch, name):
     v = gen.uniform(-0.1, 0.1, (20, net.dim))  # inside both windows
     picks = [_nearest(net, a, v)]
     with monkeypatch.context() as m:
-        m.setattr(isometry_nets, "_BLOCK_PRODUCTS", 1)
+        m.setattr(geom_core, "BLOCK_ELEMS", 1)
         picks.append(_nearest(net, a, v))
     for got in picks:
         for g, a_i, v_i in zip(got, a, v):
@@ -483,7 +483,7 @@ def test_audit_stage_two_reaches_the_last_member(monkeypatch):
                         lambda n, gen, count: np.repeat(np.eye(n)[None], count, axis=0))
     monkeypatch.setattr(isometry_nets, "_nearest",
                         lambda net, mats, shifts: np.zeros(len(mats), dtype=int))
-    monkeypatch.setattr(families, "CHUNK_POINTS", AUDIT_PROBES)
+    monkeypatch.setattr(geom_core, "BLOCK_ELEMS", 2 * AUDIT_PROBES)
     for count, failures in ((5, 0), (4, 3)):
         net = IsometryNet(2, 0.1, rotations[:count], window.center[None], {})
         rep = audit_cover_family(net, segment_2d(), window, 0.2, 3, RngStream(8, 0))
@@ -565,7 +565,7 @@ def test_staged_audit_in_small_chunks_equals_the_per_trial_loop(monkeypatch, nam
     net, body, window = _audit_cases()[name]
     rng = RngStream(44, 2)
     want = _per_trial_audit(net, body, window, 0.2, 7, rng)
-    monkeypatch.setattr(families, "CHUNK_POINTS", per_chunk * AUDIT_PROBES)
+    monkeypatch.setattr(geom_core, "BLOCK_ELEMS", per_chunk * AUDIT_PROBES * body.dim)
     assert audit_cover_family(net, body, window, 0.2, 7, rng) == want
 
 
@@ -596,8 +596,7 @@ def test_pair_blocks_decide_each_pair_as_contains(monkeypatch, name):
     sets = gen.integers(0, 6, 300)
     members = gen.integers(0, len(net), 300)
     rows = [family.contains(p) for p in probes]  # at the full chunk, as it is faster
-    monkeypatch.setattr(families, "CHUNK_POINTS", 7 * 5)
-    monkeypatch.setattr(families, "_CHUNK_ELEMS", 7 * 5)
+    monkeypatch.setattr(geom_core, "BLOCK_ELEMS", 7 * 5 * 2)
     got = np.concatenate([inside for _, inside in family.pair_blocks(probes, sets, members)])
     want = np.stack([rows[k][g] for k, g in zip(sets, members)])
     assert got.any() and not got.all()
@@ -619,7 +618,7 @@ def test_cover_audit_tests_in_few_membership_calls(monkeypatch):
 
     monkeypatch.setattr(bodies.ThickenedBody, "contains_many", counting)
     report = run_suite("cover", RngStream(1001, 0), 200)
-    chunks = -(-200 // max(1, families.CHUNK_POINTS // AUDIT_PROBES))
+    chunks = -(-200 // max(1, geom_core.BLOCK_ELEMS // (2 * AUDIT_PROBES)))
     assert report["pass"] and report["report"]["failures"] == 0
     assert 1 <= len(calls) <= chunks + 2, calls
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covercert.families as families
+import covercert.geom_core as geom_core
 import covercert.witness as witness
 from covercert.bodies import (
     BallBody,
@@ -106,14 +106,19 @@ def test_member_measure_max_is_exact_for_balls(n):
     assert np.all(nu - 4.0 * sigma <= p_max), (nu, p_max)
 
 
-def test_member_measure_max_probes_other_bases():
-    segment = body_from_json_dict({
+def _bench_segment():
+    """The benchmark's segment body, of length 0.6."""
+    return body_from_json_dict({
         "dim": 2, "kind": "halfspaces", "exact_volume": None,
         "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
                        {"normal": [-1.0, 0.0], "offset": 0.3},
                        {"normal": [0.0, 1.0], "offset": 0.0},
                        {"normal": [0.0, -1.0], "offset": 0.0}],
         "bound": {"center": [0.0, 0.0], "radius": 0.3}})
+
+
+def test_member_measure_max_probes_other_bases():
+    segment = _bench_segment()
     family = _translates(segment, np.array([[0.0, 0.0], [0.2, 0.1], [0.9, 0.0]]))
     assert family.centers is None
     # no closed form: the exact entries hold the edge measure alone
@@ -168,7 +173,7 @@ def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, tran
     assert np.all(ceilings >= exact)
     for per_block in (1, 7, len(family)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(families, "CHUNK_POINTS", per_block * samples)
+            patch.setattr(geom_core, "BLOCK_ELEMS", per_block * n * samples)
             entry = witness._member_measure_probe(family, r, samples, rng)
         assert entry == {"value": float(exact.max()) / samples, "method": "monte-carlo",
                          "samples": samples}
@@ -177,13 +182,7 @@ def test_member_probe_prunes_to_the_exact_maximum(seed, n, kind, rotations, tran
 def test_member_probe_counts_few_members_of_a_segment_family():
     # the benchmark's segment of length 0.6 at eps 0.4: 4,598 members, of
     # which the ceilings leave a few hundred to decide exactly
-    segment = body_from_json_dict({
-        "dim": 2, "kind": "halfspaces", "exact_volume": None,
-        "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
-                       {"normal": [-1.0, 0.0], "offset": 0.3},
-                       {"normal": [0.0, 1.0], "offset": 0.0},
-                       {"normal": [0.0, -1.0], "offset": 0.0}],
-        "bound": {"center": [0.0, 0.0], "radius": 0.3}})
+    segment = _bench_segment()
     family = witness.witness_family(segment, 0.55, 0.4)
     decided, contains_many = [], family.body.contains_many
 
@@ -205,13 +204,7 @@ def test_member_probe_of_the_bench_segment_counts_few_members():
     # search_witness): the one-pass probe sends at most 64 of the 4,598
     # members to contains_many, and fewer than 20,000 mapped points to
     # project (a ball ceiling alone left 152 members and 69,654 points)
-    segment = body_from_json_dict({
-        "dim": 2, "kind": "halfspaces", "exact_volume": None,
-        "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.3},
-                       {"normal": [-1.0, 0.0], "offset": 0.3},
-                       {"normal": [0.0, 1.0], "offset": 0.0},
-                       {"normal": [0.0, -1.0], "offset": 0.0}],
-        "bound": {"center": [0.0, 0.0], "radius": 0.3}})
+    segment = _bench_segment()
     family = witness.witness_family(segment, 0.55, 0.4)
     decided, projected = [], []
     contains_many, project = family.body.contains_many, segment.project
@@ -233,6 +226,37 @@ def test_member_probe_of_the_bench_segment_counts_few_members():
     assert len(family) == 4598 and 0 < sum(decided) <= 64 and sum(projected) < 20_000
     probe = uniform_ball_points(rng.generator(), 2, 0.55, 500)
     assert entry["value"] == float(family.counts(probe).max()) / 500
+
+
+def test_back_images_depend_only_on_their_own_pair():
+    # each point's mapped images under the bench segment's 4,598 members
+    # have the same bits whether the point is probed alone or in a 30-point
+    # set (a product over the whole set once rounded 26,604 of the 137,940
+    # images differently), and so do its membership decisions
+    family = witness.witness_family(_bench_segment(), 0.55, 0.4)
+    probe = uniform_ball_points(RngStream(1001, 2).generator(), 2, 0.55, 30)
+    mapped = []
+
+    def spying(points):
+        mapped.append(points.copy())
+        return np.zeros(len(points), dtype=bool)
+
+    def images(pts):
+        mapped.clear()
+        for _ in family.pair_blocks(pts[None], np.zeros(len(family), dtype=int),
+                                    np.arange(len(family))):
+            pass
+        return np.concatenate([b.reshape(len(pts), -1, 2) for b in mapped], axis=1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(family.body, "contains_many", spying)
+        together = images(probe)
+        alone = np.concatenate([images(probe[j:j + 1]) for j in range(len(probe))])
+    assert together.shape == (30, 4598, 2) and together.tobytes() == alone.tobytes()
+    inside = family.contains(probe)
+    assert inside.any()
+    for j in range(len(probe)):
+        assert np.array_equal(inside[:, j], family.contains(probe[j:j + 1])[:, 0])
 
 
 def test_search_refuses_a_dimension_its_verifier_refuses(monkeypatch):
