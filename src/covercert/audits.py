@@ -47,7 +47,10 @@ def jung_check(n: int, rng: RngStream, clouds: int, cloud_size: int, tol: float)
     descending order of C and stops at the first C below the largest radius
     so far: no cloud left unsolved could raise it, so max_radius has the
     bits a solve of every cloud gives. Below TOL_FLOOR a solve may stop
-    uncertified, which the pruning cannot allow."""
+    uncertified, which the pruning cannot allow: such a tol is refused."""
+    if not (math.isfinite(tol) and tol >= TOL_FLOOR):
+        raise ValueError(f"tol must be finite and at least {TOL_FLOOR:g}: below it the "
+                         "enclosing-ball solves may stop uncertified")
     r_n = jung_radius(n)
     solver_tol = min(1e-8, tol / 10.0)
     simplex_radius = min_enclosing_ball(regular_simplex(n), tol=solver_tol).radius

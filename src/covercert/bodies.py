@@ -113,11 +113,16 @@ class Isometry:
 class Body:
     """Base membership oracle. Subclasses must set dim and bound, a ball
     that holds the body up to a relative BOUND_SLACK of its radius, and
-    implement contains_many / project / to_json_dict."""
+    implement contains_many / project / to_json_dict. An intersection of
+    slab_sets > 0 halfspaces or balls also implements within (each set
+    widened by a margin) and sets slab_scale, the largest |b_i| or
+    |c_j| + r_j of their data: ThickenedBody.near then culls by them."""
 
     kind = "abstract"
     dim: int
     bound: Ball
+    slab_sets = 0
+    slab_scale = 0.0
 
     def contains(self, p) -> bool:
         v = as_vector(p)
@@ -143,39 +148,40 @@ class BallBody(Body):
     kind = "ball"
 
     def __init__(self, center, radius: float):
-        ball = Ball(center, radius)
-        self.dim = ball.dim
-        self.bound = ball
-        self.ball = ball
+        self.ball = self.bound = Ball(center, radius)
+        self.dim = self.ball.dim
 
     def contains_many(self, points):
         return self.ball.contains_points(points)
 
     def project(self, points):
-        return _project_onto_ball(as_points(points, self.dim), self.ball)
+        return _project_onto_ball(as_points(points, self.dim), self.ball.center, self.ball.radius)
 
     def to_json_dict(self):
         return {"dim": self.dim, "kind": "ball", "ball": self.ball.to_json_dict()}
 
 
-def _project_onto_ball(x: np.ndarray, ball: Ball) -> np.ndarray:
-    rel = x - ball.center
+def _project_onto_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Each row of x moved onto the ball of the given radius about center (one
+    vector, or one row per point) if it lies outside."""
+    rel = x - center
     norms = row_norms(rel)
-    scale = np.ones_like(norms)
-    outside = norms > ball.radius
-    scale[outside] = ball.radius / norms[outside]
-    return ball.center + rel * scale[:, None]
+    scale = np.divide(radius, norms, out=np.ones_like(norms), where=norms > radius)
+    return center + rel * scale[:, None]
 
 
 def _dykstra(points: np.ndarray, projectors: list) -> np.ndarray:
     """Batch Dykstra projection onto an intersection of convex sets, given
     by projectors that each return a new array. Each point's result is its
     iterate after its first sweep that moved none of its coordinates by
-    more than PROJECTION_TOL, so it depends on that point alone, not on the
-    batch it came in. At most PROJECTION_SWEEP_CAP sweeps run."""
-    x = points
+    more than PROJECTION_TOL, and later sweeps leave it out. At most
+    PROJECTION_SWEEP_CAP sweeps run. The stop rule is per point, and so is
+    a step onto a ball or an axis-aligned halfspace (its dot products are
+    exact), so for such sets a result depends on its point alone, not on
+    the batch it came in. Other halfspaces take x @ a, a BLAS product whose
+    rounding of a row can depend on the batch's other rows."""
+    x, rows = points, None  # rows: the index in points of each row of x, once some settled
     increments = [np.zeros_like(points) for _ in projectors]
-    out = live = None  # the results so far and the unsettled points, once one settles
     for _ in range(PROJECTION_SWEEP_CAP):
         move = np.zeros(len(x))  # each point's largest coordinate move
         for increment, proj in zip(increments, projectors):
@@ -186,20 +192,21 @@ def _dykstra(points: np.ndarray, projectors: list) -> np.ndarray:
             for column in np.abs(step, out=step).T:
                 np.maximum(move, column, out=move)
             x = y
-        if move.max(initial=0.0) <= PROJECTION_TOL:  # every point settles in this sweep
-            break
         moved = move > PROJECTION_TOL
-        if live is not None:
-            np.copyto(out, x, where=live[:, None])
-            live &= moved
-        elif not moved.all():
-            out, live = x.copy(), moved
+        if not moved.any():
+            break
+        if not moved.all():  # the settled points leave the batch
+            if rows is None:
+                rows, out = np.arange(len(points)), np.empty_like(points)
+            out[rows[~moved]] = x[~moved]
+            x, rows = x[moved], rows[moved]
+            increments = [increment[moved] for increment in increments]
     else:
         warnings.warn("Dykstra projection hit the sweep cap without converging "
                       f"to tolerance {PROJECTION_TOL}", RuntimeWarning)
-    if live is None:
+    if rows is None:
         return x
-    np.copyto(out, x, where=live[:, None])
+    out[rows] = x
     return out
 
 
@@ -227,6 +234,7 @@ class HalfspaceIntersectionBody(Body):
         self.bound = bound
         self.exact_volume = exact_volume
         self._check_bound()
+        self.slab_sets, self.slab_scale = len(self.offsets), float(np.abs(self.offsets).max())
 
     def _check_bound(self) -> None:
         """Refuse P unless every point of it lies within R (1 + BOUND_SLACK)
@@ -261,8 +269,7 @@ class HalfspaceIntersectionBody(Body):
                              f"beyond its radius {radius:.6g}: the bound must hold the body")
 
     def contains_many(self, points):
-        pts = as_points(points, self.dim)
-        return np.all(pts @ self.normals.T <= self.offsets + PREDICATE_TOL, axis=1)
+        return self.within(as_points(points, self.dim), PREDICATE_TOL)
 
     def project(self, points):
         pts = as_points(points, self.dim)
@@ -273,9 +280,8 @@ class HalfspaceIntersectionBody(Body):
         """The slab test a_i . p <= b_i + margin for every halfspace i, in
         float: a point within margin of the body passes it, up to the
         rounding that ThickenedBody.near bounds."""
-        bounds = self.offsets + margin
-        ok = points @ self.normals[0] <= bounds[0]
-        for a, b in zip(self.normals[1:], bounds[1:]):
+        ok = np.ones(len(points), dtype=bool)
+        for a, b in zip(self.normals, self.offsets + margin):
             ok &= points @ a <= b
         return ok
 
@@ -316,6 +322,8 @@ class BallIntersectionBody(Body):
         self.balls = list(balls)
         self.dim = balls[0].dim
         self.bound = min(balls, key=lambda b: b.radius)
+        self.slab_sets = len(balls)
+        self.slab_scale = max(float(np.linalg.norm(b.center)) + b.radius for b in balls)
 
     def contains_many(self, points):
         pts = as_points(points, self.dim)
@@ -323,7 +331,8 @@ class BallIntersectionBody(Body):
 
     def project(self, points):
         pts = as_points(points, self.dim)
-        return _dykstra(pts, [lambda x, b=b: _project_onto_ball(x, b) for b in self.balls])
+        return _dykstra(pts, [lambda x, b=b: _project_onto_ball(x, b.center, b.radius)
+                              for b in self.balls])
 
     def within(self, points: np.ndarray, margin: float) -> np.ndarray:
         """The test |p - c_j| <= r_j + margin for every ball j, in float,
@@ -357,23 +366,14 @@ class ThickenedBody(Body):
         self.eps = float(eps)
         self.dim = base.dim
         self.bound = Ball(base.bound.center, base.bound.radius + eps)
-        outer = self.bound.radius
-        self.slack = CULL_SLACK * (1.0 + float(np.linalg.norm(self.bound.center)) + outer)
-        self.reach = outer + self.slack
-        # whether near also tests the base's m sets (halfspaces or balls), and
-        # the largest |b_i|, or |c_j| + r_j, of their data
-        self.slabs, slab_scale, sets = False, 0.0, 0
-        if isinstance(base, HalfspaceIntersectionBody):
-            sets, slab_scale = len(base.offsets), float(np.abs(base.offsets).max())
-        elif isinstance(base, BallIntersectionBody):
-            sets = len(base.balls)
-            slab_scale = max(float(np.linalg.norm(b.center)) + b.radius for b in base.balls)
-        if sets:
-            scale = INCREMENT_ALLOWANCE * (1.0 + float(np.linalg.norm(self.bound.center))
-                                           + self.reach + slab_scale)
-            self.slabs = (sets * math.sqrt(self.dim) * PROJECTION_TOL
-                          + 16.0 * self.dim * rounding_gamma(self.dim + 3) * scale
-                          <= 0.5 * self.slack)
+        center_term = 1.0 + float(np.linalg.norm(self.bound.center))
+        self.slack = CULL_SLACK * (center_term + self.bound.radius)
+        self.reach = self.bound.radius + self.slack
+        # whether near also tests the base's slab_sets sets (see Body)
+        scale = INCREMENT_ALLOWANCE * (center_term + self.reach + base.slab_scale)
+        self.slabs = base.slab_sets > 0 and (
+            base.slab_sets * math.sqrt(self.dim) * PROJECTION_TOL
+            + 16.0 * self.dim * rounding_gamma(self.dim + 3) * scale <= 0.5 * self.slack)
 
     def near(self, points) -> np.ndarray:
         """The necessary test of contains_many: |p - c| <= reach for the
@@ -421,22 +421,14 @@ class ThickenedBody(Body):
         only for the points p that pass near; the rest are outside, as the
         projection would find (see near)."""
         pts = as_points(points, self.dim)
-        near = self.near(pts)
-        inside = np.zeros(len(pts), dtype=bool)
-        if near.any():
-            inside[near] = self.base.distance_many(pts[near]) <= self.eps + PROJECTION_TOL
+        inside = self.near(pts)
+        if inside.any():
+            inside[inside] = self.base.distance_many(pts[inside]) <= self.eps + PROJECTION_TOL
         return inside
 
     def project(self, points):
         pts = as_points(points, self.dim)
-        onto_base = self.base.project(pts)
-        rel = pts - onto_base
-        norms = row_norms(rel)
-        step = np.minimum(norms, self.eps)
-        safe = norms > 1e-300
-        out = onto_base.copy()
-        out[safe] += rel[safe] * (step[safe] / norms[safe])[:, None]
-        return out
+        return _project_onto_ball(pts, self.base.project(pts), self.eps)
 
     def to_json_dict(self):
         return {
@@ -500,16 +492,11 @@ class UnionBody(Body):
         return np.any([p.contains_many(pts) for p in self.parts], axis=0)
 
     def project(self, points):
+        """Each point's nearest projection onto a part, the first on a tie."""
         pts = as_points(points, self.dim)
-        best = self.parts[0].project(pts)
-        best_d = row_norms(pts, best)
-        for p in self.parts[1:]:
-            cand = p.project(pts)
-            d = row_norms(pts, cand)
-            closer = d < best_d
-            best[closer] = cand[closer]
-            best_d[closer] = d[closer]
-        return best
+        cands = np.stack([p.project(pts) for p in self.parts])
+        nearest = np.argmin([row_norms(pts, c) for c in cands], axis=0)
+        return cands[nearest, np.arange(len(pts))]
 
     def to_json_dict(self):
         return {

@@ -270,18 +270,15 @@ def _cull(centers: np.ndarray, center_norm: float, radius: float,
       above the threshold: p passes it.
     Inputs for which S^2 is not finite leave every ball near and none full.
     """
-    n = pts.shape[1]
     h = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     rho = math.sqrt(float(sq_norms(pts, h).max()))
     scale = center_norm + math.sqrt(float(pts_sq.max())) + float(np.linalg.norm(h)) + radius + 1.0
     if not math.isfinite(scale * scale):
         return np.arange(len(centers)), np.zeros(len(centers), dtype=bool)
-    gamma = rounding_gamma(n + 3)
+    gamma = rounding_gamma(pts.shape[1] + 3)
     q = math.sqrt(radius * radius + PREDICATE_TOL)
     delta = 2.0 * math.sqrt(gamma) * scale
-    offsets = centers - h
-    offsets *= offsets
-    dist_sq = offsets.sum(axis=1)
+    dist_sq = sq_norms(centers, h)
     near = np.flatnonzero(dist_sq <= (q + rho + delta) ** 2)
     inner = q - rho - delta - 2.0 * gamma * scale * scale / q
     full = dist_sq[near] <= inner * inner if inner > 0.0 else np.zeros(len(near), dtype=bool)

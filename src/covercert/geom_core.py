@@ -455,9 +455,15 @@ def _ball_draws(gens, size: int, n: int, radius: float, count: int) -> np.ndarra
     arrays, standard normals and then uniforms, and is taken from gens only
     then, so that the generators (3 KB each) are not all alive at once. The
     norms (see _guarded_norms) and the radial law then run once over the
-    whole stack, each row on its own."""
-    g = np.empty((size, count, n))
-    u = np.empty((size, count))
+    whole stack, each row on its own. Every sampler of the ball checks its
+    n, radius and count here."""
+    n = as_dim(n, 1)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    g = np.empty((size, int(count), n))
+    u = np.empty(g.shape[:2])
     if g.size == 0:
         return g
     for i, gen in enumerate(gens):
@@ -486,12 +492,7 @@ def sample_uniform_balls(n: int, radius: float, count: int, streams) -> np.ndarr
     """sample_uniform_ball(n, radius, count, s) for each stream s, stacked
     as (len(streams), count, n); each row is its stream's draw alone (see
     _ball_draws)."""
-    n = as_dim(n, 1)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _ball_draws(map(RngStream.generator, streams), len(streams), n, radius, int(count))
+    return _ball_draws(map(RngStream.generator, streams), len(streams), n, radius, count)
 
 
 def ball_volume_log(n: int, radius: float = 1.0) -> float:

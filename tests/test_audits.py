@@ -89,3 +89,17 @@ def test_jung_check_skips_coincident_clouds(monkeypatch):
     assert len(bounded) == 60 - len(coincident)
     assert not any((cloud == cloud[0]).all() for cloud in bounded)
     assert report["clouds"] == _every_cloud_solved(n, rng, 60, cloud_size, 1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 0.0, -1.0, float("nan"), float("inf")])
+def test_jung_check_refuses_a_tol_its_pruning_cannot_take(monkeypatch, tol):
+    # below TOL_FLOOR a solve may stop uncertified, and the pruning is
+    # proven for certified solves only: jung_check itself refuses such a
+    # tol, before it draws a cloud or solves the simplex
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved or drew before checking tol")
+
+    monkeypatch.setattr(audits, "sample_uniform_balls", no_solve)
+    monkeypatch.setattr(audits, "min_enclosing_ball", no_solve)
+    with pytest.raises(ValueError, match="^tol must be finite and at least 1e-12: "):
+        audits.jung_check(3, RngStream(1, 0), 10, 4, tol)

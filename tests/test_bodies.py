@@ -3,12 +3,14 @@
 Carlo hit rates, transform algebra, and JSON round trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import covercert.bodies as bodies
 import covercert.geom_core as geom_core
 from covercert.bodies import (
     BOUND_SLACK,
@@ -580,6 +582,45 @@ def test_max_count_decides_only_members_that_can_beat_the_floor(seed, n, kind):
 
 # ---------------------------------------------------------------------------
 # probes and serialization
+
+
+def test_dykstra_projects_only_the_points_still_moving(monkeypatch):
+    # a point leaves Dykstra's batch after its first quiet sweep: the ball
+    # steps of a lens receive, per ball, the sum over the points of their
+    # own settling sweeps, and each result has the bits of its point
+    # projected alone
+    lens = BallIntersectionBody([Ball((-0.15, 0.0), 0.3), Ball((0.15, 0.0), 0.3)])
+    pts = np.random.default_rng(11).uniform(-0.6, 0.6, (200, 2))
+    step, rows = bodies._project_onto_ball, []
+
+    def counting(x, *ball):
+        rows.append(len(x))
+        return step(x, *ball)
+
+    monkeypatch.setattr(bodies, "_project_onto_ball", counting)
+    alone, sweeps = [], []
+    for p in pts:
+        rows.clear()
+        alone.append(lens.project(p[None]))
+        sweeps.append(len(rows) // 2)
+    rows.clear()
+    batch = lens.project(pts)
+    assert min(sweeps) == 1 and max(sweeps) > 2  # points settle in different sweeps
+    assert sum(rows) == 2 * sum(sweeps) < 2 * len(pts) * max(sweeps)
+    assert batch.tobytes() == np.vstack(alone).tobytes()
+
+    # at a cap of one sweep every point returns its first iterate, and only
+    # a batch with a point still moving warns
+    monkeypatch.setattr(bodies, "PROJECTION_SWEEP_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        capped = lens.project(pts)
+    (a, b) = lens.balls
+    first = step(step(pts, a.center, a.radius), b.center, b.radius)
+    assert capped.tobytes() == first.tobytes()
+    settled = np.array(sweeps) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lens.project(pts[settled]).tobytes() == first[settled].tobytes()
 
 
 def test_probe_points_land_in_body():

@@ -1221,6 +1221,18 @@ def test_one_block_budget_sizes_every_blocked_loop():
     assert (sizes, imported) == (["geom_core.py:BLOCK_ELEMS"], [])
 
 
+def test_thickened_body_reads_its_base_through_the_base_protocol():
+    """ThickenedBody takes the base's sets from its slab_sets and
+    slab_scale: its class body names no base class and makes no isinstance
+    test, so a new base kind needs only within and those two values."""
+    trees, _ = _src_trees_and_callers()
+    cls = next(node for node in trees["bodies.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "ThickenedBody")
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(cls)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert named & {"HalfspaceIntersectionBody", "BallIntersectionBody", "isinstance"} == set()
+
+
 def test_row_norms_are_computed_in_one_place():
     """No np.linalg.norm(..., axis=...) in src/covercert outside
     geom_core.row_norms: every row norm goes through it, so one rule gives

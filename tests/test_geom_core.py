@@ -479,6 +479,24 @@ def test_ball_sampler_edge_cases():
             sample_uniform_balls(3, radius, count, [RngStream(0, 0)])
 
 
+@pytest.mark.parametrize("n, radius, count, message", [
+    (0, 1.0, 3, "n must be an integer >= 1"),
+    (2.5, 1.0, 3, "n must be an integer >= 1"),
+    (2, 0.0, 3, "radius must be positive"),
+    (2, -1.0, 3, "radius must be positive"),
+    (2, 1.0, -1, "count must be nonnegative"),
+])
+def test_every_ball_sampler_checks_its_input(n, radius, count, message):
+    # the one draw checks n, radius and count, so the generator-level entry
+    # point refuses what the stream-level ones refuse, with their message
+    draws = (lambda: uniform_ball_points(np.random.default_rng(0), n, radius, count),
+             lambda: sample_uniform_ball(n, radius, count, RngStream(0, 0)),
+             lambda: sample_uniform_balls(n, radius, count, [RngStream(0, 0)]))
+    for draw in draws:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            draw()
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_stacked_ball_draws_are_the_separate_draws(n):
     # one sample_uniform_ball call per stream, bit for bit, at counts under
