@@ -24,6 +24,8 @@ from .geom_core import (
     RngStream,
     as_points,
     as_vector,
+    ball_volume_log,
+    lens_measure,
     min_enclosing_ball,
     rounding_gamma,
     row_norms,
@@ -140,6 +142,11 @@ class Body:
         pts = as_points(points, self.dim)
         return row_norms(pts, self.project(pts))
 
+    def thickened_volume(self, eps: float) -> float:
+        """An upper bound on Vol(body + eps B_n), in float; by default that
+        of the bound ball grown to radius R (1 + BOUND_SLACK) + eps."""
+        return math.exp(ball_volume_log(self.dim, self.bound.radius * (1.0 + BOUND_SLACK) + eps))
+
     def to_json_dict(self) -> dict:
         raise NotImplementedError
 
@@ -157,6 +164,10 @@ class BallBody(Body):
     def project(self, points):
         return _project_onto_ball(as_points(points, self.dim), self.ball.center, self.ball.radius)
 
+    def thickened_volume(self, eps):
+        """Vol(B(R + eps))."""
+        return math.exp(ball_volume_log(self.dim, self.ball.radius + eps))
+
     def to_json_dict(self):
         return {"dim": self.dim, "kind": "ball", "ball": self.ball.to_json_dict()}
 
@@ -170,16 +181,23 @@ def _project_onto_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.n
     return center + rel * scale[:, None]
 
 
+def _project_onto_halfspace(x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
+    """Each row of x moved onto {y : a . y <= b} if it lies outside, a . x
+    summed column by column as in_balls does, so a row's step is its own."""
+    dot = x[:, 0] * a[0]
+    for j in range(1, len(a)):
+        dot += x[:, j] * a[j]
+    return x - np.maximum(dot - b, 0.0)[:, None] * a
+
+
 def _dykstra(points: np.ndarray, projectors: list) -> np.ndarray:
     """Batch Dykstra projection onto an intersection of convex sets, given
     by projectors that each return a new array. Each point's result is its
     iterate after its first sweep that moved none of its coordinates by
     more than PROJECTION_TOL, and later sweeps leave it out. At most
     PROJECTION_SWEEP_CAP sweeps run. The stop rule is per point, and so is
-    a step onto a ball or an axis-aligned halfspace (its dot products are
-    exact), so for such sets a result depends on its point alone, not on
-    the batch it came in. Other halfspaces take x @ a, a BLAS product whose
-    rounding of a row can depend on the batch's other rows."""
+    each step onto a ball or a halfspace, so a result depends on its point
+    alone, not on the batch it came in."""
     x, rows = points, None  # rows: the index in points of each row of x, once some settled
     increments = [np.zeros_like(points) for _ in projectors]
     for _ in range(PROJECTION_SWEEP_CAP):
@@ -213,12 +231,13 @@ def _dykstra(points: np.ndarray, projectors: list) -> np.ndarray:
 class HalfspaceIntersectionBody(Body):
     """Intersection P of halfspaces {x : normal . x <= offset}. The bound
     ball must be supplied, and it is checked: the body is refused when P is
-    empty, unbounded, or reaches farther than its radius (see _check_bound).
+    empty, unbounded, or reaches farther than its radius (see _check_bound,
+    which also gives vertices, repeated where more than n facets meet).
     """
 
     kind = "halfspaces"
 
-    def __init__(self, normals, offsets, bound: Ball, exact_volume: float | None = None):
+    def __init__(self, normals, offsets, bound: Ball):
         normals = as_points(normals)
         offsets = np.asarray(offsets, dtype=float).reshape(-1)
         if normals.shape[0] != offsets.size:
@@ -232,12 +251,12 @@ class HalfspaceIntersectionBody(Body):
         if bound.dim != self.dim:
             raise ValueError("bound dimension mismatch")
         self.bound = bound
-        self.exact_volume = exact_volume
-        self._check_bound()
+        self.vertices = self._check_bound()
         self.slab_sets, self.slab_scale = len(self.offsets), float(np.abs(self.offsets).max())
 
-    def _check_bound(self) -> None:
-        """Refuse P unless every point of it lies within R (1 + BOUND_SLACK)
+    def _check_bound(self) -> np.ndarray:
+        """P's vertices, in angular order about their mean in the plane;
+        refuse P unless every point of it lies within R (1 + BOUND_SLACK)
         of the bound's centre c. Q, the cube of half-width 2R about c, makes
         P n Q a polytope, and its vertices solve n of the constraints (the
         halfspaces and the 2n faces of Q) with independent normals. When
@@ -267,14 +286,28 @@ class HalfspaceIntersectionBody(Body):
         if not reach <= radius * (1.0 + BOUND_SLACK):
             raise ValueError(f"the halfspaces reach at least {reach:.6g} from the bound's centre, "
                              f"beyond its radius {radius:.6g}: the bound must hold the body")
+        if n != 2:
+            return verts
+        rel = verts - verts.mean(axis=0)
+        return verts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
 
     def contains_many(self, points):
         return self.within(as_points(points, self.dim), PREDICATE_TOL)
 
     def project(self, points):
         pts = as_points(points, self.dim)
-        return _dykstra(pts, [lambda x, a=a, b=b: x - np.maximum(x @ a - b, 0.0)[:, None] * a
+        return _dykstra(pts, [lambda x, a=a, b=b: _project_onto_halfspace(x, a, b)
                               for a, b in zip(self.normals, self.offsets)])
+
+    def thickened_volume(self, eps):
+        """In the plane, Steiner's A + P eps + pi eps^2 for the polygon's
+        area A and perimeter P; otherwise the bound ball's rule."""
+        if self.dim != 2:
+            return super().thickened_volume(eps)
+        v, w = self.vertices, np.roll(self.vertices, -1, axis=0)
+        area = 0.5 * abs(float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1])))
+        perimeter = float(np.sum(row_norms(w, v)))
+        return area + perimeter * eps + math.pi * eps * eps
 
     def within(self, points: np.ndarray, margin: float) -> np.ndarray:
         """The slab test a_i . p <= b_i + margin for every halfspace i, in
@@ -294,7 +327,6 @@ class HalfspaceIntersectionBody(Body):
                 for n, b in zip(self.normals, self.offsets)
             ],
             "bound": self.bound.to_json_dict(),
-            "exact_volume": self.exact_volume,
         }
 
 
@@ -333,6 +365,14 @@ class BallIntersectionBody(Body):
         pts = as_points(points, self.dim)
         return _dykstra(pts, [lambda x, b=b: _project_onto_ball(x, b.center, b.radius)
                               for b in self.balls])
+
+    def thickened_volume(self, eps):
+        """The least volume of a lens of two balls B(c_j, r_j + eps), which
+        holds the thickened body; the pair (j, j) is one ball."""
+        grown = [(b.center, b.radius + eps) for b in self.balls]
+        return min(lens_measure(self.dim, float(np.linalg.norm(c - d)), a, b)
+                   * math.exp(ball_volume_log(self.dim, a))
+                   for (c, a), (d, b) in itertools.combinations_with_replacement(grown, 2))
 
     def within(self, points: np.ndarray, margin: float) -> np.ndarray:
         """The test |p - c_j| <= r_j + margin for every ball j, in float,
@@ -498,6 +538,10 @@ class UnionBody(Body):
         nearest = np.argmin([row_norms(pts, c) for c in cands], axis=0)
         return cands[nearest, np.arange(len(pts))]
 
+    def thickened_volume(self, eps):
+        """The sum over the parts."""
+        return sum(p.thickened_volume(eps) for p in self.parts)
+
     def to_json_dict(self):
         return {
             "dim": self.dim,
@@ -565,10 +609,7 @@ def body_from_json_dict(d: dict) -> Body:
     if kind == "halfspaces":
         normals = [h["normal"] for h in d["halfspaces"]]
         offsets = [h["offset"] for h in d["halfspaces"]]
-        return HalfspaceIntersectionBody(
-            normals, offsets, Ball.from_json_dict(d["bound"]),
-            exact_volume=d.get("exact_volume"),
-        )
+        return HalfspaceIntersectionBody(normals, offsets, Ball.from_json_dict(d["bound"]))
     if kind == "ball_intersection":
         return BallIntersectionBody([Ball.from_json_dict(x) for x in d["balls"]])
     if kind == "thickened":

@@ -170,6 +170,8 @@ def cmd_witness(args) -> int:
         raise ValueError("witness search requires --seed")
     n = args.n
     check_witness_dim(n)
+    if args.samples < 1:
+        raise ValueError("--samples must be positive")
     for flag, value in (("--r", args.r), ("--eps", args.eps),
                         ("--ball-radius", None if args.body else args.ball_radius)):
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -189,7 +191,7 @@ def cmd_witness(args) -> int:
         "body": args.body,
     })
     cert = search_witness(base, args.seed, args.r, alpha, args.k, args.eps, args.M, args.p,
-                          args.max_retries, args.samples, config)
+                          args.max_retries, config)
     _emit(render_json(cert), args.out)
     return 0 if cert["verdict"] else 1
 
@@ -253,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.05)
     p.add_argument("--max-retries", type=int, default=64)
     p.add_argument("--samples", type=int, default=20000,
-                   help="probe points of r B_n that estimate the largest member measure "
-                        "of a non-ball base; a ball base's is exact and draws no probe")
+                   help="accepted, checked positive and echoed in config; nothing reads "
+                        "it since every member measure has a closed form")
     p.add_argument("--verify-cert", default=None,
                    help="verify an existing certificate instead of searching")
     p.add_argument("--out", default=None)

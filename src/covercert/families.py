@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import geom_core
-from .bodies import BallBody, Body, ThickenedBody, thicken
+from .bodies import BallBody, Body, thicken
 from .geom_core import PREDICATE_TOL, as_points, in_balls, rounding_gamma, sq_norms
 
 _LEAF_POINTS = 128  # points per k-d leaf of the ball-family count
@@ -33,6 +33,9 @@ class CoverFamily:
     ThickenedBody.contains_many), so a member far from a point costs no
     Dykstra sweep. pair_blocks decides (probe set, member) pairs the same
     way, for callers with one probe set per member.
+
+    Members are counted, never measured: each is a copy of thicken(base,
+    eps), whose volume base.thickened_volume(eps) bounds.
     """
 
     def __init__(self, base: Body, eps: float, net):
@@ -49,11 +52,6 @@ class CoverFamily:
             np.einsum("rij,j->ri", net.rotations, ball.center)[:, None, :]
             + net.translations).reshape(len(net), self.dim)
         self.centers_sq = None if ball is None else sq_norms(self.centers)
-        # g plus the largest entry of |A^T A - I| over the rotations, as
-        # evaluated: how far from orthogonal the net's matrices are
-        rot = net.rotations
-        self._tau = None if ball is not None else rounding_gamma(self.dim + 3) + float(
-            np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(self.dim)).max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.net)
@@ -64,88 +62,6 @@ class CoverFamily:
         for rows, cols, inside in self._blocks(as_points(points, self.dim)):
             counts[rows] += len(cols) if inside is None else np.count_nonzero(inside, axis=1)
         return counts
-
-    def count_ceilings(self, points) -> np.ndarray:
-        """Upper bounds on counts(points), one per member. For a
-        ThickenedBody with bound centre c, cull slack s and reach
-        R + eps + s, member i = (A, v) holds p only if in_balls puts p in
-        the ball of centre A c + v and radius reach + s, and those balls are
-        counted as a ball family. Any other thickened base, or points for
-        which the conditions below fail, get the number of points instead.
-
-        Let g = rounding_gamma(n + 3), tau = g plus the largest entry of
-        |A^T A - I| over the net's rotations, as evaluated (an n-term sum,
-        off by less than g), and S = max |p| + max |v| + |c| + reach + s;
-        the ball counts are returned when
-        (i) 8 n (g + tau) S <= s / 2 and (ii) 8 g S^2 <= s reach.
-        - Member i holds p only if ThickenedBody.contains_many finds the
-          mapped-back point b = fl(p A - v A) near, so its float |b - c|^2
-          is at most fl(reach^2), and |b - c| <= reach + g S.
-        - Each coordinate of b is two n-term dot products of p and v with a
-          column of A, of norm at most 1 + tau, and one difference: b lies
-          within 2 n g S of A^T (p - v).
-        - The entries of A^T A are within tau of I, so |A^T A - I|_op is at
-          most n tau. With x = p - v - A c, |A^T x| is at most
-          |A^T (p - v) - c| + n tau |c|, and |x| <= (1 + n tau) |A^T x|; so
-          |x| <= reach + 4 n g S + 2 n tau S.
-        - The float centre c' = fl(A c + v) lies within n g S of A c + v, so
-          |p - c'| <= reach + 5 n g S + 2 n tau S <= reach + s / 2 by (i).
-        - in_balls evaluates |p - c'|^2 and its threshold
-          (reach + s)^2 + PREDICATE_TOL each within 4 g S^2, as in _cull
-          with |c'| + |p| + reach + s <= 2 S; and (reach + s)^2 -
-          (reach + s / 2)^2 >= s reach >= 8 g S^2 by (ii): p is counted.
-        """
-        body, pts, n = self.body, as_points(points, self.dim), self.dim
-        if isinstance(body, ThickenedBody):
-            s, gamma = body.slack, rounding_gamma(n + 3)
-            scale = (math.sqrt(float(sq_norms(pts).max(initial=0.0)))
-                     + math.sqrt(float(sq_norms(self.net.translations).max(initial=0.0)))
-                     + float(np.linalg.norm(body.bound.center)) + body.reach + s)
-            if (8.0 * n * (gamma + self._tau) * scale <= 0.5 * s
-                    and 8.0 * gamma * scale * scale <= s * body.reach):
-                return CoverFamily(BallBody(body.bound.center, body.reach + s), 0.0,
-                                   self.net).counts(pts)
-        return np.full(len(self), len(pts))
-
-    def max_count(self, points) -> int:
-        """counts(points).max(), the largest number of the points that one
-        member holds, for a non-empty family whose thickened base is a
-        ThickenedBody and at least one point. Only the members that can hold the most are counted
-        exactly.
-
-        Members are taken in descending order of count_ceilings, which
-        bounds every member's count (proved there), in blocks of
-        geom_core.BLOCK_ELEMS // (m n) for m points in R^n. Each block
-        first drops the members whose ceiling is at most the largest count
-        so far, and the count stops at the first block left empty: every
-        later ceiling is no larger. The block's back-images are tested by
-        near once, the members with at most that largest count of passing
-        points are dropped, and contains_many decides the rest.
-
-        No dropped member could hold more: a point that contains_many holds
-        passes its own evaluation of near, and a point that fails any float
-        evaluation of near is rejected by the projection as well (see
-        ThickenedBody.near), so no exact count exceeds the near-count it is
-        pruned by. So the maximum is the one a count of every member
-        gives."""
-        body, pts, n = self.body, as_points(points, self.dim), self.dim
-        ceilings = self.count_ceilings(pts)
-        order = np.argsort(-ceilings, kind="stable")
-        step, best = max(1, geom_core.BLOCK_ELEMS // pts.size), 0
-        for start in range(0, len(order), step):
-            block = order[start:start + step]
-            block = block[ceilings[block] > best]
-            if block.size == 0:
-                break
-            back = self._back_images(pts[None], block)
-            keep = np.count_nonzero(body.near(back.reshape(-1, n)).reshape(back.shape[:2]),
-                                    axis=0) > best
-            if not keep.all():
-                back = back[:, keep]
-            if back.shape[1]:
-                inside = body.contains_many(back.reshape(-1, n)).reshape(back.shape[:2])
-                best = max(best, int(np.count_nonzero(inside, axis=0).max()))
-        return best
 
     def contains(self, points) -> np.ndarray:
         """Boolean (T, m) matrix: entry (i, j) says member i contains point j."""

@@ -31,9 +31,9 @@ from .geom_core import (
     Ball,
     RngStream,
     as_points,
+    ball_volume_log,
     diameter,
     lens_measure,
-    uniform_ball_points,
 )
 from .isometry_nets import IsometryNet, build_cover_family
 
@@ -47,9 +47,11 @@ MEMBER_RULES = {
     1: "member = g(thicken(base_body, eps)) for g in net.elements",
     2: "member = g(thicken(base_body, eps)) for g in witness_family(base_body, r, eps).net",
 }
-# the closed forms behind a certificate's exact estimates; lens(d; a, b) is
-# Vol(B(0, a) & B(d e_1, b)) / Vol(a B_n) (geom_core.lens_measure)
+# the closed forms behind a certificate's estimates; lens(d; a, b) is
+# Vol(B(0, a) & B(d e_1, b)) / Vol(a B_n) (geom_core.lens_measure), and V
+# bounds Vol(base + eps B_n) (bodies.Body.thickened_volume)
 MEMBER_FORMULA = "lens(min_i |c_i|; r, R + eps)"
+MEMBER_BOUND_FORMULA = "min(1, V / Vol(r B_n)), V = thickened_volume(base_body, eps)"
 EDGE_FORMULA = (f"1 - E_x[lens(|x|; r, threshold)], {EDGE_MEASURE_NODES}-node "
                 "Gauss-Legendre in u, |x| = s0 + (r - s0) u^2")
 
@@ -122,56 +124,46 @@ def verdict(points: np.ndarray, counts, family: CoverFamily, k: int,
     return bool(int(top.sum()) < len(points)), diam, "count-sum"
 
 
-def _exact_estimates(family: CoverFamily, r: float, threshold: float) -> dict:
-    """The estimates entries that have a closed form, by name: the edge
-    measure always, and the largest member measure on r B_n when the
-    members are balls B(c, R + eps). Those lose measure on r B_n as |c|
-    grows (Anderson's inequality), so the member nearest the origin has the
-    exact maximum."""
-    exact = {"edge_measure": {"value": edge_measure_exact(family.dim, r, threshold),
-                              "method": "exact", "formula": EDGE_FORMULA}}
+def _estimates(family: CoverFamily, r: float, threshold: float) -> dict:
+    """The estimates entries by name, each a closed form: the edge measure,
+    and the largest member measure on r B_n. Ball members B(c, R + eps) lose
+    measure on r B_n as |c| grows (Anderson's inequality), so the member
+    nearest the origin has the exact maximum. Any other member is a copy of
+    base + eps B_n, so the base's thickened volume bounds every one."""
+    n = family.dim
     if family.centers is not None:
         nearest = math.sqrt(float(family.centers_sq.min()))
-        exact["member_measure_max"] = {"value": lens_measure(family.dim, nearest, r,
-                                                             family.radius),
-                                       "method": "exact", "formula": MEMBER_FORMULA}
-    return exact
-
-
-def _member_measure_probe(family: CoverFamily, r: float, samples: int, rng: RngStream) -> dict:
-    """The largest measure on r B_n of a member without a closed form, as an
-    estimates entry: the largest fraction of a `samples`-point probe of
-    r B_n that one member holds, counted exactly (CoverFamily.max_count)."""
-    probe = uniform_ball_points(rng.generator(), family.dim, r, samples)
-    return {"value": float(family.max_count(probe)) / samples, "method": "monte-carlo",
-            "samples": samples}
+        member = {"value": lens_measure(n, nearest, r, family.radius), "method": "exact",
+                  "formula": MEMBER_FORMULA}
+    else:
+        volume = family.base.thickened_volume(family.eps) / math.exp(ball_volume_log(n, r))
+        member = {"value": min(1.0, volume), "method": "bound", "formula": MEMBER_BOUND_FORMULA}
+    return {"member_measure_max": member, "edge_measure": {
+        "value": edge_measure_exact(n, r, threshold), "method": "exact", "formula": EDGE_FORMULA}}
 
 
 def _estimates_check(estimates: dict, family: CoverFamily, r: float, threshold: float) -> dict:
-    """The estimates-recomputed check: every entry with a closed form must
-    be exactly the recomputed entry (method, formula and the bits of its
-    value); any other entry must be a Monte Carlo one, which is reported
-    as not rechecked."""
-    exact = _exact_estimates(family, r, threshold)
-    probed = sorted(name for name, entry in estimates.items()
-                    if name not in exact and entry["method"] == "monte-carlo")
-    ok = len(exact) + len(probed) == len(estimates) and all(
-        name in estimates and json.dumps(estimates[name], sort_keys=True)
-        == json.dumps(entry, sort_keys=True) for name, entry in exact.items())
-    return {"name": "estimates-recomputed", "ok": ok, "recomputed": sorted(exact),
-            "not_rechecked": probed}
+    """The estimates-recomputed check: the certificate states exactly the
+    recomputed entries, each bit for bit (method, formula and value), but a
+    member bound stated as a Monte Carlo estimate, as schema-2 certificates
+    gave it before the bound, is reported as not rechecked."""
+    fresh = _estimates(family, r, threshold)
+    probed = [name for name, entry in fresh.items() if entry["method"] == "bound"
+              and name in estimates and estimates[name]["method"] == "monte-carlo"]
+    ok = sorted(estimates) == sorted(fresh) and all(
+        name in probed or json.dumps(estimates[name], sort_keys=True)
+        == json.dumps(entry, sort_keys=True) for name, entry in fresh.items())
+    return {"name": "estimates-recomputed", "ok": ok,
+            "recomputed": sorted(set(fresh) - set(probed)), "not_rechecked": probed}
 
 
 def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: float,
-                   M: int, p: float, max_retries: int, samples: int, config: dict) -> dict:
+                   M: int, p: float, max_retries: int, config: dict) -> dict:
     """Seeded search for a witness against witness_family(base, r, eps);
     returns its certificate, a deterministic function of the arguments.
     `config` is the caller's echo of its arguments."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
     n = base.dim
     check_witness_dim(n)
-    rng = RngStream(seed, 0)
     # the parameter checks (n, M, k, p, retries, alpha, the unit-diameter
     # edge threshold) all run before the family is built
     params = CocliqueParams(M=M, k=k, p=p, max_retries=max_retries)
@@ -180,9 +172,7 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
 
     # the lemma's two measures on r B_n (diagnostic only; never gate the verdict)
     threshold = edge_threshold(r, alpha)
-    estimates = _exact_estimates(family, r, threshold)
-    if "member_measure_max" not in estimates:
-        estimates["member_measure_max"] = _member_measure_probe(family, r, samples, rng.child(2))
+    estimates = _estimates(family, r, threshold)
     hypotheses = check_hypotheses(params, len(family),
                                   [estimates["member_measure_max"]["value"]],
                                   estimates["edge_measure"]["value"])
@@ -192,7 +182,7 @@ def search_witness(base: Body, seed: int, r: float, alpha: float, k: int, eps: f
                       "verification", UserWarning)
 
     # randomized coclique search, accepting on the certificate's verdict
-    result = build_coclique(spec, params, rng.child(4),
+    result = build_coclique(spec, params, RngStream(seed, 0).child(4),
                             accept=lambda x, counts: verdict(x, counts, family, k, threshold)[0])
     holds, diam_x, method = verdict(result.X, result.per_Y_counts, family, k, threshold)
     return {
@@ -247,7 +237,8 @@ def verify_witness_certificate(cert: dict) -> dict:
     its base body, r and eps, compare the stated net record, member rule
     (and a schema-1 certificate's element list) with it, and recompute the
     threshold, the diameter, the counts, the verdict and its method against
-    it, and the estimates that have a closed form. No search is re-run."""
+    it, and every estimate, each a closed form (see _estimates_check). No
+    search is re-run."""
     version = cert["schema_version"]
     if type(version) is not int or version not in MEMBER_RULES:
         raise ValueError(f"schema_version {version!r} is not one of "

@@ -680,22 +680,57 @@ def segment_cert(tmp_path_factory):
 def test_segment_witness_is_pinned(segment_cert):
     rc, out = segment_cert
     assert rc == 0
-    # Last change: the edge measure became exact and the pair draw went
-    # (estimates and hypotheses only).
+    # Last change: the member measure became the closed-form bound of the
+    # capsule's area, and the base body's echo lost its exact_volume
+    # (estimates, hypotheses and base_body only).
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "fe439f5f1321f7bc3fb129ba391e88ba7bd2af81aa95dfa09b088c1f8a50125e"
+        "6693744fff17b2ee618601f42f470e4eebd51aa918b4546c3430ca1bf6df7a65"
     cert = json.loads(out.read_text())
     assert _seeded_digest(cert) == \
         "545ad59499368f4957e817f13afe02b3b88f95d6ba8c846d38853650c84db606"
-    # a segment member has no closed-form measure: the probe still runs
-    assert cert["estimates"]["member_measure_max"]["method"] == "monte-carlo"
+    # the capsule's area 2 (0.6) (0.4) + pi 0.4^2 = 0.983 exceeds pi 0.55^2
+    assert cert["estimates"]["member_measure_max"] == {
+        "value": 1.0, "method": "bound", "formula": witness.MEMBER_BOUND_FORMULA}
     assert cert["estimates"]["edge_measure"]["method"] == "exact"
-    # the verifier rechecks the exact edge measure and reports the probe
+    # the verifier rechecks both measures
     rc, doc = run(["witness", "--verify-cert", str(out)], out.parent / "report.json")
     assert rc == 0 and doc["pass"]
     assert doc["checks"][-1] == {"name": "estimates-recomputed", "ok": True,
-                                 "recomputed": ["edge_measure"],
-                                 "not_rechecked": ["member_measure_max"]}
+                                 "recomputed": ["edge_measure", "member_measure_max"],
+                                 "not_rechecked": []}
+
+
+def test_segment_member_bound_is_rechecked(segment_cert, tmp_path):
+    # an altered bound fails estimates-recomputed alone; a Monte Carlo
+    # member entry, as schema-2 certificates stated it before the bound,
+    # still verifies and is listed as not rechecked
+    cert = json.loads(segment_cert[1].read_text())
+    bound = cert["estimates"]["member_measure_max"]
+    for name, entry in (("lower", {**bound, "value": 0.9}),
+                        ("probe", {"value": 0.864, "method": "monte-carlo", "samples": 500})):
+        cert["estimates"]["member_measure_max"] = entry
+        rc, doc = _verify(cert, tmp_path, name)
+        failed = {c["name"] for c in doc["checks"] if not c["ok"]}
+        if name == "lower":
+            assert rc == 1 and failed == {"estimates-recomputed"}
+        else:
+            assert rc == 0 and doc["checks"][-1] == {
+                "name": "estimates-recomputed", "ok": True, "recomputed": ["edge_measure"],
+                "not_rechecked": ["member_measure_max"]}
+
+
+def test_witness_samples_flag_changes_only_the_echo(tmp_path):
+    # nothing reads --samples: a ball and a segment certificate written
+    # with 1 and with 20,000 differ in config alone
+    (tmp_path / "segment.json").write_text(json.dumps(SEGMENT_BODY))
+    for name, flags in (("ball", ["--ball-radius", "0.4", "--eps", "0.1"]),
+                        ("segment", ["--body", str(tmp_path / "segment.json"), "--eps", "0.4"])):
+        certs = [run(["witness", "--seed", "1", *flags, "--samples", samples],
+                     tmp_path / f"{name}-{samples}.json")[1] for samples in ("1", "20000")]
+        assert [c["config"]["params"]["samples"] for c in certs] == [1, 20000]
+        for cert in certs:
+            del cert["config"]
+        assert certs[0] == certs[1]
 
 
 @pytest.mark.parametrize("flags,digest", [
@@ -714,21 +749,24 @@ def test_cover_audit_is_pinned(tmp_path, flags, digest):
 # bytes they gave before ThickenedBody culled points by the base's slabs. The
 # cull changes which points share a Dykstra batch, and a Dykstra result can
 # depend on its batch, so these guard the decisions near member boundaries.
+# The witness and verify pins were re-pinned when the member measure became
+# the closed-form bound (estimates, hypotheses, base_body and the
+# estimates-recomputed check only).
 SEGMENT_BODY_PINS = {
-    1002: {"witness": "730059956368e90837152ae6c5d4510bfb062ec5037b67f1e9f5e612f7e94af1",
-           "verify": "a33466310e48c917bc379b6b48f3066025e7c2cf5101bc3329d48c413e0d5944",
+    1002: {"witness": "9ad187a44a7f0543c5b815cce4b3fc442aa450ed4213ddd1cb85f72844d2fe4c",
+           "verify": "02c4ed59a7d17dd6b65c85ed89a7bf61c59f520060e23802172deb8ef6972583",
            "cover": "f027a3e9ecc5f9fc07a0f44b0bc56a56d8015d0201602032fe3234d98aeb06f2",
            "fault": "e8fbd3b856af78a74771d3b138e5aad69d480d2266d0d226ddcf6432636aaa25"},
-    1003: {"witness": "e5a6b12fb05cec48b18538ab257939a2a70f94646c80134bd58c8b70428bbfda",
-           "verify": "15cd552fcc06cc3a3fb243651f34bac81f8d884d6648ff28d86afd6d944077c9",
+    1003: {"witness": "da5da2bc1da919c93019733c48a7d8a53c86f6461b8d925cc965edb769fc053a",
+           "verify": "2c5a90103c436346f8b521aa29f109e072e7875854b2a76d8e615835857371a9",
            "cover": "dae685ae39cc65e653b304566cc3b4fecac5e8bc90bad07262e00e278f16a634",
            "fault": "76636b4ad4500b5c0a79ef2e08600802d0ba09a0304537611e28840eb4ff72e3"},
-    1004: {"witness": "c7727042c94f4b426bb85ddee330643933d47f13f3299ace9dc0835631ec7253",
-           "verify": "d8f53d7fcd3eddbd0bc5fd8d022f136d78b531091f3f15bdb4123fc0b67eebc0",
+    1004: {"witness": "4d4f621f5cf779c6c148f1dce3a5307850d1e5d6c9173d75de752254122d19d0",
+           "verify": "8bcdae073cd1fa9bbecd353f41a6ec40fd56afe2762a439a2a4c571744ba9083",
            "cover": "495ab1316248d901b6edd6b23adfc4dd9a0585f763b1f28dca1d7b2bb1c2d438",
            "fault": "9235eaf9ab6982f8f219d55a5ab3ec997d1e7d91de8bd676f458cd458a6a8994"},
-    1005: {"witness": "ace5bd68a8e30bb2eb55b709def99c450a934db01b928fd597558cd35cf9bd4e",
-           "verify": "d80748fb8e1e4880641edc36463b43af46d5e3fe50967d8ce62d755eb3f3e7a3",
+    1005: {"witness": "4b870a9d3d1eb908720e8070e8ba4c70a8000a63cac48e7b03fce7f1ef2bd9c8",
+           "verify": "5713e1ad5049be6d4c9710e617fdc737f68cb117957dc2dbfd0104028e088969",
            "cover": "d48a5d48066c8e99c7197d2b185759bc275685b432234b65e7d6664e41b8c393",
            "fault": "93d18f4509c1d299f847e8399e106d1b32cc71bc058303011a968b90ae8030bc"},
 }
@@ -853,9 +891,11 @@ def test_witness_bad_parameters_exit_2_before_the_family(monkeypatch, capsys, fl
     ["audit", "--suite", "edges", "--seed", "1", "--samples", "100000000000000000"],
     ["jung-check", "--n", "2", "--seed", "1", "--samples", "1",
      "--cloud-size", "100000000000000000"],
+    # the coclique's M points: --samples no longer draws anything
     ["witness", "--seed", "1", "--n", "2", "--body", "segment.json", "--eps", "0.4",
-     "--samples", "100000000000000000"],
+     "--M", "100000000000000000"],
 ], ids=["audit-edges", "jung-check", "witness"])
+@pytest.mark.filterwarnings("ignore:lemma hypotheses fail")
 def test_refused_allocation_exits_2(tmp_path, monkeypatch, capsys, argv):
     # 10^17 rows of float64 ask for 1.4 EiB, more than any address space,
     # so numpy refuses them before it touches memory
